@@ -1,0 +1,100 @@
+"""Golden digests of outputs that must stay byte-identical.
+
+Each digest is the SHA-256 of a canonical rendering of one output: JSON
+with sorted keys and no whitespace, or CSV text without the timing
+column. A change that alters one of these outputs on purpose says so in
+CHANGES.md and updates the digest in the same change.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from hcs import ExperimentConfig, SimpleGraph, build_extremal, extract, run_experiment, verify_all_bounds
+from hcs.bounds import reports_to_json
+from hcs.cli import rows_to_csv
+from hcs.extractor import result_to_json_dict
+from conftest import random_graph
+
+
+def digest(payload) -> str:
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def relabelled(g: SimpleGraph, seed: int) -> SimpleGraph:
+    """g under a fixed random permutation of its vertex ids."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return SimpleGraph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+
+
+def case_ids(table: dict) -> list[str]:
+    return ["-".join(map(str, params)) for params in sorted(table)]
+
+
+# (k, sigma_k, level) -> digest of the extraction JSON on the relabelled instance
+EXTREMAL = {
+    (2, 2, 3):
+        "21808342a556248e70319bb0893edc6bec924081a704e0d0dc948aeaed715d28",
+    (2, 2, 4):
+        "42bba965ed3430909d4cddf0fa3434c684467259ddca77a7d6fb4f59f7d38bd5",
+    (2, 2, 5):
+        "6e89419c496deefe2a4680f4d3b5938cbdae5732b7cf1b331aa2a651d1045a21",
+    (2, 2, 6):
+        "fd22d317e5177fbe1d14bc811e42f104d60080d0baf89368e98563eff16df26d",
+    (3, 3, 4):
+        "d48525962f65d5943740a72c457b20b665b78c0a12c1e2ce0f34ccdba8a8b59a",
+}
+
+# acceptance configurations (k, alternative, seed) -> digest of 12 trials
+EXPERIMENT = {
+    (2, 3, 1001):
+        "243499c157ba8d8bfb8253cda960d296784c8ea1f4a74483b6dd7a6850d90aa3",
+    (3, 3, 1002):
+        "d4911f055386c25f458b43c70d1a4164558884115d8e913b24541105c04f9cd6",
+    (2, 1, 1003):
+        "56d6d672cd168cbbf5e5b6f41b937d5411b2cbe0fcb98974ffd36a39ea5e7b3c",
+    (2, 2, 1004):
+        "ccd6df37a5e9133c09606739fdb44ad41375b23b33789d10439beda26f0f5496",
+}
+
+RANDOM_EXTRACTIONS = "6c708e75542cc1e6ebb9d9c20f5e241113751ead05bc41f5342fec07c37f4783"
+BOUND_TABLE = "e482055bf87dc7d4c31f5301f59466b938c5b6ef0c1dc0c1bd078629e277b456"
+
+
+@pytest.mark.parametrize(("params", "expected"), sorted(EXTREMAL.items()), ids=case_ids(EXTREMAL))
+def test_extremal_extraction(params, expected):
+    k, sigma_k, level = params
+    e = build_extremal(k, sigma_k, level)
+    result = extract(relabelled(e.graph, level), k, e.sigma)
+    assert digest(result_to_json_dict(result)) == expected
+
+
+def test_random_extractions():
+    rng = random.Random(2718)
+    results = []
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(8, 30), rng.choice([0.2, 0.35, 0.5, 0.7]))
+        for k in (2, 3):
+            for sigma in (Fraction(1, 5), Fraction(1)):
+                results.append(result_to_json_dict(extract(g, k, sigma)))
+    assert digest(results) == RANDOM_EXTRACTIONS
+
+
+@pytest.mark.parametrize(("params", "expected"), sorted(EXPERIMENT.items()), ids=case_ids(EXPERIMENT))
+def test_experiment_csv(params, expected):
+    k, alt_id, seed = params
+    cfg = ExperimentConfig(trials=12, k=k, n_range=(15, 50), alternative_id=alt_id, seed=seed)
+    rows, ok = run_experiment(cfg)
+    assert ok
+    text = "\n".join(line.rsplit(",", 1)[0] for line in rows_to_csv(rows).splitlines())
+    assert digest(text) == expected
+
+
+def test_bound_table():
+    assert digest(reports_to_json(verify_all_bounds())) == BOUND_TABLE
