@@ -5,13 +5,11 @@ from .graphs import (
     EMPTY_PROFILE,
     InducedSubgraph,
     SimpleGraph,
-    TwoGraphView,
     average_degree,
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
     induced_subgraph,
-    two_graph_counts,
 )
 from .connectivity import (
     CutWitness,
@@ -24,7 +22,6 @@ from .connectivity import (
 from .enclosure import Enclosure, as_enclosure, sqrt_enclosure
 from .extractor import (
     FOUND,
-    LEAF_CONNECTED,
     LEAF_SMALL,
     SEPARABLE,
     SEPARATED,

@@ -25,7 +25,7 @@ from .enclosure import (
     upper_bound,
 )
 from .extractor import SEPARABLE, extract
-from .graphs import AnticliqueProfile, SimpleGraph, two_graph_counts
+from .graphs import AnticliqueProfile, SimpleGraph
 
 TOL_ENCLOSED = Fraction(1, 10**9)  # for obligations involving irrational constants
 TOL_EXACT = Fraction(0)
@@ -432,10 +432,6 @@ def _identity_report(
 
 # --- obligation tables ---------------------------------------------------------------
 
-def _half(x):
-    return x / 2 if isinstance(x, Enclosure) else Fraction(x) / 2
-
-
 def _basic_obligations_for(sigma, label: str, tolerance: Fraction) -> list[BoundReport]:
     s = sigma
     delta = 2 + s + 1 / (2 * as_enclosure(s)) if isinstance(s, Enclosure) else 2 + s + Fraction(1, 2) / s
@@ -736,8 +732,10 @@ def separable_density_check(
     params = {"n": str(g.n), "e": str(g.edge_count), "k": str(k), "alt": alt.label}
     if g.n == 0:
         return BoundReport(oid, params, "-", "-", Fraction(0), TOL_EXACT, "NOT_APPLICABLE")
-    view = two_graph_counts(g, k)
-    gg = view.vbar - 1
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    # the graph with every edge doubled and a loop per vertex: v/k vertices, (2e+v)/k^2 edges
+    gg = Fraction(g.n, k) - 1
     if not as_enclosure(gg).certainly_ge(alt.gamma):
         return BoundReport(oid, params, "-", "-", Fraction(0), TOL_EXACT, "NOT_APPLICABLE")
     result = extract(g, k, alt.sigma, budget=budget)
@@ -745,9 +743,10 @@ def separable_density_check(
         return BoundReport(oid, params, "-", "-", Fraction(0), TOL_EXACT, "NOT_APPLICABLE")
     bound = as_enclosure(alt.delta) * gg + Fraction(2, 3)
     tol = TOL_EXACT if is_exact(alt.delta) else TOL_ENCLOSED
-    margin = (bound - as_enclosure(view.ebar)).lo
+    ebar = Fraction(2 * g.edge_count + g.n, k * k)
+    margin = (bound - as_enclosure(ebar)).lo
     return BoundReport(
-        oid, params, _fmt(view.ebar), _fmt(bound), margin, tol, _verdict(margin, tol)
+        oid, params, _fmt(ebar), _fmt(bound), margin, tol, _verdict(margin, tol)
     )
 
 

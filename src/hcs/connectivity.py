@@ -5,6 +5,10 @@ capacity per interior vertex). Pairs are restricted to the classic
 dominating strategy: one minimum-degree vertex against all of its
 non-neighbors, then all non-adjacent pairs of its neighbors. A slow
 exhaustive oracle is provided for cross-checking on small graphs.
+
+The kernel works on one graph and a vertex set given as a bitmask over
+it (``alive``, all of the graph by default); separators and sides are
+returned in the graph's own vertex ids.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .graphs import SimpleGraph
 
@@ -46,9 +50,9 @@ class Separation:
     def core(self) -> frozenset[int]:
         return self.side_a & self.side_b
 
-    def validate(self, g: SimpleGraph, k: int) -> None:
-        """Raise ValueError unless all separation invariants hold in g."""
-        all_v = frozenset(range(g.n))
+    def validate(self, g: SimpleGraph, k: int, alive: Optional[int] = None) -> None:
+        """Raise ValueError unless all separation invariants hold in g on alive."""
+        all_v = frozenset(_bits(_vertex_mask(g, alive)))
         if self.side_a | self.side_b != all_v:
             raise ValueError("sides do not cover the vertex set")
         if len(self.core) != k:
@@ -98,12 +102,22 @@ def _is_connected(masks: tuple[int, ...], alive: int) -> bool:
     return len(_components(masks, alive)) == 1
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
+def _bits(mask: int) -> list[int]:
+    """The vertex ids in a bitmask, ascending."""
     out = []
     while mask:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
-    return frozenset(out)
+    return out
+
+
+def _vertex_mask(g: SimpleGraph, alive: Optional[int]) -> int:
+    """``alive``, or all of g when it is None; it must name only vertices of g."""
+    if alive is None:
+        return (1 << g.n) - 1
+    if alive < 0 or alive >> g.n:
+        raise ValueError("vertex mask names vertices outside the graph")
+    return alive
 
 
 # --- Dinic max-flow on the vertex-split network -------------------------------
@@ -177,7 +191,18 @@ class _Dinic:
         return seen
 
 
-def _st_vertex_cut(g: SimpleGraph, s: int, t: int, limit: int) -> tuple[int, Optional[frozenset[int]]]:
+class _FlowGraph(NamedTuple):
+    """A vertex set relabelled 0..n-1 in id order, as a plain edge list.
+
+    One is built per min-cut call, and every flow network of that call is
+    built from it.
+    """
+
+    n: int
+    edges: list[tuple[int, int]]
+
+
+def _st_vertex_cut(g: _FlowGraph, s: int, t: int, limit: int) -> tuple[int, Optional[frozenset[int]]]:
     """Minimum s-t vertex cut for non-adjacent s, t, capped at ``limit``.
 
     Returns (limit, None) when the cut is at least ``limit``; otherwise the
@@ -197,49 +222,56 @@ def _st_vertex_cut(g: SimpleGraph, s: int, t: int, limit: int) -> tuple[int, Opt
         return limit, None
     reach = net.residual_reachable(2 * s + 1)
     sep = frozenset(v for v in range(n) if reach[2 * v] and not reach[2 * v + 1])
-    assert len(sep) == value, "residual cut does not match the flow value"
+    if len(sep) != value:
+        raise RuntimeError("residual cut does not match the flow value")
     return value, sep
 
 
-def _dominating_pairs(g: SimpleGraph) -> Iterator[tuple[int, int]]:
-    s = min(range(g.n), key=lambda v: (g.degree(v), v))
-    nbrs = sorted(g.neighbors(s))
-    nbr_set = set(nbrs)
-    for t in range(g.n):
-        if t != s and t not in nbr_set:
-            yield s, t
-    for x, y in combinations(nbrs, 2):
-        if not g.has_edge(x, y):
+def _dominating_pairs(masks: tuple[int, ...], alive: int, s: int) -> Iterator[tuple[int, int]]:
+    """Pairs to cut: s, of minimum degree, against each non-neighbor, then
+    each non-adjacent pair of its neighbors."""
+    nbrs = masks[s] & alive
+    for t in _bits(alive & ~nbrs & ~(1 << s)):
+        yield s, t
+    for x, y in combinations(_bits(nbrs), 2):
+        if not masks[x] >> y & 1:
             yield x, y
 
 
-def _min_cut_capped(g: SimpleGraph, cap: int) -> CutWitness:
-    """Minimum vertex cut, with work capped: kappa is min(true kappa, cap).
+def _min_cut_capped(g: SimpleGraph, cap: int, alive: Optional[int] = None) -> CutWitness:
+    """Minimum vertex cut of g on alive, with work capped: kappa is min(true kappa, cap).
 
     When the reported kappa equals cap the true connectivity may be larger
     and no separator is produced.
     """
-    n = g.n
+    alive = _vertex_mask(g, alive)
+    ids = _bits(alive)
+    n = len(ids)
     if n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
     if n == 1:
         return CutWitness(0, None)
-    if g.is_complete():
-        return CutWitness(min(n - 1, cap), None)
     masks = g.adjacency_masks
-    if not _is_connected(masks, (1 << n) - 1):
+    degree = {v: (masks[v] & alive).bit_count() for v in ids}
+    if sum(degree.values()) == n * (n - 1):
+        return CutWitness(min(n - 1, cap), None)
+    if not _is_connected(masks, alive):
         return CutWitness(0, frozenset())
-    s = min(range(n), key=lambda v: (g.degree(v), v))
-    best = g.degree(s)
-    best_sep: Optional[frozenset[int]] = g.neighbors(s)
+    s = min(ids, key=lambda v: (degree[v], v))
+    best = degree[s]
+    best_sep: Optional[frozenset[int]] = frozenset(_bits(masks[s] & alive))
     if best >= cap:
         best, best_sep = cap, None
-    for x, y in _dominating_pairs(g):
+    index = {v: i for i, v in enumerate(ids)}
+    flow_graph = _FlowGraph(
+        n, [(index[v], index[w]) for v in ids for w in _bits(masks[v] & alive) if v < w]
+    )
+    for x, y in _dominating_pairs(masks, alive, s):
         if best <= 1:
             break
-        value, sep = _st_vertex_cut(g, x, y, best)
+        value, sep = _st_vertex_cut(flow_graph, index[x], index[y], best)
         if value < best:
-            best, best_sep = value, sep
+            best, best_sep = value, frozenset(ids[v] for v in sep)
     return CutWitness(best, best_sep)
 
 
@@ -250,40 +282,43 @@ def min_vertex_cut(g: SimpleGraph) -> CutWitness:
     return _min_cut_capped(g, g.n if g.n else 1)
 
 
-def is_k1_connected(g: SimpleGraph, k: int) -> bool:
-    """Whether g is (k+1)-connected: at least k+2 vertices and kappa >= k+1."""
+def is_k1_connected(g: SimpleGraph, k: int, alive: Optional[int] = None) -> bool:
+    """Whether g on alive is (k+1)-connected: at least k+2 vertices and kappa >= k+1."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if g.n < k + 2:
+    alive = _vertex_mask(g, alive)
+    if alive.bit_count() < k + 2:
         return False
-    return _min_cut_capped(g, k + 1).kappa >= k + 1
+    return _min_cut_capped(g, k + 1, alive).kappa >= k + 1
 
 
-def find_separation(g: SimpleGraph, k: int) -> Optional[Separation]:
-    """A separation of g whose core has exactly k vertices, if one exists.
+def find_separation(g: SimpleGraph, k: int, alive: Optional[int] = None) -> Optional[Separation]:
+    """A separation of g on alive whose core has exactly k vertices, if one exists.
 
-    Exists iff v(g) >= k+2 and kappa(g) <= k. A minimum separator is padded
-    up to k vertices by repeatedly moving the lowest-indexed private vertex
-    of the currently larger side into the core (ties prefer side A); moves
-    that would empty a private side are redirected to the other side.
+    Exists iff the set has at least k+2 vertices and kappa <= k. A minimum
+    separator is padded up to k vertices by repeatedly moving the
+    lowest-indexed private vertex of the currently larger side into the
+    core (ties prefer side A); moves that would empty a private side are
+    redirected to the other side.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if g.n < k + 2:
+    alive = _vertex_mask(g, alive)
+    if alive.bit_count() < k + 2:
         return None
-    witness = _min_cut_capped(g, k + 1)
+    witness = _min_cut_capped(g, k + 1, alive)
     if witness.kappa > k or witness.separator is None:
         return None
     core = set(witness.separator)
-    masks = g.adjacency_masks
-    alive = (1 << g.n) - 1
+    rest = alive
     for v in core:
-        alive &= ~(1 << v)
-    comps = _components(masks, alive)
-    assert len(comps) >= 2
-    comp_a = _mask_to_set(comps[0])
+        rest &= ~(1 << v)
+    comps = _components(g.adjacency_masks, rest)
+    if len(comps) < 2:
+        raise RuntimeError("minimum separator does not disconnect the vertex set")
+    comp_a = frozenset(_bits(comps[0]))
     side_a = comp_a | core
-    side_b = frozenset(range(g.n)) - comp_a
+    side_b = frozenset(_bits(alive)) - comp_a
     while len(core) < k:
         priv_a = side_a - side_b
         priv_b = side_b - side_a

@@ -1,11 +1,11 @@
 """Extraction of large highly connected subgraphs via separations.
 
-The extractor recursively splits induced subgraphs along separations
-with a k-vertex core. A (k+1)-connected subgraph can never be split by
-such a core, so it survives inside one side; if the recursion bottoms
-out without finding one, the resulting decomposition tree certifies
-that no induced subgraph on more than (1+sigma)k vertices is
-(k+1)-connected.
+The extractor recursively splits vertex sets of one graph, passed to the
+connectivity kernel as bitmasks, along separations with a k-vertex core.
+A (k+1)-connected subgraph can never be split by such a core, so it
+survives inside one side; if the recursion bottoms out without finding
+one, the resulting decomposition tree certifies that no induced subgraph
+on more than (1+sigma)k vertices is (k+1)-connected.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from typing import Optional, Union
 
 from .connectivity import Separation, find_separation, is_k1_connected
 from .enclosure import Enclosure
-from .graphs import SimpleGraph, average_degree, induced_subgraph
+from .graphs import SimpleGraph, average_degree
 
 FOUND = "FOUND"
 SEPARABLE = "SEPARABLE"
 
 SEPARATED = "SEPARATED"
-LEAF_CONNECTED = "LEAF_CONNECTED"
 LEAF_SMALL = "LEAF_SMALL"
 
 SigmaLike = Union[int, float, Fraction, Enclosure]
@@ -49,6 +48,10 @@ def size_threshold(k: int, sigma: SigmaLike) -> int:
     if s <= 0:
         raise ValueError("sigma must be positive")
     return math.floor((1 + s) * k)
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,10 @@ def extract(
     tree whose separations certify that no such subgraph exists. Both
     sides of every separation are explored, with memoization on vertex
     sets; exceeding the budget raises BudgetExceededError.
+
+    A FOUND set is certified once, by the search itself: ``find_separation``
+    returns None on a set of more than k+1 vertices only when its capped
+    minimum vertex cut reaches k+1, so the set is (k+1)-connected.
     """
     threshold = size_threshold(k, sigma)
     # sets of at most k+1 vertices cannot host a (k+1)-connected subgraph either
@@ -101,29 +108,21 @@ def extract(
         if len(w) <= small_cap:
             node = DecompositionNode(w, LEAF_SMALL, None, ())
         else:
-            ind = induced_subgraph(g, w)
-            sep = find_separation(ind.graph, k)
+            sep = find_separation(g, k, _mask(w))
             if sep is None:
-                if not is_k1_connected(ind.graph, k):
-                    raise AssertionError("unseparable subgraph fails re-verification")
                 return w  # found
-            side_a = frozenset(ind.to_original(v) for v in sep.side_a)
-            side_b = frozenset(ind.to_original(v) for v in sep.side_b)
-            left = explore(side_a)
+            left = explore(sep.side_a)
             if isinstance(left, frozenset):
                 return left
-            right = explore(side_b)
+            right = explore(sep.side_b)
             if isinstance(right, frozenset):
                 return right
-            node = DecompositionNode(w, SEPARATED, Separation(side_a, side_b), (left, right))
+            node = DecompositionNode(w, SEPARATED, sep, (left, right))
         memo[w] = node
         return node
 
     outcome = explore(frozenset(range(g.n)))
     if isinstance(outcome, frozenset):
-        ind = induced_subgraph(g, outcome)
-        if not is_k1_connected(ind.graph, k):  # re-verify before reporting
-            raise AssertionError("found subgraph fails re-verification")
         return ExtractionResult(FOUND, outcome, None)
     return ExtractionResult(SEPARABLE, None, outcome)
 
@@ -138,23 +137,12 @@ def validate_decomposition(
         if len(node.vertices) > small_cap:
             raise ValueError("LEAF_SMALL node too large")
         return
-    if node.kind == LEAF_CONNECTED:
-        ind = induced_subgraph(g, node.vertices)
-        if not is_k1_connected(ind.graph, k):
-            raise ValueError("LEAF_CONNECTED node is not (k+1)-connected")
-        return
     if node.kind != SEPARATED:
         raise ValueError(f"unknown node kind {node.kind}")
     sep = node.separation
     if sep is None or len(node.children) != 2:
         raise ValueError("SEPARATED node needs a separation and two children")
-    ind = induced_subgraph(g, node.vertices)
-    index = {v: i for i, v in enumerate(ind.vertices)}
-    local = Separation(
-        frozenset(index[v] for v in sep.side_a),
-        frozenset(index[v] for v in sep.side_b),
-    )
-    local.validate(ind.graph, k)
+    sep.validate(g, k, _mask(node.vertices))
     for child, side in zip(node.children, (sep.side_a, sep.side_b)):
         if child.vertices != side:
             raise ValueError("child vertex set does not match its separation side")
@@ -204,8 +192,7 @@ def scan_connected_subgraph(
                 if len(prefix) >= need and all(
                     (masks[u] & nmask).bit_count() >= k + 1 for u in prefix
                 ):
-                    ind = induced_subgraph(g, prefix)
-                    if is_k1_connected(ind.graph, k):
+                    if is_k1_connected(g, k, nmask):
                         hit = tuple(prefix)
                         prefix.pop()
                         return hit

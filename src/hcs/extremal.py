@@ -8,7 +8,7 @@ subgraph remains confined to a single complete leaf of the gluing tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -56,8 +56,10 @@ def _split_parts(
     element is flipped back in half of the odd-sized parts to balance
     the totals. Sizes within each side stay within one of each other.
     """
+    if sum(len(p) for p in parts) != 2 * k:
+        raise ValueError(f"pool parts must total {2 * k} vertices")
+    # a total of 2k makes the odd parts even in number and both sides total k
     odd = [i for i, p in enumerate(parts) if len(p) % 2 == 1]
-    assert len(odd) % 2 == 0
     flips = set(odd[: len(odd) // 2])
     first: list[tuple[int, ...]] = []
     second: list[tuple[int, ...]] = []
@@ -68,8 +70,6 @@ def _split_parts(
             z.append(y.pop())
         first.append(tuple(y))
         second.append(tuple(z))
-    assert sum(len(p) for p in first) == k
-    assert sum(len(p) for p in second) == k
     return first, second
 
 
@@ -98,7 +98,8 @@ def build_extremal(
         y_set = set(y)
         e_y = sum(1 for u, v in edges if u in y_set and v in y_set)
         # the gluing set must keep at most a 2^-i share of the complete edge count
-        assert 2 * e_y * (1 << i) <= k * k - k
+        if 2 * e_y * (1 << i) > k * k - k:
+            raise RuntimeError(f"gluing set {i} keeps more than a 2^-{i} share of its edges")
         others = sorted(set(range(n)) - y_set)
         remap = {v: v for v in y}
         remap.update({v: n + j for j, v in enumerate(others)})
@@ -182,21 +183,9 @@ def _check_partition(e: ExtremalGraph) -> bool:
     if max(sizes) - min(sizes) > 1:
         return False
     masks = e.graph.adjacency_masks
-    part_masks = []
-    for p in e.parts:
-        m = 0
-        for v in p:
-            m |= 1 << v
-        part_masks.append(m)
-    for i, p in enumerate(e.parts):
-        others = 0
-        for j, m in enumerate(part_masks):
-            if j != i:
-                others |= m
-        for v in p:
-            if masks[v] & others:
-                return False
-    return True
+    part_masks = [sum(1 << v for v in p) for p in e.parts]
+    pool = sum(part_masks)  # the parts are disjoint, as _validate_structure checked
+    return not any(masks[v] & pool & ~own for p, own in zip(e.parts, part_masks) for v in p)
 
 
 def _edge_lower_bound(e: ExtremalGraph) -> Fraction:
@@ -325,11 +314,6 @@ def first_level_meeting_degree_target(
         if average_degree(e.graph) > target:
             return level
     return None
-
-
-def with_graph(e: ExtremalGraph, graph: SimpleGraph) -> ExtremalGraph:
-    """The same metadata over a different graph (for mutation experiments)."""
-    return replace(e, graph=graph)
 
 
 # --- serialization --------------------------------------------------------------

@@ -96,40 +96,6 @@ def average_degree(g: SimpleGraph) -> Fraction:
     return Fraction(2 * g.edge_count, g.n)
 
 
-@dataclass(frozen=True)
-class TwoGraphView:
-    """Counting view of a graph with every edge doubled and a loop per vertex.
-
-    The doubled structure is never materialized; only its edge count
-    2e + v matters, along with the normalized measures obtained by
-    dividing vertex counts by k and edge counts by k^2.
-    """
-
-    base: SimpleGraph
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-
-    @property
-    def two_edge_count(self) -> int:
-        return 2 * self.base.edge_count + self.base.n
-
-    @property
-    def vbar(self) -> Fraction:
-        return Fraction(self.base.n, self.k)
-
-    @property
-    def ebar(self) -> Fraction:
-        return Fraction(self.two_edge_count, self.k * self.k)
-
-
-def two_graph_counts(g: SimpleGraph, k: int) -> TwoGraphView:
-    """Doubled-edge accounting of g at normalization parameter k."""
-    return TwoGraphView(g, k)
-
-
 class InducedSubgraph(NamedTuple):
     """A relabeled induced subgraph together with its vertex map.
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -29,3 +30,33 @@ def diamond() -> SimpleGraph:
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return SimpleGraph.from_edges(n, edges)
+
+
+def k1_connected_by_removal(g: SimpleGraph, vertices, k: int) -> bool:
+    """Whether g on vertices is (k+1)-connected, by brute force.
+
+    The set needs more than k+1 vertices and must stay connected after
+    removing any k or fewer of them. Plain adjacency sets and a graph
+    search: no code is shared with the connectivity kernel.
+    """
+    vs = set(vertices)
+    if len(vs) < k + 2:
+        return False
+    adj = {v: set() for v in vs}
+    for u, v in g.edges:
+        if u in vs and v in vs:
+            adj[u].add(v)
+            adj[v].add(u)
+    for size in range(k + 1):
+        for removed in combinations(sorted(vs), size):
+            rest = vs - set(removed)
+            start = min(rest)
+            seen = {start}
+            stack = [start]
+            while stack:
+                for w in adj[stack.pop()] & rest - seen:
+                    seen.add(w)
+                    stack.append(w)
+            if seen != rest:
+                return False
+    return True

@@ -386,3 +386,7 @@ class TestSeparableDensityCheck:
         g = build_extremal(2, 2, 2).graph
         report = separable_density_check(g, 2, get_alternative(3))
         assert report.verdict == "NOT_APPLICABLE"
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError):
+            separable_density_check(SimpleGraph.empty(1), 0, get_alternative(3))

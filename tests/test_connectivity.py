@@ -143,6 +143,17 @@ class TestFindSeparation:
     def test_absent_for_tiny(self):
         assert find_separation(SimpleGraph.complete(3), 2) is None
 
+    def test_on_a_vertex_mask(self, glued_k4s):
+        # without vertex 0 the set {1..5} is separated by {2, 3} alone
+        sep = find_separation(glued_k4s, 2, 0b111110)
+        assert sep.side_a == {1, 2, 3} and sep.side_b == {2, 3, 4, 5}
+        sep.validate(glued_k4s, 2, 0b111110)
+        with pytest.raises(ValueError):
+            sep.validate(glued_k4s, 2)
+        assert is_k1_connected(glued_k4s, 2, 0b001111)
+        with pytest.raises(ValueError):
+            find_separation(glued_k4s, 2, 1 << 6)
+
     def test_disconnected_padding(self):
         g = SimpleGraph.empty(5)
         sep = find_separation(g, 2)

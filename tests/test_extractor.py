@@ -22,7 +22,7 @@ from hcs import (
 )
 from hcs.extractor import result_to_json_dict
 from hcs.enclosure import sqrt_enclosure
-from conftest import random_graph
+from conftest import k1_connected_by_removal, random_graph
 
 
 class TestSizeThreshold:
@@ -85,9 +85,25 @@ class TestExtract:
             g = random_graph(rng, rng.randint(5, 12), 0.6)
             res = extract(g, 2, Fraction(1, 5))
             if res.outcome == FOUND:
-                sub = induced_subgraph(g, res.subgraph)
-                assert is_k1_connected(sub.graph, 2)
+                assert k1_connected_by_removal(g, res.subgraph, 2)
                 assert len(res.subgraph) >= 3
+
+    def test_found_set_node_connectivity(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(15)
+        found = 0
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(15, 40), rng.choice([0.15, 0.3, 0.5]))
+            for k in (2, 3):
+                res = extract(g, k, Fraction(1, 5))
+                if res.outcome == FOUND:
+                    found += 1
+                    h = nx.Graph()
+                    h.add_nodes_from(res.subgraph)
+                    h.add_edges_from(e for e in g.edges if set(e) <= res.subgraph)
+                    assert nx.node_connectivity(h) >= k + 1
+                    assert len(res.subgraph) > size_threshold(k, Fraction(1, 5))
+        assert found >= 10
 
     def test_budget_error(self):
         g = SimpleGraph.cycle(12)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hcs import (
     sharpness_rate,
     verify_extremal,
 )
-from hcs.extremal import ExtremalGraph, degree_rate_target, with_graph
+from hcs.extremal import ExtremalGraph, _split_parts, degree_rate_target
 from hcs.graphs import induced_subgraph
 from hcs.connectivity import _is_connected
 
@@ -54,6 +55,11 @@ class TestBuild:
             build_extremal(0, 1, 0)
         with pytest.raises(ValueError):
             build_extremal(2, 2, -1)
+
+    def test_split_parts_needs_a_pool_of_2k(self):
+        assert _split_parts(((0, 1, 2), (3,)), 2) == ([(0,), (3,)], [(1, 2), ()])
+        with pytest.raises(ValueError):
+            _split_parts(((0,),), 1)
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
@@ -107,7 +113,7 @@ class TestVerify:
         ]
         assert shared, "level-1 gluing on a complete base must share an edge"
         smaller = SimpleGraph(e.graph.n, e.graph.edges - {shared[0]})
-        mutated = with_graph(e, smaller)
+        mutated = replace(e, graph=smaller)
         report = verify_extremal(mutated)
         assert report.edge_margin == -1
         assert not report.edge_bound_ok
@@ -141,7 +147,7 @@ class TestSharpnessRate:
 
     def test_violated_rate_raises(self):
         e = build_extremal(1, 1, 0)  # single edge on two vertices
-        mutated = with_graph(e, SimpleGraph.empty(2))
+        mutated = replace(e, graph=SimpleGraph.empty(2))
         with pytest.raises(ArithmeticError):
             sharpness_rate(mutated)
 

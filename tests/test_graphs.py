@@ -11,7 +11,6 @@ from hcs import (
     graph_to_dot,
     graph_to_json_dict,
     induced_subgraph,
-    two_graph_counts,
 )
 from conftest import random_graph
 
@@ -66,42 +65,6 @@ class TestAverageDegree:
     def test_exact_fraction(self):
         g = SimpleGraph.path(3)
         assert average_degree(g) == Fraction(4, 3)
-
-
-class TestTwoGraphCounts:
-    def test_path_k1(self):
-        view = two_graph_counts(SimpleGraph.path(3), 1)
-        assert view.two_edge_count == 7
-        assert view.vbar == 3
-        assert view.ebar == 7
-
-    def test_complete_equality_case(self):
-        view = two_graph_counts(SimpleGraph.complete(4), 2)
-        assert view.two_edge_count == 16
-        assert view.vbar == 2
-        assert view.ebar == view.vbar**2
-
-    def test_edgeless(self):
-        view = two_graph_counts(SimpleGraph.empty(5), 5)
-        assert view.two_edge_count == 5
-        assert view.vbar == 1
-        assert view.ebar == Fraction(1, 5)
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            two_graph_counts(SimpleGraph.empty(1), 0)
-
-    def test_count_identity_and_density_cap(self):
-        # ebar * k^2 = 2e + v holds exactly; ebar <= vbar^2 with equality
-        # exactly for complete graphs
-        rng = random.Random(11)
-        for _ in range(100):
-            g = random_graph(rng, rng.randint(1, 9), rng.random())
-            for k in (1, 2, 5):
-                view = two_graph_counts(g, k)
-                assert view.ebar * k * k == 2 * g.edge_count + g.n
-                assert view.ebar <= view.vbar**2
-                assert (view.ebar == view.vbar**2) == g.is_complete()
 
 
 class TestInducedSubgraph:
