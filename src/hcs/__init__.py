@@ -1,5 +1,7 @@
 """Dense graphs, vertex connectivity, and large highly connected subgraphs."""
 
+from types import ModuleType as _ModuleType
+
 from .graphs import (
     AnticliqueProfile,
     EMPTY_PROFILE,
@@ -70,5 +72,8 @@ from .bounds import (
 )
 from .cli import ExperimentConfig, dispatch, run_experiment
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ Everything rational is computed exactly with Fractions; irrational
 constants (square roots) are carried as certified rational enclosures,
 and every PASS verdict is required to hold at the unfavorable end of
 each enclosure. Quadratic inequalities on an interval are certified by
-endpoint evaluation plus concavity, with a dense grid as a fallback.
+their exact minimum: the endpoints, and the vertex of a convex quadratic.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -309,7 +309,7 @@ class CertificateResult:
     passed: bool
     margin: Fraction           # certified lower bound of the minimum of q
     at_point: Fraction         # where the minimum margin was observed
-    method: str                # "endpoints+concavity" or "grid"
+    method: str                # "endpoints+concavity", "endpoints+vertex" or "interval"
 
 
 def certify_nonnegative_on_interval(
@@ -318,41 +318,39 @@ def certify_nonnegative_on_interval(
     hi,
     *,
     tolerance: Fraction = TOL_EXACT,
-    grid_step: Optional[Fraction] = None,
 ) -> CertificateResult:
     """Certify q(x) >= 0 on [lo, hi] for a quadratic q.
 
-    Endpoint checks suffice when q is concave (the feasible set of
-    q >= 0 is then an interval); otherwise a dense grid scan is used as
-    a safety net. Records the minimum margin either way.
+    The minimum of q on an interval is at an endpoint, or, when q is
+    convex, at its vertex -c1/(2 c2) if that lies inside; there q equals
+    c0 - c1^2/(4 c2). When the sign of c2 is not certain, q is evaluated
+    in interval arithmetic over the whole of [lo, hi]. The margin is a
+    certified lower bound of the minimum in every case.
     """
-    if len(list(coeffs)) > 3:
+    coeffs = list(coeffs)
+    if len(coeffs) > 3:
         raise ValueError("only polynomials of degree at most 2 are supported")
     lo_e, hi_e = as_enclosure(lo), as_enclosure(hi)
     if hi_e.hi < lo_e.lo:
         raise ValueError("degenerate interval: lo > hi")
-    m_lo = _poly_eval(coeffs, lo_e).lo
-    m_hi = _poly_eval(coeffs, hi_e).lo
-    if m_lo <= m_hi:
-        margin, at = m_lo, lo_e.midpoint
+    candidates = [
+        (_poly_eval(coeffs, lo_e).lo, lo_e.midpoint),
+        (_poly_eval(coeffs, hi_e).lo, hi_e.midpoint),
+    ]
+    c0, c1, c2 = (as_enclosure(c) for c in coeffs + [0] * (3 - len(coeffs)))
+    if c2.hi <= 0:
+        method = "endpoints+concavity"
+    elif c2.lo > 0:
+        method = "endpoints+vertex"
+        vertex = -c1 / (2 * c2)
+        if vertex.hi >= lo_e.lo and vertex.lo <= hi_e.hi:
+            candidates.append(((c0 - c1 * c1 / (4 * c2)).lo, vertex.midpoint))
     else:
-        margin, at = m_hi, hi_e.midpoint
-    c2 = as_enclosure(list(coeffs)[2]) if len(list(coeffs)) > 2 else as_enclosure(0)
-    concave = c2.hi <= 0
-    if concave:
-        return CertificateResult(margin >= -tolerance, margin, at, "endpoints+concavity")
-    # grid fallback over the midpoint representation of the interval
-    a, b = lo_e.midpoint, hi_e.midpoint
-    step = Fraction(grid_step) if grid_step is not None else (b - a) / 10**4
-    if step <= 0:
-        step = Fraction(1)
-    x = a
-    while x < b:
-        v = _poly_eval(coeffs, x).lo
-        if v < margin:
-            margin, at = v, x
-        x += step
-    return CertificateResult(margin >= -tolerance, margin, at, "grid")
+        method = "interval"
+        whole = Enclosure(lo_e.lo, hi_e.hi)
+        candidates.append((_poly_eval(coeffs, whole).lo, whole.midpoint))
+    margin, at = min(candidates, key=lambda c: c[0])
+    return CertificateResult(margin >= -tolerance, margin, at, method)
 
 
 @dataclass(frozen=True)
@@ -390,10 +388,9 @@ def _interval_report(
     lo,
     hi,
     tolerance: Fraction,
-    grid_step=None,
 ) -> BoundReport:
     q = _poly_sub(rhs_poly, lhs_poly)
-    cert = certify_nonnegative_on_interval(q, lo, hi, tolerance=tolerance, grid_step=grid_step)
+    cert = certify_nonnegative_on_interval(q, lo, hi, tolerance=tolerance)
     lhs_at = _poly_eval(lhs_poly, cert.at_point)
     rhs_at = _poly_eval(rhs_poly, cert.at_point)
     return BoundReport(
@@ -480,7 +477,7 @@ def verify_basic_bounds() -> list[BoundReport]:
     return out
 
 
-def _alt1_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]:
+def _alt1_obligations(alt: ParameterAlternative) -> list[BoundReport]:
     s, gamma, delta = alt.sigma, alt.gamma, alt.delta
     tol = TOL_EXACT if is_exact(s) else TOL_ENCLOSED
     d2 = delta - 2 if isinstance(delta, Enclosure) else Fraction(delta) - 2
@@ -512,7 +509,6 @@ def _alt1_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]
             gamma,
             s,
             tol,
-            grid_step,
         ),
         # sqrt(2/3) b + sqrt(2/3) b <= (delta - 2) b, per unit b
         _point_report(
@@ -533,7 +529,7 @@ def _alt1_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]
     ]
 
 
-def _alt2_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]:
+def _alt2_obligations(alt: ParameterAlternative) -> list[BoundReport]:
     s, gamma, delta = alt.sigma, alt.gamma, alt.delta
     tol = TOL_ENCLOSED
     d2 = delta - 2
@@ -550,7 +546,6 @@ def _alt2_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]
             gamma,
             up,
             tol,
-            grid_step,
         ),
         # 1 + (g/2)^2 + (g/2 - s)^2 + s^2 <= (delta-2) g + 2/9 on [2 sqrt(2/5), 2 gamma]
         _interval_report(
@@ -561,7 +556,6 @@ def _alt2_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]
             up,
             2 * as_enclosure(gamma),
             tol,
-            grid_step,
         ),
         # sqrt(2/3) (1/4 + 1) b <= (delta - 2) b, per unit b
         _point_report(
@@ -588,12 +582,11 @@ def _alt2_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]
             sqrt23,
             gamma,
             tol,
-            grid_step,
         ),
     ]
 
 
-def _alt3_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]:
+def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
     d2 = Fraction(alt.delta) - 2  # 1109/1000
     tol = TOL_EXACT
     # weight (10/3)(g/8 - 1/5)^2 expands to (5/96) g^2 - g/6 + 2/15
@@ -607,7 +600,6 @@ def _alt3_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]
             Fraction(6, 5),
             Fraction(8, 5),
             tol,
-            grid_step,
         ),
         _interval_report(
             "alt3/base/g[1.6,2.04]",
@@ -621,7 +613,6 @@ def _alt3_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]
             Fraction(8, 5),
             Fraction(51, 25),
             tol,
-            grid_step,
         ),
         _interval_report(
             "alt3/base/g[2.04,2.08]",
@@ -635,7 +626,6 @@ def _alt3_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]
             Fraction(51, 25),
             Fraction(52, 25),
             tol,
-            grid_step,
         ),
         _interval_report(
             "alt3/base/g[2.08,2.4]",
@@ -649,7 +639,6 @@ def _alt3_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]
             Fraction(52, 25),
             Fraction(12, 5),
             tol,
-            grid_step,
         ),
         # derivative of the combined bound in a is negative on the worst corner,
         # so the maximum sits at a = g/2
@@ -680,7 +669,6 @@ def _alt3_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]
             1,
             Fraction(6, 5),
             tol,
-            grid_step,
         ),
         _point_report(
             "alt3/induction/medium-side@b=1",
@@ -700,21 +688,21 @@ def _alt3_obligations(alt: ParameterAlternative, grid_step) -> list[BoundReport]
     return reports
 
 
-def verify_alternative(alt: ParameterAlternative, *, grid_step=None) -> list[BoundReport]:
+def verify_alternative(alt: ParameterAlternative) -> list[BoundReport]:
     """Certify every inequality instance backing the given alternative."""
     if alt.id == 1:
-        return _alt1_obligations(alt, grid_step)
+        return _alt1_obligations(alt)
     if alt.id == 2:
-        return _alt2_obligations(alt, grid_step)
+        return _alt2_obligations(alt)
     if alt.id == 3:
-        return _alt3_obligations(alt, grid_step)
+        return _alt3_obligations(alt)
     raise ValueError(f"unknown alternative id {alt.id}")
 
 
-def verify_all_bounds(*, grid_step=None) -> list[BoundReport]:
+def verify_all_bounds() -> list[BoundReport]:
     out = verify_basic_bounds()
     for alt_id in (1, 2, 3):
-        out += verify_alternative(get_alternative(alt_id), grid_step=grid_step)
+        out += verify_alternative(get_alternative(alt_id))
     return out
 
 

@@ -7,8 +7,10 @@ Subcommands:
   experiment     randomized testing of the density implication, CSV output
   certify        re-verify a constructed instance from its JSON file
 
-Exit codes: 0 all passed, 1 any failure, 2 usage error. The environment
-variable HCS_LOG in {quiet, info, debug} controls logging verbosity.
+Exit codes: 0 all passed, 1 a failed verdict, 2 a usage or resource error
+(bad arguments or input, or out of search budget, stack depth or memory).
+The environment variable HCS_LOG in {quiet, info, debug} controls
+logging verbosity.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .bounds import (
     verify_all_bounds,
     verify_alternative,
 )
-from .extractor import FOUND, extract, result_to_json_dict
+from .extractor import FOUND, BudgetExceededError, extract, result_to_json_dict
 from .extremal import (
     build_extremal,
     extremal_from_json_dict,
@@ -206,11 +208,10 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_verify_bounds(args) -> int:
-    grid_step = Fraction(args.grid_step) if args.grid_step else None
     if args.alt == "all":
-        reports = verify_all_bounds(grid_step=grid_step)
+        reports = verify_all_bounds()
     else:
-        reports = verify_alternative(get_alternative(int(args.alt)), grid_step=grid_step)
+        reports = verify_alternative(get_alternative(int(args.alt)))
     width = max(len(r.obligation_id) for r in reports)
     for r in reports:
         print(
@@ -309,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bounds", help="certify the proof-obligation table")
     p.add_argument("--alt", choices=("1", "2", "3", "all"), required=True)
-    p.add_argument("--grid-step", help="override the fallback grid step (rational)")
     p.add_argument("--csv", help="write the reports as CSV")
     p.add_argument("--json", help="write the reports as JSON")
     p.set_defaults(func=_cmd_verify_bounds)
@@ -343,6 +343,9 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (BudgetExceededError, RecursionError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

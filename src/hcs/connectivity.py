@@ -1,10 +1,12 @@
 """Vertex connectivity, minimum vertex separators, and separations.
 
 The connectivity kernel runs max-flow on the vertex-split network (unit
-capacity per interior vertex). Pairs are restricted to the classic
-dominating strategy: one minimum-degree vertex against all of its
-non-neighbors, then all non-adjacent pairs of its neighbors. A slow
-exhaustive oracle is provided for cross-checking on small graphs.
+capacity per vertex), built once per vertex set and augmented one unit
+path at a time by breadth-first search, never by recursion. Pairs are
+restricted to the classic dominating strategy: one minimum-degree vertex
+against all of its non-neighbors, then all non-adjacent pairs of its
+neighbors. A slow exhaustive oracle is provided for cross-checking on
+small graphs.
 
 The kernel works on one graph and a vertex set given as a bitmask over
 it (``alive``, all of the graph by default); separators and sides are
@@ -13,7 +15,6 @@ returned in the graph's own vertex ids.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, NamedTuple, Optional
@@ -120,111 +121,76 @@ def _vertex_mask(g: SimpleGraph, alive: Optional[int]) -> int:
     return alive
 
 
-# --- Dinic max-flow on the vertex-split network -------------------------------
+# --- unit augmenting paths on the vertex-split network ---------------------------
 
-class _Dinic:
-    __slots__ = ("num", "to", "cap", "adj")
+class _SplitNetwork(NamedTuple):
+    """The vertex-split network of a vertex set relabelled 0..n-1 in id order.
 
-    def __init__(self, num: int):
-        self.num = num
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(num)]
-
-    def add(self, u: int, v: int, c: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int, limit: int) -> int:
-        flow = 0
-        while flow < limit:
-            level = [-1] * self.num
-            level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for eid in self.adj[u]:
-                    w = self.to[eid]
-                    if self.cap[eid] > 0 and level[w] < 0:
-                        level[w] = level[u] + 1
-                        q.append(w)
-            if level[t] < 0:
-                break
-            it = [0] * self.num
-            while flow < limit:
-                pushed = self._augment(s, t, limit - flow, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
-        return flow
-
-    def _augment(self, u: int, t: int, up: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return up
-        while it[u] < len(self.adj[u]):
-            eid = self.adj[u][it[u]]
-            w = self.to[eid]
-            if self.cap[eid] > 0 and level[w] == level[u] + 1:
-                pushed = self._augment(w, t, min(up, self.cap[eid]), level, it)
-                if pushed:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
-
-    def residual_reachable(self, s: int) -> list[bool]:
-        seen = [False] * self.num
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.adj[u]:
-                w = self.to[eid]
-                if self.cap[eid] > 0 and not seen[w]:
-                    seen[w] = True
-                    q.append(w)
-        return seen
-
-
-class _FlowGraph(NamedTuple):
-    """A vertex set relabelled 0..n-1 in id order, as a plain edge list.
-
-    One is built per min-cut call, and every flow network of that call is
-    built from it.
+    Vertex v becomes in(v) = 2v and out(v) = 2v+1, joined by a unit arc; each
+    edge vw becomes arcs out(v) -> in(w) and out(w) -> in(v) of capacity n,
+    more than any flow of at most n-1 units can use. Arc e runs to
+    ``head[e]`` with capacity ``cap[e]``, its reverse is e ^ 1, and
+    ``adj[x]`` lists the arcs leaving node x. One is built per min-cut call
+    and shared, unchanged, by all of its flows.
     """
 
-    n: int
-    edges: list[tuple[int, int]]
+    head: list[int]
+    cap: list[int]
+    adj: list[list[int]]
 
 
-def _st_vertex_cut(g: _FlowGraph, s: int, t: int, limit: int) -> tuple[int, Optional[frozenset[int]]]:
+def _split_network(n: int, edges: list[tuple[int, int]]) -> _SplitNetwork:
+    arcs = [(2 * v, 2 * v + 1, 1) for v in range(n)]
+    for v, w in edges:
+        arcs += ((2 * v + 1, 2 * w, n), (2 * w + 1, 2 * v, n))
+    head: list[int] = []
+    cap: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(2 * n)]
+    for x, y, c in arcs:
+        adj[x].append(len(head))
+        adj[y].append(len(head) + 1)
+        head += (y, x)
+        cap += (c, 0)
+    return _SplitNetwork(head, cap, adj)
+
+
+def _st_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int) -> tuple[int, Optional[frozenset[int]]]:
     """Minimum s-t vertex cut for non-adjacent s, t, capped at ``limit``.
 
     Returns (limit, None) when the cut is at least ``limit``; otherwise the
-    exact value together with a witness separator extracted from the
-    residual network (interior vertices v with in(v) reachable, out(v) not).
+    exact value together with a witness separator. Flow runs from out(s)
+    to in(t) on a copy of the capacities, one unit per breadth-first
+    search; one unit is right because every path crosses a unit vertex
+    arc. The first search that misses in(t) has visited the residual
+    reachable set, and the separator is the v with in(v) visited, out(v) not.
     """
-    n = g.n
-    net = _Dinic(2 * n)
-    big = n  # exceeds any vertex cut, so edge arcs never saturate
-    for v in range(n):
-        net.add(2 * v, 2 * v + 1, big if v in (s, t) else 1)
-    for u, v in g.edges:
-        net.add(2 * u + 1, 2 * v, big)
-        net.add(2 * v + 1, 2 * u, big)
-    value = net.max_flow(2 * s + 1, 2 * t, limit)
-    if value >= limit:
-        return limit, None
-    reach = net.residual_reachable(2 * s + 1)
-    sep = frozenset(v for v in range(n) if reach[2 * v] and not reach[2 * v + 1])
-    if len(sep) != value:
-        raise RuntimeError("residual cut does not match the flow value")
-    return value, sep
+    head, adj = net.head, net.adj
+    cap = net.cap.copy()
+    source, sink = 2 * s + 1, 2 * t
+    for value in range(limit):
+        parent = {source: -1}
+        queue = [source]
+        for u in queue:  # the list grows while it is walked: a FIFO queue
+            for e in adj[u]:
+                if cap[e]:
+                    w = head[e]
+                    if w not in parent:
+                        parent[w] = e
+                        queue.append(w)
+            if sink in parent:
+                break
+        if sink not in parent:
+            sep = frozenset(x >> 1 for x in parent if not x & 1 and x + 1 not in parent)
+            if len(sep) != value:
+                raise RuntimeError("residual cut does not match the flow value")
+            return value, sep
+        x = sink
+        while x != source:
+            e = parent[x]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            x = head[e ^ 1]
+    return limit, None
 
 
 def _dominating_pairs(masks: tuple[int, ...], alive: int, s: int) -> Iterator[tuple[int, int]]:
@@ -262,14 +228,16 @@ def _min_cut_capped(g: SimpleGraph, cap: int, alive: Optional[int] = None) -> Cu
     best_sep: Optional[frozenset[int]] = frozenset(_bits(masks[s] & alive))
     if best >= cap:
         best, best_sep = cap, None
+    if best <= 1:  # a connected set has no smaller cut, so no flow runs
+        return CutWitness(best, best_sep)
     index = {v: i for i, v in enumerate(ids)}
-    flow_graph = _FlowGraph(
+    net = _split_network(
         n, [(index[v], index[w]) for v in ids for w in _bits(masks[v] & alive) if v < w]
     )
     for x, y in _dominating_pairs(masks, alive, s):
         if best <= 1:
             break
-        value, sep = _st_vertex_cut(flow_graph, index[x], index[y], best)
+        value, sep = _st_vertex_cut(net, index[x], index[y], best)
         if value < best:
             best, best_sep = value, frozenset(ids[v] for v in sep)
     return CutWitness(best, best_sep)

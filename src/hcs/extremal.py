@@ -291,10 +291,8 @@ def sharpness_rate(e: ExtremalGraph) -> tuple[Fraction, Fraction]:
     Raises if the guarantee is violated, which would mean the
     construction lost edges somewhere.
     """
-    sigma = e.sigma
     lhs = Fraction(2 * e.graph.edge_count, e.graph.n - e.k)
-    delta = 2 + sigma + Fraction(1, 3) / sigma
-    rhs = delta * e.k - 1 - Fraction(1, 3) / sigma
+    rhs = degree_rate_target(e.k, e.sigma_k) + 1 - Fraction(1, 3) / e.sigma
     if lhs < rhs:
         raise ArithmeticError(f"rate {lhs} fell below the guaranteed {rhs}")
     return lhs, rhs

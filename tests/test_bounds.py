@@ -31,7 +31,7 @@ from hcs.bounds import (
     reports_to_json,
     split_is_feasible,
 )
-from hcs.enclosure import as_enclosure, sqrt_enclosure
+from hcs.enclosure import Enclosure, as_enclosure, sqrt_enclosure
 
 
 class TestParameterAlternatives:
@@ -290,14 +290,35 @@ class TestCertifyInterval:
         res = certify_nonnegative_on_interval(
             (Fraction(-1), Fraction(0), Fraction(1)), -2, 2
         )
-        assert res.method == "grid"
+        assert res.method == "endpoints+vertex"
         assert not res.passed and res.margin == -1
 
     def test_convex_grid_pass(self):
         res = certify_nonnegative_on_interval(
-            (Fraction(1), Fraction(0), Fraction(1)), -1, 1, grid_step=Fraction(1, 100)
+            (Fraction(1), Fraction(0), Fraction(1)), -1, 1
         )
-        assert res.method == "grid" and res.passed
+        assert res.method == "endpoints+vertex" and res.passed
+
+    def test_convex_dip_between_grid_points(self):
+        # (g - 1/3)^2 - 10^-12 dips below zero only near 1/3, off any decimal grid
+        res = certify_nonnegative_on_interval(
+            (Fraction(1, 9) - Fraction(1, 10**12), Fraction(-2, 3), Fraction(1)), 0, 1
+        )
+        assert res.method == "endpoints+vertex"
+        assert not res.passed and res.margin == -Fraction(1, 10**12)
+        assert res.at_point == Fraction(1, 3)
+
+    def test_convex_vertex_outside(self):
+        # g^2 on [1, 2] has its vertex at 0, so the minimum is at g = 1
+        res = certify_nonnegative_on_interval((0, 0, 1), 1, 2)
+        assert res.method == "endpoints+vertex"
+        assert res.passed and res.margin == 1 and res.at_point == 1
+
+    def test_uncertain_curvature_uses_interval_evaluation(self):
+        c2 = Enclosure(Fraction(-1, 10), Fraction(1, 10))
+        res = certify_nonnegative_on_interval((1, 0, c2), 0, 1)
+        assert res.method == "interval"
+        assert res.passed and res.margin == Fraction(9, 10)
 
     def test_degenerate_interval(self):
         with pytest.raises(ValueError):

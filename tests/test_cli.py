@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 
-from hcs import ExperimentConfig, dispatch, run_experiment
+import hcs
+from hcs import BudgetExceededError, ExperimentConfig, SimpleGraph, dispatch, run_experiment
 from hcs.cli import NOT_APPLICABLE_SATURATED, rows_to_csv
 
 
@@ -100,6 +102,40 @@ class TestDispatch:
         monkeypatch.setenv("HCS_LOG", "quiet")
         assert dispatch(["verify-bounds", "--alt", "3"]) == 0
         capsys.readouterr()
+
+    def test_extract_long_cycle(self, capsys, tmp_path):
+        source, result_path = tmp_path / "cycle.json", tmp_path / "res.json"
+        source.write_text(json.dumps({"n": 700, "edges": sorted(SimpleGraph.cycle(700).edges)}))
+        assert dispatch(["extract", "--in", str(source), "--k", "1", "--sigma", "1",
+                         "--out", str(result_path)]) == 0
+        capsys.readouterr()
+        result = json.loads(result_path.read_text())
+        assert result["outcome"] == "FOUND" and len(result["subgraph"]) == 700
+
+    @pytest.mark.parametrize("error", [
+        BudgetExceededError("exploration budget of 3 vertex sets exceeded"),
+        RecursionError("maximum recursion depth exceeded"),
+        MemoryError(),
+    ])
+    def test_resource_error_exits_2(self, capsys, monkeypatch, tmp_path, error):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("hcs.cli.extract", exhausted)
+        source = tmp_path / "g.json"
+        source.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+        assert dispatch(["extract", "--in", str(source), "--k", "1", "--sigma", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {type(error).__name__}")
+
+    def test_grid_step_flag_is_gone(self, capsys):
+        assert dispatch(["verify-bounds", "--alt", "3", "--grid-step", "1/100"]) == 2
+        capsys.readouterr()
+
+
+def test_package_exports_no_submodules():
+    assert not [name for name in hcs.__all__ if isinstance(getattr(hcs, name), ModuleType)]
+    assert "extract" in hcs.__all__ and "connectivity" not in hcs.__all__
 
 
 class TestExperiment:

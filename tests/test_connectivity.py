@@ -9,7 +9,7 @@ from hcs import (
     is_k1_connected,
     min_vertex_cut,
 )
-from hcs.connectivity import _is_connected
+from hcs.connectivity import _components, _is_connected, _split_network, _st_vertex_cut
 from conftest import random_graph
 
 
@@ -49,6 +49,13 @@ class TestMinVertexCut:
         g = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         w = min_vertex_cut(g)
         assert w.kappa == 1 and w.separator == {0}
+
+    def test_long_cycle(self):
+        # augmenting paths run hundreds of arcs deep around the cycle
+        g = SimpleGraph.cycle(600)
+        w = min_vertex_cut(g)
+        assert w.kappa == 2 and len(w.separator) == 2
+        assert removing_disconnects(g, w.separator)
 
 
 class TestBruteForceMinCut:
@@ -103,6 +110,49 @@ class TestAgreementAndWitnesses:
         w = min_vertex_cut(bowtie)
         assert w.kappa == 1 and w.separator == {2}
         assert min_vertex_cut(SimpleGraph.cycle(4)).kappa == 2
+
+    def test_matches_networkx_beyond_brute_force(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(120)
+        for _ in range(40):
+            n = rng.randint(15, 120)
+            g = random_graph(rng, n, rng.uniform(2, 12) / n)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges)
+            w = min_vertex_cut(g)
+            assert w.kappa == nx.node_connectivity(h), sorted(g.edges)
+            if w.kappa > 0:
+                assert len(w.separator) == w.kappa
+                assert removing_disconnects(g, w.separator)
+
+
+class TestSplitNetwork:
+    def test_flows_share_one_network(self):
+        rng = random.Random(9)
+        g = random_graph(rng, 30, 0.25)
+        net = _split_network(g.n, sorted(g.edges))
+        cap = list(net.cap)
+        pairs = [(s, t) for s in range(g.n) for t in range(s + 1, g.n) if not g.has_edge(s, t)]
+        for s, t in rng.sample(pairs, 20):
+            first = _st_vertex_cut(net, s, t, g.n)
+            assert net.cap == cap
+            assert _st_vertex_cut(net, s, t, g.n) == first
+            value, sep = first
+            assert len(sep) == value and s not in sep and t not in sep
+            alive = (1 << g.n) - 1
+            for v in sep:
+                alive &= ~(1 << v)
+            # s and t end up in different components
+            assert all(comp >> s & 1 == 0 or comp >> t & 1 == 0
+                       for comp in _components(g.adjacency_masks, alive))
+
+    def test_capped_flow_reports_the_cap(self):
+        # K6 without the edge 05: four disjoint 0-5 paths
+        g = SimpleGraph.from_edges(6, [e for e in SimpleGraph.complete(6).edges if e != (0, 5)])
+        net = _split_network(g.n, sorted(g.edges))
+        assert _st_vertex_cut(net, 0, 5, 3) == (3, None)
+        assert _st_vertex_cut(net, 0, 5, 5) == (4, frozenset({1, 2, 3, 4}))
 
 
 class TestIsK1Connected:

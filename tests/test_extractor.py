@@ -105,6 +105,11 @@ class TestExtract:
                     assert len(res.subgraph) > size_threshold(k, Fraction(1, 5))
         assert found >= 10
 
+    def test_long_cycle_found_whole(self):
+        res = extract(SimpleGraph.cycle(700), 1, 1)
+        assert res.outcome == FOUND
+        assert res.subgraph == frozenset(range(700))
+
     def test_budget_error(self):
         g = SimpleGraph.cycle(12)
         with pytest.raises(BudgetExceededError):
