@@ -159,7 +159,7 @@ def rows_to_csv(rows: Sequence[TrialRow]) -> str:
 def _load_graph(path: str) -> SimpleGraph:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "graph" in data:  # accept construct output as well
+    if isinstance(data, dict) and "graph" in data:  # accept construct output as well
         data = data["graph"]
     return graph_from_json_dict(data)
 

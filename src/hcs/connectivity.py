@@ -8,6 +8,13 @@ against all of its non-neighbors, then all non-adjacent pairs of its
 neighbors. A slow exhaustive oracle is provided for cross-checking on
 small graphs.
 
+Once the best cut found is 2, only a 1-vertex cut could lower it, and a
+connected set has one exactly when it has a cut vertex. So the first time
+the best cut reaches 2, one depth-first search (Hopcroft–Tarjan low
+points) decides whether any remaining flow can change the answer; when
+the set has no cut vertex the pair loop stops there, and otherwise it
+runs on unchanged. Either way the answer is the one the full loop gives.
+
 The kernel works on one graph and a vertex set given as a bitmask over
 it (``alive``, all of the graph by default); separators and sides are
 returned in the graph's own vertex ids.
@@ -101,6 +108,51 @@ def _is_connected(masks: tuple[int, ...], alive: int) -> bool:
     if alive & (alive - 1) == 0:
         return True
     return len(_components(masks, alive)) == 1
+
+
+def _has_cut_vertex(masks: tuple[int, ...], alive: int) -> bool:
+    """Whether the subgraph on the ``alive`` bitmask has a cut vertex.
+
+    One depth-first search per component, kept on an explicit stack, with
+    Hopcroft–Tarjan low points: a non-root v is a cut vertex when some
+    child w has low(w) >= disc(v), a root when it has two children. The
+    edge back to the parent may lower low(w) to disc(v), which leaves that
+    test unchanged.
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    rem = alive
+    while rem:
+        root = (rem & -rem).bit_length() - 1
+        disc[root] = low[root] = len(disc)
+        seen = 1 << root
+        children = 0
+        stack = [(root, masks[root] & alive)]
+        while stack:
+            v, todo = stack[-1]
+            if todo:
+                bit = todo & -todo
+                stack[-1] = (v, todo ^ bit)
+                w = bit.bit_length() - 1
+                if w in disc:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    disc[w] = low[w] = len(disc)
+                    seen |= bit
+                    stack.append((w, masks[w] & alive))
+            else:
+                stack.pop()
+                if stack:  # v is done: hand its low point to its parent u
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if u == root:
+                        children += 1
+                        if children > 1:
+                            return True
+                    elif low[v] >= disc[u]:
+                        return True
+        rem &= ~seen
+    return False
 
 
 def _bits(mask: int) -> list[int]:
@@ -209,6 +261,12 @@ def _min_cut_capped(g: SimpleGraph, cap: int, alive: Optional[int] = None) -> Cu
 
     When the reported kappa equals cap the true connectivity may be larger
     and no separator is produced.
+
+    The best cut starts at the minimum degree (or cap) and drops only when
+    a flow returns less. The first time it is 2, whether from the degree
+    or from a flow, ``_has_cut_vertex`` is asked once: without a cut
+    vertex no flow can return 1, so the loop ends with the answer it would
+    have reached anyway.
     """
     alive = _vertex_mask(g, alive)
     ids = _bits(alive)
@@ -230,6 +288,8 @@ def _min_cut_capped(g: SimpleGraph, cap: int, alive: Optional[int] = None) -> Cu
         best, best_sep = cap, None
     if best <= 1:  # a connected set has no smaller cut, so no flow runs
         return CutWitness(best, best_sep)
+    if best == 2 and not _has_cut_vertex(masks, alive):
+        return CutWitness(best, best_sep)
     index = {v: i for i, v in enumerate(ids)}
     net = _split_network(
         n, [(index[v], index[w]) for v in ids for w in _bits(masks[v] & alive) if v < w]
@@ -240,6 +300,8 @@ def _min_cut_capped(g: SimpleGraph, cap: int, alive: Optional[int] = None) -> Cu
         value, sep = _st_vertex_cut(net, index[x], index[y], best)
         if value < best:
             best, best_sep = value, frozenset(ids[v] for v in sep)
+            if best == 2 and not _has_cut_vertex(masks, alive):
+                break
     return CutWitness(best, best_sep)
 
 

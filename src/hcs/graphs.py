@@ -166,14 +166,19 @@ def graph_from_json_dict(data: dict) -> SimpleGraph:
         edges = data["edges"]
     except (TypeError, KeyError) as exc:
         raise ValueError("graph JSON must contain 'n' and 'edges'") from exc
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError("'n' must be an integer")
-    pairs = []
+    if not isinstance(edges, list):
+        raise ValueError("'edges' must be a list")
     for e in edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
             raise ValueError(f"malformed edge entry: {e!r}")
-        pairs.append((int(e[0]), int(e[1])))
-    return SimpleGraph.from_edges(n, pairs)
+    return SimpleGraph.from_edges(n, edges)
+
+
+def _is_int(value) -> bool:
+    """An int and not a bool, which JSON ``true`` and ``false`` load as."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def graph_to_dot(g: SimpleGraph, name: str = "G") -> str:

@@ -128,6 +128,20 @@ class TestDispatch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {type(error).__name__}")
 
+    @pytest.mark.parametrize("payload", [
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": [[0, null]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 3, "edges": [[0.9, 2.2]]}',
+        '5',
+    ])
+    def test_malformed_graph_json_exits_2(self, capsys, tmp_path, payload):
+        source = tmp_path / "g.json"
+        source.write_text(payload)
+        assert dispatch(["extract", "--in", str(source), "--k", "1", "--sigma", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_grid_step_flag_is_gone(self, capsys):
         assert dispatch(["verify-bounds", "--alt", "3", "--grid-step", "1/100"]) == 2
         capsys.readouterr()

@@ -5,12 +5,21 @@ import pytest
 from hcs import (
     SimpleGraph,
     brute_force_min_cut,
+    build_extremal,
+    connectivity,
     find_separation,
     is_k1_connected,
     min_vertex_cut,
 )
-from hcs.connectivity import _components, _is_connected, _split_network, _st_vertex_cut
+from hcs.connectivity import (
+    _components,
+    _has_cut_vertex,
+    _is_connected,
+    _split_network,
+    _st_vertex_cut,
+)
 from conftest import random_graph
+from test_golden import relabelled
 
 
 def removing_disconnects(g: SimpleGraph, separator) -> bool:
@@ -153,6 +162,80 @@ class TestSplitNetwork:
         net = _split_network(g.n, sorted(g.edges))
         assert _st_vertex_cut(net, 0, 5, 3) == (3, None)
         assert _st_vertex_cut(net, 0, 5, 5) == (4, frozenset({1, 2, 3, 4}))
+
+
+class TestHasCutVertex:
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1973)
+        answers = set()
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            g = random_graph(rng, n, rng.uniform(1, 5) / n)
+            alive = rng.getrandbits(n) | rng.choice([0, (1 << n) - 1])
+            h = nx.Graph()
+            h.add_nodes_from(v for v in range(n) if alive >> v & 1)
+            h.add_edges_from((u, v) for u, v in g.edges if alive >> u & 1 and alive >> v & 1)
+            expected = any(True for _ in nx.articulation_points(h))
+            assert _has_cut_vertex(g.adjacency_masks, alive) == expected, (sorted(g.edges), alive)
+            answers.add(expected)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("edges, expected", [
+        ([(0, 1), (1, 2), (2, 3)], True),  # path
+        ([(0, 1)], False),  # a single edge has no inner vertex
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], False),  # cycle
+        # two triangles sharing vertex 2, which the search meets as a non-root
+        ([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], True),
+        ([(0, 1), (0, 2)], True),  # the root 0 has two children
+        ([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], False),  # two triangles apart
+    ])
+    def test_small_shapes(self, edges, expected):
+        g = SimpleGraph.from_edges(1 + max(map(max, edges)), edges)
+        assert _has_cut_vertex(g.adjacency_masks, (1 << g.n) - 1) == expected
+
+    def test_on_a_vertex_mask(self):
+        # the 6-cycle without vertex 0 is the path 1..5
+        masks = SimpleGraph.cycle(6).adjacency_masks
+        assert not _has_cut_vertex(masks, 0b111111)
+        assert _has_cut_vertex(masks, 0b111110)
+        assert not _has_cut_vertex(masks, 0b000110)
+
+    def test_long_cycle(self):
+        # the search runs 3000 vertices deep, past the default recursion limit
+        masks = SimpleGraph.cycle(3000).adjacency_masks
+        full = (1 << 3000) - 1
+        assert not _has_cut_vertex(masks, full)
+        assert _has_cut_vertex(masks, full & ~(1 << 1500))
+
+
+class TestFlowCount:
+    """Once the cut is 2, one cut-vertex search replaces the remaining flows."""
+
+    @pytest.fixture
+    def flows(self, monkeypatch):
+        pairs = []
+        st_vertex_cut = connectivity._st_vertex_cut
+
+        def counted(net, s, t, limit):
+            pairs.append((s, t))
+            return st_vertex_cut(net, s, t, limit)
+
+        monkeypatch.setattr(connectivity, "_st_vertex_cut", counted)
+        return pairs
+
+    def test_long_cycle_runs_no_flow(self, flows):
+        g = SimpleGraph.cycle(3000)
+        w = min_vertex_cut(g)
+        assert w.kappa == 2 and removing_disconnects(g, w.separator)
+        assert len(flows) == 0
+
+    def test_extremal_separation(self, flows):
+        # minimum degree 3; the first flow finds a 2-cut and the search ends it
+        g = relabelled(build_extremal(2, 2, 6).graph, 6)
+        sep = find_separation(g, 2)
+        sep.validate(g, 2)
+        assert len(flows) == 1 < g.n
 
 
 class TestIsK1Connected:

@@ -1,17 +1,33 @@
-"""Property tests: the kernel on a vertex mask against the relabelled route.
+"""Property tests of the connectivity kernel and the extractor.
 
 The kernel works on one graph and a vertex set given as a bitmask over
 it. Relabelling the set with ``induced_subgraph`` preserves the order of
-vertex ids, so both routes must give the same answers, mapped back.
+vertex ids, so both routes must give the same answers, mapped back. Every
+extractor answer is checked by code it does not share: a SEPARABLE tree
+by ``validate_decomposition``, a FOUND set by brute-force removal.
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hcs import Separation, SimpleGraph, find_separation, induced_subgraph, is_k1_connected
+from hcs import (
+    FOUND,
+    Separation,
+    SimpleGraph,
+    extract,
+    find_separation,
+    induced_subgraph,
+    is_k1_connected,
+    size_threshold,
+    validate_decomposition,
+)
 from hcs.connectivity import _min_cut_capped
+from conftest import k1_connected_by_removal, random_graph
 
 
 @st.composite
@@ -45,3 +61,32 @@ def test_mask_matches_induced_subgraph(case, k):
         ref_cut = _min_cut_capped(ind.graph, ind.graph.n)
         assert cut.kappa == ref_cut.kappa
         assert cut.separator == (None if ref_cut.separator is None else back(ref_cut.separator))
+
+
+@st.composite
+def glued_graph(draw):
+    """Two random graphs glued along 0 to 3 shared vertices, so that cuts of
+    1 to 3 vertices, the cores the extractor splits along, are common."""
+    n = draw(st.integers(1, 30))
+    a = draw(st.integers(0, n))
+    lo = a - draw(st.integers(0, min(3, a)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.floats(0, 1))
+    left, right = random_graph(rng, a, p), random_graph(rng, n - lo, p)
+    return SimpleGraph.from_edges(n, [*left.edges, *((u + lo, v + lo) for u, v in right.edges)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    glued_graph(),
+    st.integers(1, 3),
+    st.sampled_from([Fraction(1, 5), Fraction(1), Fraction(2)]),
+)
+def test_extract_answers_check_out(g, k, sigma):
+    res = extract(g, k, sigma)
+    if res.outcome == FOUND:
+        assert len(res.subgraph) > size_threshold(k, sigma)
+        assert k1_connected_by_removal(g, res.subgraph, k)
+    else:
+        assert res.tree.vertices == frozenset(range(g.n))
+        validate_decomposition(g, k, sigma, res.tree)
