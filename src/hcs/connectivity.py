@@ -1,8 +1,11 @@
 """Vertex connectivity, minimum vertex separators, and separations.
 
 The connectivity kernel runs max-flow on the vertex-split network (unit
-capacity per vertex), built once per vertex set and augmented one unit
-path at a time by breadth-first search, never by recursion. Pairs are
+capacity per vertex), augmented one unit path at a time by breadth-first
+search, never by recursion. The network is never built: a search walks
+the graph's adjacency bitmasks restricted to the vertex set, and the flow
+is one dict naming, for each vertex that carries a unit, the neighbour
+the unit comes from (see ``_st_vertex_cut``). Pairs are
 restricted to the classic dominating strategy: one minimum-degree vertex
 against all of its non-neighbors, then all non-adjacent pairs of its
 neighbors. A slow exhaustive oracle is provided for cross-checking on
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .graphs import SimpleGraph
 
@@ -173,75 +176,63 @@ def _vertex_mask(g: SimpleGraph, alive: Optional[int]) -> int:
     return alive
 
 
-# --- unit augmenting paths on the vertex-split network ---------------------------
+# --- unit augmenting paths on the implicit vertex-split network ---------------
 
-class _SplitNetwork(NamedTuple):
-    """The vertex-split network of a vertex set relabelled 0..n-1 in id order.
-
-    Vertex v becomes in(v) = 2v and out(v) = 2v+1, joined by a unit arc; each
-    edge vw becomes arcs out(v) -> in(w) and out(w) -> in(v) of capacity n,
-    more than any flow of at most n-1 units can use. Arc e runs to
-    ``head[e]`` with capacity ``cap[e]``, its reverse is e ^ 1, and
-    ``adj[x]`` lists the arcs leaving node x. One is built per min-cut call
-    and shared, unchanged, by all of its flows.
-    """
-
-    head: list[int]
-    cap: list[int]
-    adj: list[list[int]]
-
-
-def _split_network(n: int, edges: list[tuple[int, int]]) -> _SplitNetwork:
-    arcs = [(2 * v, 2 * v + 1, 1) for v in range(n)]
-    for v, w in edges:
-        arcs += ((2 * v + 1, 2 * w, n), (2 * w + 1, 2 * v, n))
-    head: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
-    for x, y, c in arcs:
-        adj[x].append(len(head))
-        adj[y].append(len(head) + 1)
-        head += (y, x)
-        cap += (c, 0)
-    return _SplitNetwork(head, cap, adj)
-
-
-def _st_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int) -> tuple[int, Optional[frozenset[int]]]:
-    """Minimum s-t vertex cut for non-adjacent s, t, capped at ``limit``.
+def _st_vertex_cut(masks: tuple[int, ...], s: int, t: int, limit: int, alive: int) -> tuple[int, Optional[frozenset[int]]]:
+    """Minimum s-t vertex cut in the set ``alive`` for non-adjacent s, t, capped at ``limit``.
 
     Returns (limit, None) when the cut is at least ``limit``; otherwise the
-    exact value together with a witness separator. Flow runs from out(s)
-    to in(t) on a copy of the capacities, one unit per breadth-first
-    search; one unit is right because every path crosses a unit vertex
-    arc. The first search that misses in(t) has visited the residual
-    reachable set, and the separator is the v with in(v) visited, out(v) not.
+    exact value together with a witness separator in the graph's own ids.
+
+    Flow runs on the vertex-split network without building it: vertex v is
+    in(v) -> out(v), a unit arc, and each edge vw gives arcs out(v) -> in(w)
+    and out(w) -> in(v) that no flow fills. Flow goes from out(s) to in(t),
+    one unit per breadth-first search; one unit is right because every
+    path crosses a unit vertex arc. ``into[w] = u`` records the unit that
+    enters w from u, so w's unit arc is full exactly when w is in ``into``.
+    The residual network then has few arcs to look at: in(w) leads only to
+    out(w) when w is free and only back to out(into[w]) when it is full;
+    out(v) leads to in(w) for every neighbour w, and back to in(v) when v
+    is full. ``reach_in`` and ``reach_out`` are the bitmasks of in- and
+    out-nodes a search has reached. The first search that misses in(t) has
+    reached the whole residual reachable set, and the separator is
+    ``reach_in & ~reach_out``.
     """
-    head, adj = net.head, net.adj
-    cap = net.cap.copy()
-    source, sink = 2 * s + 1, 2 * t
+    into: dict[int, int] = {}
     for value in range(limit):
-        parent = {source: -1}
-        queue = [source]
-        for u in queue:  # the list grows while it is walked: a FIFO queue
-            for e in adj[u]:
-                if cap[e]:
-                    w = head[e]
-                    if w not in parent:
-                        parent[w] = e
-                        queue.append(w)
-            if sink in parent:
+        reach_in, reach_out = 0, 1 << s
+        came: dict[int, int] = {}  # in(w) was reached from out(came[w])
+        went: dict[int, int] = {}  # out(x) was reached from in(went[x])
+        queue = [s]
+        for v in queue:  # the list grows while it is walked: a FIFO queue
+            new = masks[v] & alive & ~reach_in
+            if new >> t & 1:
                 break
-        if sink not in parent:
-            sep = frozenset(x >> 1 for x in parent if not x & 1 and x + 1 not in parent)
+            if v in into and not reach_in >> v & 1:
+                new |= 1 << v  # back along v's own full unit arc
+            reach_in |= new
+            while new:
+                w = (new & -new).bit_length() - 1
+                new &= new - 1
+                came[w] = v
+                x = into.get(w, w)
+                if not reach_out >> x & 1:
+                    reach_out |= 1 << x
+                    went[x] = w
+                    queue.append(x)
+        else:
+            sep = frozenset(_bits(reach_in & ~reach_out))
             if len(sep) != value:
                 raise RuntimeError("residual cut does not match the flow value")
             return value, sep
-        x = sink
-        while x != source:
-            e = parent[x]
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-            x = head[e ^ 1]
+        u = v  # out(v) reached in(t); walk the path back, moving each unit it crosses
+        while u != s:
+            w = went[u]
+            u = came[w]
+            if u == w:
+                del into[w]  # the path sent w's unit back: w is free again
+            else:
+                into[w] = u
     return limit, None
 
 
@@ -290,16 +281,12 @@ def _min_cut_capped(g: SimpleGraph, cap: int, alive: Optional[int] = None) -> Cu
         return CutWitness(best, best_sep)
     if best == 2 and not _has_cut_vertex(masks, alive):
         return CutWitness(best, best_sep)
-    index = {v: i for i, v in enumerate(ids)}
-    net = _split_network(
-        n, [(index[v], index[w]) for v in ids for w in _bits(masks[v] & alive) if v < w]
-    )
     for x, y in _dominating_pairs(masks, alive, s):
         if best <= 1:
             break
-        value, sep = _st_vertex_cut(net, index[x], index[y], best)
+        value, sep = _st_vertex_cut(masks, x, y, best, alive)
         if value < best:
-            best, best_sep = value, frozenset(ids[v] for v in sep)
+            best, best_sep = value, sep
             if best == 2 and not _has_cut_vertex(masks, alive):
                 break
     return CutWitness(best, best_sep)

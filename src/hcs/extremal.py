@@ -332,20 +332,28 @@ def extremal_to_json_dict(e: ExtremalGraph) -> dict:
 
 
 def extremal_from_json_dict(data: dict) -> ExtremalGraph:
-    from .graphs import graph_from_json_dict
+    """Load an instance; every number must be a JSON integer, every set a list."""
+    from .graphs import _is_int, graph_from_json_dict
 
     try:
         graph = graph_from_json_dict(data["graph"])
         meta = data["metadata"]
-        e = ExtremalGraph(
-            graph=graph,
-            k=int(meta["k"]),
-            sigma_k=int(meta["sigma_k"]),
-            level=int(meta["level"]),
-            parts=tuple(tuple(int(v) for v in p) for p in meta["parts"]),
-            glue_history=tuple(tuple(int(v) for v in y) for y in meta["glue_history"]),
-        )
+        k, sigma_k, level = meta["k"], meta["sigma_k"], meta["level"]
+        parts, glue_history = meta["parts"], meta["glue_history"]
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed extremal graph JSON") from exc
+    if not all(map(_is_int, (k, sigma_k, level))):
+        raise ValueError("'k', 'sigma_k' and 'level' must be integers")
+    for name, sets in (("parts", parts), ("glue_history", glue_history)):
+        if not (isinstance(sets, list) and all(isinstance(y, list) and all(map(_is_int, y)) for y in sets)):
+            raise ValueError(f"'{name}' must be a list of lists of integers")
+    e = ExtremalGraph(
+        graph=graph,
+        k=k,
+        sigma_k=sigma_k,
+        level=level,
+        parts=tuple(map(tuple, parts)),
+        glue_history=tuple(map(tuple, glue_history)),
+    )
     _validate_structure(e)
     return e

@@ -1,12 +1,27 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import hcs
-from hcs import BudgetExceededError, ExperimentConfig, SimpleGraph, dispatch, run_experiment
+from hcs import (
+    BudgetExceededError,
+    ExperimentConfig,
+    SimpleGraph,
+    build_extremal,
+    dispatch,
+    extract,
+    graph_to_json_dict,
+    run_experiment,
+)
 from hcs.cli import NOT_APPLICABLE_SATURATED, rows_to_csv
+from hcs.extractor import result_to_json_dict
+from test_golden import relabelled
 
 
 def strip_elapsed(csv_text: str) -> str:
@@ -142,9 +157,50 @@ class TestDispatch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("key, edit", [
+        pytest.param("level", lambda meta: meta["level"] + 0.9, id="level-float"),
+        pytest.param("sigma_k", lambda meta: str(meta["sigma_k"]), id="sigma_k-string"),
+        pytest.param("level", lambda meta: True, id="level-bool"),
+        pytest.param("parts", lambda meta: [[v + 0.7 for v in meta["parts"][0]]] + meta["parts"][1:],
+                     id="pool-vertex-float"),
+        pytest.param("glue_history", lambda meta: [[float(v) for v in y] for y in meta["glue_history"]],
+                     id="glue-vertex-float"),
+        pytest.param("glue_history", lambda meta: ["".join(map(str, y)) for y in meta["glue_history"]],
+                     id="glue-set-string"),
+        pytest.param("parts", lambda meta: None, id="parts-null"),
+    ])
+    def test_malformed_extremal_metadata_exits_2(self, capsys, tmp_path, key, edit):
+        # all but the last edit used to load, truncated or iterated, as a valid instance
+        out = tmp_path / "g.json"
+        dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "1", "--out", str(out)])
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        payload["metadata"][key] = edit(payload["metadata"])
+        out.write_text(json.dumps(payload))
+        assert dispatch(["certify", "--in", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_grid_step_flag_is_gone(self, capsys):
         assert dispatch(["verify-bounds", "--alt", "3", "--grid-step", "1/100"]) == 2
         capsys.readouterr()
+
+
+def test_extract_under_python_optimize(tmp_path):
+    # -O strips assert statements: the answer must not rest on them
+    g = relabelled(build_extremal(2, 2, 4).graph, 4)
+    source = tmp_path / "g.json"
+    source.write_text(json.dumps(graph_to_json_dict(g)))
+    src = str(Path(hcs.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "hcs", "extract", "--in", str(source), "--k", "2", "--sigma", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    expected = result_to_json_dict(extract(g, 2, 1))
+    assert expected["outcome"] == "SEPARABLE"
+    assert json.loads(done.stdout) == json.loads(json.dumps(expected))
 
 
 def test_package_exports_no_submodules():

@@ -15,7 +15,6 @@ from hcs.connectivity import (
     _components,
     _has_cut_vertex,
     _is_connected,
-    _split_network,
     _st_vertex_cut,
 )
 from conftest import random_graph
@@ -123,9 +122,12 @@ class TestAgreementAndWitnesses:
     def test_matches_networkx_beyond_brute_force(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(120)
-        for _ in range(40):
-            n = rng.randint(15, 120)
-            g = random_graph(rng, n, rng.uniform(2, 12) / n)
+        sparse = [random_graph(rng, n, rng.uniform(2, 12) / n)
+                  for n in (rng.randint(15, 120) for _ in range(40))]
+        # dense graphs run flows tens of units deep (kappa 20 and more)
+        dense = [random_graph(rng, n, 0.9) for n in (36, 40, 44)]
+        for g in sparse + dense:
+            n = g.n
             h = nx.Graph()
             h.add_nodes_from(range(n))
             h.add_edges_from(g.edges)
@@ -136,32 +138,59 @@ class TestAgreementAndWitnesses:
                 assert removing_disconnects(g, w.separator)
 
 
-class TestSplitNetwork:
-    def test_flows_share_one_network(self):
+def splits(masks, alive: int, sep, s: int, t: int) -> bool:
+    """Whether removing sep from alive leaves s and t in different components."""
+    for v in sep:
+        alive &= ~(1 << v)
+    return all(comp >> s & 1 == 0 or comp >> t & 1 == 0 for comp in _components(masks, alive))
+
+
+class TestStVertexCut:
+    def test_repeats_and_separates(self):
         rng = random.Random(9)
         g = random_graph(rng, 30, 0.25)
-        net = _split_network(g.n, sorted(g.edges))
-        cap = list(net.cap)
+        masks, full = g.adjacency_masks, (1 << g.n) - 1
         pairs = [(s, t) for s in range(g.n) for t in range(s + 1, g.n) if not g.has_edge(s, t)]
         for s, t in rng.sample(pairs, 20):
-            first = _st_vertex_cut(net, s, t, g.n)
-            assert net.cap == cap
-            assert _st_vertex_cut(net, s, t, g.n) == first
+            first = _st_vertex_cut(masks, s, t, g.n, full)
+            assert _st_vertex_cut(masks, s, t, g.n, full) == first
             value, sep = first
             assert len(sep) == value and s not in sep and t not in sep
-            alive = (1 << g.n) - 1
-            for v in sep:
-                alive &= ~(1 << v)
-            # s and t end up in different components
-            assert all(comp >> s & 1 == 0 or comp >> t & 1 == 0
-                       for comp in _components(g.adjacency_masks, alive))
+            assert splits(masks, full, sep, s, t)
 
     def test_capped_flow_reports_the_cap(self):
         # K6 without the edge 05: four disjoint 0-5 paths
         g = SimpleGraph.from_edges(6, [e for e in SimpleGraph.complete(6).edges if e != (0, 5)])
-        net = _split_network(g.n, sorted(g.edges))
-        assert _st_vertex_cut(net, 0, 5, 3) == (3, None)
-        assert _st_vertex_cut(net, 0, 5, 5) == (4, frozenset({1, 2, 3, 4}))
+        assert _st_vertex_cut(g.adjacency_masks, 0, 5, 3, 0b111111) == (3, None)
+        assert _st_vertex_cut(g.adjacency_masks, 0, 5, 5, 0b111111) == (4, frozenset({1, 2, 3, 4}))
+
+    def test_on_a_vertex_mask(self):
+        # K6 less the edge 05, without vertices 2 and 3: the cut is {1, 4}
+        g = SimpleGraph.from_edges(6, [e for e in SimpleGraph.complete(6).edges if e != (0, 5)])
+        assert _st_vertex_cut(g.adjacency_masks, 0, 5, 6, 0b110011) == (2, frozenset({1, 4}))
+        # on random sets the separator names only live vertices, in graph ids
+        rng = random.Random(31)
+        g = random_graph(rng, 40, 0.2)
+        for _ in range(30):
+            alive = rng.getrandbits(40)
+            live = [v for v in range(40) if alive >> v & 1]
+            pairs = [(s, t) for s in live for t in live if s < t and not g.has_edge(s, t)]
+            s, t = rng.choice(pairs)
+            value, sep = _st_vertex_cut(g.adjacency_masks, s, t, 40, alive)
+            assert len(sep) == value and sep <= set(live) - {s, t}
+            assert splits(g.adjacency_masks, alive, sep, s, t)
+
+    def test_flow_sent_back_through_a_vertex(self):
+        # a later search must send a unit back through the whole of a vertex
+        # that an earlier one filled, and free it; networkx also finds 3
+        g = SimpleGraph.from_edges(16, [
+            (0, 4), (0, 8), (0, 9), (0, 12), (0, 15), (1, 3), (1, 6), (1, 14), (2, 6),
+            (2, 7), (3, 10), (3, 12), (4, 6), (4, 7), (4, 10), (5, 11), (6, 8), (7, 8),
+            (7, 12), (9, 11), (9, 12), (9, 13), (10, 15), (11, 12), (12, 15), (13, 14),
+        ])
+        full = (1 << 16) - 1
+        assert _st_vertex_cut(g.adjacency_masks, 6, 9, 16, full) == (3, frozenset({0, 1, 12}))
+        assert _st_vertex_cut(g.adjacency_masks, 6, 9, 3, full) == (3, None)
 
 
 class TestHasCutVertex:
@@ -217,9 +246,9 @@ class TestFlowCount:
         pairs = []
         st_vertex_cut = connectivity._st_vertex_cut
 
-        def counted(net, s, t, limit):
+        def counted(masks, s, t, limit, alive):
             pairs.append((s, t))
-            return st_vertex_cut(net, s, t, limit)
+            return st_vertex_cut(masks, s, t, limit, alive)
 
         monkeypatch.setattr(connectivity, "_st_vertex_cut", counted)
         return pairs
