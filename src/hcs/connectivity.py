@@ -18,6 +18,24 @@ points) decides whether any remaining flow can change the answer; when
 the set has no cut vertex the pair loop stops there, and otherwise it
 runs on unchanged. Either way the answer is the one the full loop gives.
 
+Extraction asks the question again on each side of a separation, and the
+parent's answer bounds the side's (the argument behind split components,
+Hopcroft–Tarjan 1973). Let W have connectivity at least c and let U be a
+side of a separation of W with core C. For S in U with |S| < c, every
+component of U - S meets C - S: one that missed C would have all its
+neighbours in U, so it would be a component of W - S as well, beside the
+other side's private part, and W would have a cut smaller than c. Hence
+kappa(U) >= c unless some non-adjacent pair x, y of C has
+kappa_U(x, y) < c, and then kappa(U) is the least such value. The floor
+min(c, the flows of the non-adjacent core pairs capped at c) is thus a
+lower bound on kappa(U), exact when it is below c; it takes at most
+C(k, 2) flows, and none for k = 1. A floor of at least 1 shows the set
+connected, and the pair loop stops once its best cut reaches the floor,
+so the cut-vertex search is needed only below a floor of 2. The loop
+replaces its best cut only on a strict drop and no flow returns less
+than the connectivity, so the separator it returns, and every output
+built on it, is the one it returns without the floor.
+
 The kernel works on one graph and a vertex set given as a bitmask over
 it (``alive``, all of the graph by default); separators and sides are
 returned in the graph's own vertex ids.
@@ -25,7 +43,7 @@ returned in the graph's own vertex ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -52,10 +70,15 @@ class Separation:
     ``side_a`` and ``side_b`` cover all vertices, intersect in exactly k
     vertices (the core), neither side is everything, and no edge joins the
     private part of one side to the private part of the other.
+
+    ``kappa`` is a lower bound on the connectivity of the separated set:
+    its exact connectivity when ``find_separation`` made the separation,
+    and 0, which claims nothing, by default. It is not part of equality.
     """
 
     side_a: frozenset[int]
     side_b: frozenset[int]
+    kappa: int = field(default=0, compare=False)
 
     @property
     def core(self) -> frozenset[int]:
@@ -83,34 +106,23 @@ class Separation:
 
 # --- bitmask traversal helpers ------------------------------------------------
 
-def _components(masks: tuple[int, ...], alive: int) -> list[int]:
-    """Connected components of the subgraph on the ``alive`` bitmask."""
-    comps = []
-    rem = alive
-    while rem:
-        start = rem & -rem
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= masks[v]
-            frontier = nxt & alive & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rem &= ~comp
-    return comps
+def _component(masks: tuple[int, ...], alive: int, start: int) -> int:
+    """The component of the ``alive`` bitmask that holds the vertex bit ``start``."""
+    comp = frontier = start
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            v = (f & -f).bit_length() - 1
+            f &= f - 1
+            nxt |= masks[v]
+        frontier = nxt & alive & ~comp
+        comp |= frontier
+    return comp
 
 
 def _is_connected(masks: tuple[int, ...], alive: int) -> bool:
-    if alive == 0:
-        return True
-    if alive & (alive - 1) == 0:
-        return True
-    return len(_components(masks, alive)) == 1
+    return _component(masks, alive, alive & -alive) == alive
 
 
 def _has_cut_vertex(masks: tuple[int, ...], alive: int) -> bool:
@@ -240,24 +252,49 @@ def _dominating_pairs(masks: tuple[int, ...], alive: int, s: int) -> Iterator[tu
     """Pairs to cut: s, of minimum degree, against each non-neighbor, then
     each non-adjacent pair of its neighbors."""
     nbrs = masks[s] & alive
-    for t in _bits(alive & ~nbrs & ~(1 << s)):
-        yield s, t
+    rest = alive & ~nbrs & ~(1 << s)
+    while rest:  # one bit at a time: most calls stop after the first flow
+        yield s, (rest & -rest).bit_length() - 1
+        rest &= rest - 1
     for x, y in combinations(_bits(nbrs), 2):
         if not masks[x] >> y & 1:
             yield x, y
 
 
-def _min_cut_capped(g: SimpleGraph, cap: int, alive: Optional[int] = None) -> CutWitness:
+def _inherited_floor(masks: tuple[int, ...], alive: int, c: int, core: frozenset[int]) -> int:
+    """min(c, the x-y cut in ``alive`` of each non-adjacent pair of ``core``),
+    each flow capped at the least value so far; 0 stops the search."""
+    floor = c
+    for x, y in combinations(sorted(core), 2):
+        if floor == 0:
+            break
+        if not masks[x] >> y & 1:
+            floor = _st_vertex_cut(masks, x, y, floor, alive)[0]
+    return floor
+
+
+def _min_cut_capped(
+    g: SimpleGraph,
+    cap: int,
+    alive: Optional[int] = None,
+    inherited: Optional[tuple[int, frozenset[int]]] = None,
+) -> CutWitness:
     """Minimum vertex cut of g on alive, with work capped: kappa is min(true kappa, cap).
 
     When the reported kappa equals cap the true connectivity may be larger
     and no separator is produced.
 
     The best cut starts at the minimum degree (or cap) and drops only when
-    a flow returns less. The first time it is 2, whether from the degree
-    or from a flow, ``_has_cut_vertex`` is asked once: without a cut
-    vertex no flow can return 1, so the loop ends with the answer it would
-    have reached anyway.
+    a flow returns less, so the loop may stop as soon as the best cut
+    reaches a lower bound on the connectivity: the answer is then the one
+    the full loop gives. The bound is 1 for a connected set, and more when
+    ``inherited`` is (c, C): alive is then one side of a separation with
+    core C of a set whose connectivity is at least c, and the bound is
+    ``_inherited_floor`` (see the module docstring); a bound of 1 or more
+    also makes the connectivity check needless. While the bound is below
+    2, the first time the best cut is 2, whether from the degree or from
+    a flow, ``_has_cut_vertex`` is asked once: without a cut vertex no
+    flow can return 1.
     """
     alive = _vertex_mask(g, alive)
     ids = _bits(alive)
@@ -270,24 +307,23 @@ def _min_cut_capped(g: SimpleGraph, cap: int, alive: Optional[int] = None) -> Cu
     degree = {v: (masks[v] & alive).bit_count() for v in ids}
     if sum(degree.values()) == n * (n - 1):
         return CutWitness(min(n - 1, cap), None)
-    if not _is_connected(masks, alive):
-        return CutWitness(0, frozenset())
+    floor = 0 if inherited is None else _inherited_floor(masks, alive, *inherited)
+    if floor == 0:
+        if not _is_connected(masks, alive):
+            return CutWitness(0, frozenset())
+        floor = 1
     s = min(ids, key=lambda v: (degree[v], v))
     best = degree[s]
     best_sep: Optional[frozenset[int]] = frozenset(_bits(masks[s] & alive))
     if best >= cap:
         best, best_sep = cap, None
-    if best <= 1:  # a connected set has no smaller cut, so no flow runs
-        return CutWitness(best, best_sep)
-    if best == 2 and not _has_cut_vertex(masks, alive):
+    if best <= floor or best == 2 and not _has_cut_vertex(masks, alive):
         return CutWitness(best, best_sep)
     for x, y in _dominating_pairs(masks, alive, s):
-        if best <= 1:
-            break
         value, sep = _st_vertex_cut(masks, x, y, best, alive)
         if value < best:
             best, best_sep = value, sep
-            if best == 2 and not _has_cut_vertex(masks, alive):
+            if best <= floor or best == 2 and not _has_cut_vertex(masks, alive):
                 break
     return CutWitness(best, best_sep)
 
@@ -309,33 +345,47 @@ def is_k1_connected(g: SimpleGraph, k: int, alive: Optional[int] = None) -> bool
     return _min_cut_capped(g, k + 1, alive).kappa >= k + 1
 
 
-def find_separation(g: SimpleGraph, k: int, alive: Optional[int] = None) -> Optional[Separation]:
+def find_separation(
+    g: SimpleGraph, k: int, alive: Optional[int] = None, *, parent: Optional[Separation] = None
+) -> Optional[Separation]:
     """A separation of g on alive whose core has exactly k vertices, if one exists.
 
     Exists iff the set has at least k+2 vertices and kappa <= k. A minimum
     separator is padded up to k vertices by repeatedly moving the
     lowest-indexed private vertex of the currently larger side into the
     core (ties prefer side A); moves that would empty a private side are
-    redirected to the other side.
+    redirected to the other side. Side A grows from the component, after
+    the separator is removed, that holds the lowest vertex left; only that
+    one component is searched. The separation's ``kappa`` is the set's
+    exact connectivity, which is below the cap k+1.
+
+    ``parent``, when given, must be a separation of which alive is one
+    side. With c its ``kappa`` and C its core, alive is then at least
+    c-connected unless a non-adjacent pair of C is split in alive by fewer
+    than c vertices, and the least such split is its connectivity (see
+    the module docstring). The minimum cut stops once it reaches that
+    bound, and as it only ever keeps the first cut of the least size, the
+    separation is the same as without ``parent``.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     alive = _vertex_mask(g, alive)
     if alive.bit_count() < k + 2:
         return None
-    witness = _min_cut_capped(g, k + 1, alive)
+    inherited = None if parent is None else (parent.kappa, parent.core)
+    witness = _min_cut_capped(g, k + 1, alive, inherited)
     if witness.kappa > k or witness.separator is None:
         return None
     core = set(witness.separator)
     rest = alive
     for v in core:
         rest &= ~(1 << v)
-    comps = _components(g.adjacency_masks, rest)
-    if len(comps) < 2:
+    comp = _component(g.adjacency_masks, rest, rest & -rest)
+    if comp == rest:
         raise RuntimeError("minimum separator does not disconnect the vertex set")
-    comp_a = frozenset(_bits(comps[0]))
+    comp_a = frozenset(_bits(comp))
     side_a = comp_a | core
-    side_b = frozenset(_bits(alive)) - comp_a
+    side_b = frozenset(_bits(alive & ~comp))
     while len(core) < k:
         priv_a = side_a - side_b
         priv_b = side_b - side_a
@@ -351,7 +401,7 @@ def find_separation(g: SimpleGraph, k: int, alive: Optional[int] = None) -> Opti
             x = min(priv_b)
             side_a = side_a | {x}
         core.add(x)
-    return Separation(frozenset(side_a), frozenset(side_b))
+    return Separation(frozenset(side_a), frozenset(side_b), witness.kappa)
 
 
 def brute_force_min_cut(g: SimpleGraph, *, max_vertices: int = 14) -> CutWitness:

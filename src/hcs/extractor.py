@@ -88,6 +88,10 @@ def extract(
     A FOUND set is certified once, by the search itself: ``find_separation``
     returns None on a set of more than k+1 vertices only when its capped
     minimum vertex cut reaches k+1, so the set is (k+1)-connected.
+
+    Each side is searched with its parent separation, whose connectivity
+    and core bound the side's connectivity from below (see
+    ``find_separation``); the answers do not depend on it.
     """
     threshold = size_threshold(k, sigma)
     # sets of at most k+1 vertices cannot host a (k+1)-connected subgraph either
@@ -95,7 +99,7 @@ def extract(
     memo: dict[frozenset[int], DecompositionNode] = {}
     explored = 0
 
-    def explore(w: frozenset[int]):
+    def explore(w: frozenset[int], parent: Optional[Separation] = None):
         nonlocal explored
         node = memo.get(w)
         if node is not None:
@@ -108,13 +112,13 @@ def extract(
         if len(w) <= small_cap:
             node = DecompositionNode(w, LEAF_SMALL, None, ())
         else:
-            sep = find_separation(g, k, _mask(w))
+            sep = find_separation(g, k, _mask(w), parent=parent)
             if sep is None:
                 return w  # found
-            left = explore(sep.side_a)
+            left = explore(sep.side_a, sep)
             if isinstance(left, frozenset):
                 return left
-            right = explore(sep.side_b)
+            right = explore(sep.side_b, sep)
             if isinstance(right, frozenset):
                 return right
             node = DecompositionNode(w, SEPARATED, sep, (left, right))

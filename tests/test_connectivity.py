@@ -7,12 +7,13 @@ from hcs import (
     brute_force_min_cut,
     build_extremal,
     connectivity,
+    extract,
     find_separation,
     is_k1_connected,
     min_vertex_cut,
 )
 from hcs.connectivity import (
-    _components,
+    _component,
     _has_cut_vertex,
     _is_connected,
     _st_vertex_cut,
@@ -142,7 +143,7 @@ def splits(masks, alive: int, sep, s: int, t: int) -> bool:
     """Whether removing sep from alive leaves s and t in different components."""
     for v in sep:
         alive &= ~(1 << v)
-    return all(comp >> s & 1 == 0 or comp >> t & 1 == 0 for comp in _components(masks, alive))
+    return not _component(masks, alive, 1 << s) >> t & 1
 
 
 class TestStVertexCut:
@@ -239,7 +240,7 @@ class TestHasCutVertex:
 
 
 class TestFlowCount:
-    """Once the cut is 2, one cut-vertex search replaces the remaining flows."""
+    """Flows saved by the cut-vertex search and by the inherited bound."""
 
     @pytest.fixture
     def flows(self, monkeypatch):
@@ -265,6 +266,13 @@ class TestFlowCount:
         sep = find_separation(g, 2)
         sep.validate(g, 2)
         assert len(flows) == 1 < g.n
+
+    def test_inherited_bound(self, flows):
+        # each side starts from its parent's connectivity 3; where its
+        # minimum degree is 3, only the flows of its core pairs run
+        e = build_extremal(3, 3, 5)
+        extract(relabelled(e.graph, 5), 3, e.sigma)
+        assert len(flows) <= 260  # 519 without the bound
 
 
 class TestIsK1Connected:
@@ -320,6 +328,14 @@ class TestFindSeparation:
         g = SimpleGraph.empty(5)
         sep = find_separation(g, 2)
         sep.validate(g, 2)
+
+    def test_kappa_is_the_connectivity(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(4, 10), rng.random())
+            sep = find_separation(g, 3)
+            if sep is not None:
+                assert sep.kappa == brute_force_min_cut(g).kappa, sorted(g.edges)
 
     def test_absent_iff_connected_or_tiny(self):
         rng = random.Random(31)

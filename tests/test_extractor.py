@@ -23,6 +23,7 @@ from hcs import (
 from hcs.extractor import result_to_json_dict
 from hcs.enclosure import sqrt_enclosure
 from conftest import k1_connected_by_removal, random_graph
+from test_golden import digest
 
 
 class TestSizeThreshold:
@@ -139,6 +140,20 @@ class TestExtract:
         k33 = SimpleGraph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
         assert extract(k33, 2, Fraction(1, 5)).outcome == FOUND
         assert extract(k33, 3, Fraction(1, 5)).outcome == SEPARABLE
+
+
+class TestInheritedBound:
+    def test_disconnected_child(self):
+        # The root has connectivity 1 and core {0, 1, 2}. On its child
+        # {0, 1, 2, 4, 6} the core pair 0, 1 is split by nothing, so the
+        # child is disconnected although its parent was connected: the
+        # child's core must be {0, 1, 4}, not the {1, 2, 4} of a degree-1 cut.
+        g = SimpleGraph.from_edges(7, [(0, 2), (0, 3), (0, 5), (1, 4), (1, 5), (1, 6), (2, 3), (3, 5)])
+        data = result_to_json_dict(extract(g, 3, Fraction(1, 5)))
+        child = data["tree"]["children"][1]
+        assert child["vertices"] == [0, 1, 2, 4, 6]
+        assert child["separation"]["core"] == [0, 1, 4]
+        assert digest(data) == "16498f30f7f51a0c5a26ef2dad33ee266aed10276953ebb46bf65ad64fadcb0f"
 
 
 class TestBruteForce:

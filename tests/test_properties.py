@@ -90,3 +90,22 @@ def test_extract_answers_check_out(g, k, sigma):
     else:
         assert res.tree.vertices == frozenset(range(g.n))
         validate_decomposition(g, k, sigma, res.tree)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(glued_graph(), st.integers(1, 3))
+def test_inherited_bound_changes_nothing(g, k):
+    """Down the whole separation tree, each side gets the same separation,
+    of the same connectivity, with its parent's bound as without it."""
+    todo = [((1 << g.n) - 1, None)]
+    while todo:
+        alive, parent = todo.pop()
+        sep = find_separation(g, k, alive, parent=parent)
+        if parent is not None:
+            ref = find_separation(g, k, alive)
+            assert sep == ref, (sorted(g.edges), k, alive)
+            assert sep is None or sep.kappa == ref.kappa
+        if sep is not None:
+            sep.validate(g, k, alive)
+            for side in (sep.side_a, sep.side_b):
+                todo.append((sum(1 << v for v in side), sep))
