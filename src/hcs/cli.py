@@ -37,7 +37,7 @@ from .bounds import (
     verify_all_bounds,
     verify_alternative,
 )
-from .extractor import FOUND, BudgetExceededError, extract, result_to_json_dict
+from .extractor import FOUND, BudgetExceededError, extract, write_result_json
 from .extremal import (
     build_extremal,
     extremal_from_json_dict,
@@ -196,13 +196,13 @@ def _cmd_extract(args) -> int:
     else:
         sigma = _parse_sigma(args.sigma)
     result = extract(g, args.k, sigma)
-    payload = result_to_json_dict(result)
-    text = json.dumps(payload, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            write_result_json(result, fh)
+            fh.write("\n")
     else:
-        print(text)
+        write_result_json(result, sys.stdout)
+        sys.stdout.write("\n")
     log.info("extraction outcome: %s", result.outcome)
     return 0
 

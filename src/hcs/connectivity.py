@@ -36,18 +36,31 @@ replaces its best cut only on a strict drop and no flow returns less
 than the connectivity, so the separator it returns, and every output
 built on it, is the one it returns without the floor.
 
+The same split fixes the side's degrees. No edge joins the two private
+parts of a separation, so a private vertex of U keeps every neighbour it
+had in W, and only the k core vertices change degree. The degree classes
+of a set (each degree mapped to the bitmask of its vertices) are counted
+in one pass at the root and then carried down: a side's classes are its
+parent's restricted to the side's private part, plus the k core vertices
+counted again. The minimum degree, its lowest-numbered vertex and
+completeness (the degrees sum to n(n-1)) are read from the classes, with
+no pass over the set.
+
 The kernel works on one graph and a vertex set given as a bitmask over
-it (``alive``, all of the graph by default); separators and sides are
-returned in the graph's own vertex ids.
+it (``alive``, all of the graph by default); separators are returned in
+the graph's own vertex ids, and a separation holds its sides as
+bitmasks, with frozensets built only on access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterator, Optional
+from itertools import combinations, compress
+from typing import Iterator, Optional, Sequence, TypeVar
 
 from .graphs import SimpleGraph
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -67,44 +80,62 @@ class CutWitness:
 class Separation:
     """A bipartition witness certifying that the graph is not (k+1)-connected.
 
-    ``side_a`` and ``side_b`` cover all vertices, intersect in exactly k
-    vertices (the core), neither side is everything, and no edge joins the
-    private part of one side to the private part of the other.
+    The sides are held as bitmasks over the graph's vertex ids, ``mask_a``
+    and ``mask_b``; ``side_a``, ``side_b`` and ``core`` are the same sets
+    as frozensets, built on access. The sides cover all vertices,
+    intersect in exactly k vertices (the core), neither side is
+    everything, and no edge joins the private part of one side to the
+    private part of the other.
 
     ``kappa`` is a lower bound on the connectivity of the separated set:
     its exact connectivity when ``find_separation`` made the separation,
-    and 0, which claims nothing, by default. It is not part of equality.
+    and 0, which claims nothing, by default. ``degrees`` maps each degree
+    in the separated set to the bitmask of its vertices of that degree,
+    or is None when unknown. Neither is part of equality.
     """
 
-    side_a: frozenset[int]
-    side_b: frozenset[int]
+    mask_a: int
+    mask_b: int
     kappa: int = field(default=0, compare=False)
+    degrees: Optional[dict[int, int]] = field(default=None, compare=False, repr=False)
+
+    @property
+    def side_a(self) -> frozenset[int]:
+        return frozenset(_bits(self.mask_a))
+
+    @property
+    def side_b(self) -> frozenset[int]:
+        return frozenset(_bits(self.mask_b))
 
     @property
     def core(self) -> frozenset[int]:
-        return self.side_a & self.side_b
+        return frozenset(_bits(self.mask_a & self.mask_b))
 
     def validate(self, g: SimpleGraph, k: int, alive: Optional[int] = None) -> None:
         """Raise ValueError unless all separation invariants hold in g on alive."""
-        all_v = frozenset(_bits(_vertex_mask(g, alive)))
-        if self.side_a | self.side_b != all_v:
+        all_v = _vertex_mask(g, alive)
+        a, b = self.mask_a, self.mask_b
+        if a | b != all_v:
             raise ValueError("sides do not cover the vertex set")
-        if len(self.core) != k:
-            raise ValueError(f"core has {len(self.core)} vertices, expected {k}")
-        if self.side_a == all_v or self.side_b == all_v:
+        core = (a & b).bit_count()
+        if core != k:
+            raise ValueError(f"core has {core} vertices, expected {k}")
+        if a == all_v or b == all_v:
             raise ValueError("a side equals the whole vertex set")
-        priv_a = self.side_a - self.side_b
-        priv_b = self.side_b - self.side_a
+        priv_a, priv_b = a & ~b, b & ~a
+        if priv_a.bit_count() > priv_b.bit_count():  # an edge has an end in each: walk the smaller
+            priv_a, priv_b = priv_b, priv_a
         masks = g.adjacency_masks
-        mask_b = 0
-        for v in priv_b:
-            mask_b |= 1 << v
-        for v in priv_a:
-            if masks[v] & mask_b:
+        while priv_a:
+            v = (priv_a & -priv_a).bit_length() - 1
+            priv_a &= priv_a - 1
+            if masks[v] & priv_b:
                 raise ValueError("edge between the two private sides")
 
 
 # --- bitmask traversal helpers ------------------------------------------------
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 def _component(masks: tuple[int, ...], alive: int, start: int) -> int:
     """The component of the ``alive`` bitmask that holds the vertex bit ``start``."""
@@ -170,13 +201,26 @@ def _has_cut_vertex(masks: tuple[int, ...], alive: int) -> bool:
     return False
 
 
-def _bits(mask: int) -> list[int]:
-    """The vertex ids in a bitmask, ascending."""
+def _members(mask: int, items: Sequence[T]) -> list[T]:
+    """``items[v]`` for each vertex id v in a bitmask, in ascending order of v.
+
+    Each step of the bit-by-bit loop costs time in proportion to the
+    mask's length, so a mask of many vertices is read instead from its
+    binary digits, in one pass that runs in C.
+    """
+    if mask.bit_count() > 128:
+        flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)  # flags[v] is 1 iff v is in mask
+        return list(compress(items, flags))
     out = []
     while mask:
-        out.append((mask & -mask).bit_length() - 1)
+        out.append(items[(mask & -mask).bit_length() - 1])
         mask &= mask - 1
     return out
+
+
+def _bits(mask: int) -> list[int]:
+    """The vertex ids in a bitmask, ascending."""
+    return _members(mask, range(mask.bit_length()))
 
 
 def _vertex_mask(g: SimpleGraph, alive: Optional[int]) -> int:
@@ -261,11 +305,12 @@ def _dominating_pairs(masks: tuple[int, ...], alive: int, s: int) -> Iterator[tu
             yield x, y
 
 
-def _inherited_floor(masks: tuple[int, ...], alive: int, c: int, core: frozenset[int]) -> int:
-    """min(c, the x-y cut in ``alive`` of each non-adjacent pair of ``core``),
-    each flow capped at the least value so far; 0 stops the search."""
+def _inherited_floor(masks: tuple[int, ...], alive: int, c: int, core: int) -> int:
+    """min(c, the x-y cut in ``alive`` of each non-adjacent pair of the
+    ``core`` bitmask), each flow capped at the least value so far; 0 stops
+    the search."""
     floor = c
-    for x, y in combinations(sorted(core), 2):
+    for x, y in combinations(_bits(core), 2):
         if floor == 0:
             break
         if not masks[x] >> y & 1:
@@ -273,50 +318,87 @@ def _inherited_floor(masks: tuple[int, ...], alive: int, c: int, core: frozenset
     return floor
 
 
+def _side_degrees(masks: tuple[int, ...], degrees: dict[int, int], core: int, side: int) -> dict[int, int]:
+    """The degree classes of ``side``, one side of a separation with the
+    ``core`` bitmask, from the classes ``degrees`` of the separated set.
+
+    No edge joins the two private parts, so a private vertex of the side
+    keeps every neighbour it had; only the core vertices are counted
+    again."""
+    private = side & ~core
+    classes: dict[int, int] = {}
+    for d, members in degrees.items():
+        members &= private
+        if members:
+            classes[d] = members
+    rest = core
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        d = (masks[bit.bit_length() - 1] & side).bit_count()
+        classes[d] = classes.get(d, 0) | bit
+    return classes
+
+
+def _degree_classes(masks: tuple[int, ...], alive: int) -> dict[int, int]:
+    """Each degree in the set ``alive`` mapped to the bitmask of its vertices
+    of that degree, every vertex counted: alive is then all core."""
+    return _side_degrees(masks, {}, alive, alive)
+
+
 def _min_cut_capped(
     g: SimpleGraph,
     cap: int,
     alive: Optional[int] = None,
-    inherited: Optional[tuple[int, frozenset[int]]] = None,
+    inherited: Optional[tuple[int, int]] = None,
+    degrees: Optional[dict[int, int]] = None,
 ) -> CutWitness:
     """Minimum vertex cut of g on alive, with work capped: kappa is min(true kappa, cap).
 
     When the reported kappa equals cap the true connectivity may be larger
     and no separator is produced.
 
+    ``degrees`` are the degree classes of alive (``_degree_classes``),
+    counted here when None. They give the minimum degree, the
+    lowest-numbered vertex s of that degree, and completeness (the degrees
+    sum to n(n-1)) without a pass over the set.
+
     The best cut starts at the minimum degree (or cap) and drops only when
     a flow returns less, so the loop may stop as soon as the best cut
     reaches a lower bound on the connectivity: the answer is then the one
     the full loop gives. The bound is 1 for a connected set, and more when
     ``inherited`` is (c, C): alive is then one side of a separation with
-    core C of a set whose connectivity is at least c, and the bound is
-    ``_inherited_floor`` (see the module docstring); a bound of 1 or more
-    also makes the connectivity check needless. While the bound is below
-    2, the first time the best cut is 2, whether from the degree or from
-    a flow, ``_has_cut_vertex`` is asked once: without a cut vertex no
-    flow can return 1.
+    the core bitmask C of a set whose connectivity is at least c, and the
+    bound is ``_inherited_floor`` (see the module docstring); a bound of 1
+    or more also makes the connectivity check needless. While the bound is
+    below 2, the first time the best cut is 2, whether from the degree or
+    from a flow, ``_has_cut_vertex`` is asked once: without a cut vertex
+    no flow can return 1.
     """
     alive = _vertex_mask(g, alive)
-    ids = _bits(alive)
-    n = len(ids)
+    n = alive.bit_count()
     if n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
     if n == 1:
         return CutWitness(0, None)
     masks = g.adjacency_masks
-    degree = {v: (masks[v] & alive).bit_count() for v in ids}
-    if sum(degree.values()) == n * (n - 1):
+    if degrees is None:
+        degrees = _degree_classes(masks, alive)
+    if sum(d * members.bit_count() for d, members in degrees.items()) == n * (n - 1):
         return CutWitness(min(n - 1, cap), None)
     floor = 0 if inherited is None else _inherited_floor(masks, alive, *inherited)
     if floor == 0:
         if not _is_connected(masks, alive):
             return CutWitness(0, frozenset())
         floor = 1
-    s = min(ids, key=lambda v: (degree[v], v))
-    best = degree[s]
-    best_sep: Optional[frozenset[int]] = frozenset(_bits(masks[s] & alive))
+    best = min(degrees)
+    low = degrees[best]
+    s = (low & -low).bit_length() - 1
+    best_sep: Optional[frozenset[int]] = None
     if best >= cap:
-        best, best_sep = cap, None
+        best = cap
+    else:
+        best_sep = frozenset(_bits(masks[s] & alive))
     if best <= floor or best == 2 and not _has_cut_vertex(masks, alive):
         return CutWitness(best, best_sep)
     for x, y in _dominating_pairs(masks, alive, s):
@@ -357,51 +439,57 @@ def find_separation(
     redirected to the other side. Side A grows from the component, after
     the separator is removed, that holds the lowest vertex left; only that
     one component is searched. The separation's ``kappa`` is the set's
-    exact connectivity, which is below the cap k+1.
+    exact connectivity, which is below the cap k+1, and its ``degrees``
+    are the set's degree classes.
 
     ``parent``, when given, must be a separation of which alive is one
-    side. With c its ``kappa`` and C its core, alive is then at least
-    c-connected unless a non-adjacent pair of C is split in alive by fewer
-    than c vertices, and the least such split is its connectivity (see
-    the module docstring). The minimum cut stops once it reaches that
-    bound, and as it only ever keeps the first cut of the least size, the
-    separation is the same as without ``parent``.
+    side (ValueError otherwise). With c its ``kappa`` and C its core, alive
+    is then at least c-connected unless a non-adjacent pair of C is split
+    in alive by fewer than c vertices, and the least such split is its
+    connectivity (see the module docstring). The minimum cut stops once it
+    reaches that bound, and as it only ever keeps the first cut of the
+    least size, the separation is the same as without ``parent``. The
+    parent's ``degrees``, when known, give alive's degree classes by
+    recounting only the core (``_side_degrees``).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     alive = _vertex_mask(g, alive)
+    if parent is not None and alive != parent.mask_a and alive != parent.mask_b:
+        raise ValueError("alive is not a side of the parent separation")
     if alive.bit_count() < k + 2:
         return None
-    inherited = None if parent is None else (parent.kappa, parent.core)
-    witness = _min_cut_capped(g, k + 1, alive, inherited)
+    masks = g.adjacency_masks
+    inherited = degrees = None
+    if parent is not None:
+        inherited = (parent.kappa, parent.mask_a & parent.mask_b)
+        if parent.degrees is not None:
+            degrees = _side_degrees(masks, parent.degrees, inherited[1], alive)
+    if degrees is None:
+        degrees = _degree_classes(masks, alive)
+    witness = _min_cut_capped(g, k + 1, alive, inherited, degrees)
     if witness.kappa > k or witness.separator is None:
         return None
-    core = set(witness.separator)
-    rest = alive
-    for v in core:
-        rest &= ~(1 << v)
-    comp = _component(g.adjacency_masks, rest, rest & -rest)
+    core = 0
+    for v in witness.separator:
+        core |= 1 << v
+    rest = alive & ~core
+    comp = _component(masks, rest, rest & -rest)
     if comp == rest:
         raise RuntimeError("minimum separator does not disconnect the vertex set")
-    comp_a = frozenset(_bits(comp))
-    side_a = comp_a | core
-    side_b = frozenset(_bits(alive & ~comp))
-    while len(core) < k:
-        priv_a = side_a - side_b
-        priv_b = side_b - side_a
-        prefer_a = len(side_a) >= len(side_b)
-        if prefer_a and len(priv_a) < 2:
+    side_a, side_b = comp | core, alive & ~comp
+    for _ in range(k - len(witness.separator)):
+        priv_a, priv_b = side_a & ~side_b, side_b & ~side_a
+        prefer_a = side_a.bit_count() >= side_b.bit_count()
+        if prefer_a and priv_a & (priv_a - 1) == 0:  # fewer than two private vertices
             prefer_a = False
-        elif not prefer_a and len(priv_b) < 2:
+        elif not prefer_a and priv_b & (priv_b - 1) == 0:
             prefer_a = True
         if prefer_a:
-            x = min(priv_a)
-            side_b = side_b | {x}
+            side_b |= priv_a & -priv_a
         else:
-            x = min(priv_b)
-            side_a = side_a | {x}
-        core.add(x)
-    return Separation(frozenset(side_a), frozenset(side_b), witness.kappa)
+            side_a |= priv_b & -priv_b
+    return Separation(side_a, side_b, witness.kappa, degrees)
 
 
 def brute_force_min_cut(g: SimpleGraph, *, max_vertices: int = 14) -> CutWitness:

@@ -1,21 +1,28 @@
 """Extraction of large highly connected subgraphs via separations.
 
-The extractor recursively splits vertex sets of one graph, passed to the
-connectivity kernel as bitmasks, along separations with a k-vertex core.
-A (k+1)-connected subgraph can never be split by such a core, so it
-survives inside one side; if the recursion bottoms out without finding
-one, the resulting decomposition tree certifies that no induced subgraph
-on more than (1+sigma)k vertices is (k+1)-connected.
+The extractor repeatedly splits vertex sets of one graph, held as
+bitmasks, along separations with a k-vertex core. A (k+1)-connected
+subgraph can never be split by such a core, so it survives inside one
+side; if the splitting bottoms out without finding one, the resulting
+decomposition tree certifies that no induced subgraph on more than
+(1+sigma)k vertices is (k+1)-connected.
+
+Trees of unbalanced separations, such as those of long paths and of the
+extremal graphs, are about as deep as the graph has vertices. So the
+search, the tree check and both JSON writers walk the tree on explicit
+stacks, never by recursion, and vertex sets become frozensets or sorted
+lists only at the public API and in JSON.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, TextIO, Union
 
-from .connectivity import Separation, find_separation, is_k1_connected
+from .connectivity import Separation, _bits, _members, find_separation, is_k1_connected
 from .enclosure import Enclosure
 from .graphs import SimpleGraph, average_degree
 
@@ -50,18 +57,22 @@ def size_threshold(k: int, sigma: SigmaLike) -> int:
     return math.floor((1 + s) * k)
 
 
-def _mask(vertices) -> int:
-    return sum(1 << v for v in vertices)
-
-
 @dataclass(frozen=True)
 class DecompositionNode:
-    """One node of the decomposition tree over original vertex ids."""
+    """One node of the decomposition tree over original vertex ids.
 
-    vertices: frozenset[int]
+    The node's vertex set is held as the bitmask ``mask``; ``vertices`` is
+    the same set as a frozenset, built on access.
+    """
+
+    mask: int
     kind: str
     separation: Optional[Separation]
     children: tuple["DecompositionNode", ...]
+
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(_bits(self.mask))
 
 
 @dataclass(frozen=True)
@@ -82,53 +93,57 @@ def extract(
 
     Returns FOUND with the vertex set, or SEPARABLE with a decomposition
     tree whose separations certify that no such subgraph exists. Both
-    sides of every separation are explored, with memoization on vertex
-    sets; exceeding the budget raises BudgetExceededError.
+    sides of every separation are explored, side A first, with
+    memoization on vertex sets, and the search ends at the first FOUND;
+    exceeding the budget raises BudgetExceededError. The walk keeps its
+    path on an explicit stack, so the depth of the tree is not bounded by
+    the interpreter's recursion limit.
 
     A FOUND set is certified once, by the search itself: ``find_separation``
     returns None on a set of more than k+1 vertices only when its capped
     minimum vertex cut reaches k+1, so the set is (k+1)-connected.
 
     Each side is searched with its parent separation, whose connectivity
-    and core bound the side's connectivity from below (see
-    ``find_separation``); the answers do not depend on it.
+    and core bound the side's connectivity from below and whose degree
+    classes give the side's (see ``find_separation``); the answers do not
+    depend on it.
     """
     threshold = size_threshold(k, sigma)
     # sets of at most k+1 vertices cannot host a (k+1)-connected subgraph either
     small_cap = max(threshold, k + 1)
-    memo: dict[frozenset[int], DecompositionNode] = {}
+    memo: dict[int, DecompositionNode] = {}
     explored = 0
-
-    def explore(w: frozenset[int], parent: Optional[Separation] = None):
-        nonlocal explored
+    # each open SEPARATED node: its separation, whose sides cover its vertex
+    # set, and the children finished so far
+    path: list[tuple[Separation, list[DecompositionNode]]] = []
+    w, parent = (1 << g.n) - 1, None
+    while True:
         node = memo.get(w)
-        if node is not None:
-            return node
-        explored += 1
-        if explored > budget:
-            raise BudgetExceededError(
-                f"exploration budget of {budget} vertex sets exceeded"
-            )
-        if len(w) <= small_cap:
-            node = DecompositionNode(w, LEAF_SMALL, None, ())
+        if node is None:
+            explored += 1
+            if explored > budget:
+                raise BudgetExceededError(
+                    f"exploration budget of {budget} vertex sets exceeded"
+                )
+            if w.bit_count() > small_cap:
+                sep = find_separation(g, k, w, parent=parent)
+                if sep is None:
+                    return ExtractionResult(FOUND, frozenset(_bits(w)), None)
+                path.append((sep, []))
+                w, parent = sep.mask_a, sep
+                continue
+            node = memo[w] = DecompositionNode(w, LEAF_SMALL, None, ())
+        while path:  # hand the finished node to the open nodes above it
+            sep, children = path[-1]
+            children.append(node)
+            if len(children) == 1:
+                w, parent = sep.mask_b, sep
+                break
+            path.pop()
+            w = sep.mask_a | sep.mask_b
+            node = memo[w] = DecompositionNode(w, SEPARATED, sep, tuple(children))
         else:
-            sep = find_separation(g, k, _mask(w), parent=parent)
-            if sep is None:
-                return w  # found
-            left = explore(sep.side_a, sep)
-            if isinstance(left, frozenset):
-                return left
-            right = explore(sep.side_b, sep)
-            if isinstance(right, frozenset):
-                return right
-            node = DecompositionNode(w, SEPARATED, sep, (left, right))
-        memo[w] = node
-        return node
-
-    outcome = explore(frozenset(range(g.n)))
-    if isinstance(outcome, frozenset):
-        return ExtractionResult(FOUND, outcome, None)
-    return ExtractionResult(SEPARABLE, None, outcome)
+            return ExtractionResult(SEPARABLE, None, node)
 
 
 def validate_decomposition(
@@ -137,22 +152,25 @@ def validate_decomposition(
     """Raise ValueError unless the tree is internally consistent for g."""
     threshold = size_threshold(k, sigma)
     small_cap = max(threshold, k + 1)
-    if node.kind == LEAF_SMALL:
-        if len(node.vertices) > small_cap:
-            raise ValueError("LEAF_SMALL node too large")
-        return
-    if node.kind != SEPARATED:
-        raise ValueError(f"unknown node kind {node.kind}")
-    sep = node.separation
-    if sep is None or len(node.children) != 2:
-        raise ValueError("SEPARATED node needs a separation and two children")
-    sep.validate(g, k, _mask(node.vertices))
-    for child, side in zip(node.children, (sep.side_a, sep.side_b)):
-        if child.vertices != side:
-            raise ValueError("child vertex set does not match its separation side")
-        if len(child.vertices) >= len(node.vertices):
-            raise ValueError("child not strictly smaller")
-        validate_decomposition(g, k, sigma, child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.kind == LEAF_SMALL:
+            if node.mask.bit_count() > small_cap:
+                raise ValueError("LEAF_SMALL node too large")
+            continue
+        if node.kind != SEPARATED:
+            raise ValueError(f"unknown node kind {node.kind}")
+        sep = node.separation
+        if sep is None or len(node.children) != 2:
+            raise ValueError("SEPARATED node needs a separation and two children")
+        sep.validate(g, k, node.mask)
+        for child, side in zip(node.children, (sep.mask_a, sep.mask_b)):
+            if child.mask != side:
+                raise ValueError("child vertex set does not match its separation side")
+            if child.mask.bit_count() >= node.mask.bit_count():
+                raise ValueError("child not strictly smaller")
+            stack.append(child)
 
 
 def scan_connected_subgraph(
@@ -257,19 +275,61 @@ def check_density_implication(
 
 # --- serialization ----------------------------------------------------------------
 
-def _node_to_json(node: DecompositionNode) -> dict:
-    data: dict = {"vertices": sorted(node.vertices), "kind": node.kind}
-    if node.separation is not None:
-        data["separation"] = {
-            "side_a": sorted(node.separation.side_a),
-            "side_b": sorted(node.separation.side_b),
-            "core": sorted(node.separation.core),
-        }
-        data["children"] = [_node_to_json(c) for c in node.children]
-    return data
-
-
 def result_to_json_dict(result: ExtractionResult) -> dict:
     if result.outcome == FOUND:
         return {"outcome": FOUND, "subgraph": sorted(result.subgraph)}
-    return {"outcome": SEPARABLE, "tree": _node_to_json(result.tree)}
+    root: dict = {}
+    stack = [(result.tree, root)]
+    while stack:
+        node, data = stack.pop()
+        data["vertices"] = _bits(node.mask)
+        data["kind"] = node.kind
+        sep = node.separation
+        if sep is not None:
+            data["separation"] = {
+                "side_a": _bits(sep.mask_a),
+                "side_b": _bits(sep.mask_b),
+                "core": _bits(sep.mask_a & sep.mask_b),
+            }
+            data["children"] = [{}, {}]
+            stack.extend(zip(node.children, data["children"]))
+    return {"outcome": SEPARABLE, "tree": root}
+
+
+def _json_list(mask: int, names: list[str]) -> str:
+    """The JSON list of the vertex ids in mask; ``names[v]`` is ``str(v)``."""
+    return "[" + ",".join(_members(mask, names)) + "]"
+
+
+def write_result_json(result: ExtractionResult, fh: TextIO) -> None:
+    """Write ``result_to_json_dict(result)`` to fh as compact JSON.
+
+    The text is written piece by piece, so the whole document is never
+    held in memory, and a node's vertex list is encoded once: a child's
+    ``vertices`` is the side of its parent's separation that it holds.
+    """
+    if result.outcome == FOUND:
+        fh.write(json.dumps(result_to_json_dict(result), separators=(",", ":")))
+        return
+    root = result.tree
+    names = list(map(str, range(root.mask.bit_length())))
+    fh.write('{"outcome":"SEPARABLE","tree":')
+    # items are either text to write or (node, its encoded vertex list)
+    stack: list = [(root, _json_list(root.mask, names))]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            fh.write(item)
+            continue
+        node, vertices = item
+        fh.write(f'{{"vertices":{vertices},"kind":{json.dumps(node.kind)}')
+        sep = node.separation
+        if sep is None:
+            fh.write("}")
+            continue
+        side_a, side_b = _json_list(sep.mask_a, names), _json_list(sep.mask_b, names)
+        core = _json_list(sep.mask_a & sep.mask_b, names)
+        fh.write(f',"separation":{{"side_a":{side_a},"side_b":{side_b},"core":{core}}},"children":[')
+        left, right = node.children
+        stack += ["]}", (right, side_b), ",", (left, side_a)]
+    fh.write("}")

@@ -127,6 +127,32 @@ class TestDispatch:
         result = json.loads(result_path.read_text())
         assert result["outcome"] == "FOUND" and len(result["subgraph"]) == 700
 
+    def test_extract_long_cycle_separable(self, capsys, tmp_path):
+        # a tree about 700 levels deep, which the writer must not recurse into
+        source, result_path = tmp_path / "cycle.json", tmp_path / "res.json"
+        source.write_text(json.dumps({"n": 700, "edges": sorted(SimpleGraph.cycle(700).edges)}))
+        assert dispatch(["extract", "--in", str(source), "--k", "2", "--sigma", "1",
+                         "--out", str(result_path)]) == 0
+        capsys.readouterr()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 10_000))  # json.loads recurses once per level
+        try:
+            result = json.loads(result_path.read_text())
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result["outcome"] == "SEPARABLE"
+        assert result["tree"]["vertices"] == list(range(700))
+
+    def test_extract_output_of_a_path_stays_small(self, capsys, tmp_path):
+        # the tree of a path is as deep as the path is long; indented, its
+        # nested JSON grew like n^3 (21 MB at n=300)
+        source, result_path = tmp_path / "path.json", tmp_path / "res.json"
+        source.write_text(json.dumps({"n": 300, "edges": sorted(SimpleGraph.path(300).edges)}))
+        assert dispatch(["extract", "--in", str(source), "--k", "1", "--sigma", "1",
+                         "--out", str(result_path)]) == 0
+        capsys.readouterr()
+        assert result_path.stat().st_size < 1_000_000
+
     @pytest.mark.parametrize("error", [
         BudgetExceededError("exploration budget of 3 vertex sets exceeded"),
         RecursionError("maximum recursion depth exceeded"),

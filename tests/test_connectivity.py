@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hcs import (
+    Separation,
     SimpleGraph,
     brute_force_min_cut,
     build_extremal,
@@ -13,6 +14,7 @@ from hcs import (
     min_vertex_cut,
 )
 from hcs.connectivity import (
+    _bits,
     _component,
     _has_cut_vertex,
     _is_connected,
@@ -324,6 +326,25 @@ class TestFindSeparation:
         with pytest.raises(ValueError):
             find_separation(glued_k4s, 2, 1 << 6)
 
+    @pytest.mark.parametrize("a, b, message", [
+        ({0, 1, 2, 3}, {2, 3, 4}, "do not cover"),
+        ({0, 1, 2, 3}, {3, 4, 5}, "core has 1 vertices"),
+        ({0, 1, 2, 3, 4, 5}, {2, 3}, "whole vertex set"),
+        ({0, 1, 2}, {1, 2, 3, 4, 5}, "edge between"),  # the edge 0-3
+        ({1, 2, 3, 4, 5}, {0, 1, 2}, "edge between"),
+    ])
+    def test_validate_rejects(self, glued_k4s, a, b, message):
+        sep = Separation(sum(1 << v for v in a), sum(1 << v for v in b))
+        assert (sep.side_a, sep.side_b, sep.core) == (a, b, a & b)
+        with pytest.raises(ValueError, match=message):
+            sep.validate(glued_k4s, 2)
+
+    def test_parent_must_own_the_side(self, glued_k4s):
+        parent = find_separation(glued_k4s, 2)
+        assert find_separation(glued_k4s, 2, parent.mask_b, parent=parent) is None
+        with pytest.raises(ValueError, match="not a side"):
+            find_separation(glued_k4s, 2, 0b011111, parent=parent)
+
     def test_disconnected_padding(self):
         g = SimpleGraph.empty(5)
         sep = find_separation(g, 2)
@@ -347,3 +368,12 @@ class TestFindSeparation:
                 assert (sep is None) == expected_absent, (sorted(g.edges), k)
                 if sep is not None:
                     sep.validate(g, k)
+
+
+def test_bits_matches_a_scan():
+    # long masks of many members take another route than short or sparse ones
+    rng = random.Random(5)
+    for length in (0, 1, 64, 128, 129, 130, 700, 4100):
+        for p in (0.0, 0.05, 0.5, 1.0):
+            mask = sum(1 << v for v in range(length) if rng.random() < p)
+            assert _bits(mask) == [v for v in range(length) if mask >> v & 1]

@@ -1,4 +1,8 @@
+import io
+import json
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,10 +24,26 @@ from hcs import (
     size_threshold,
     validate_decomposition,
 )
-from hcs.extractor import result_to_json_dict
+from hcs.extractor import result_to_json_dict, write_result_json
 from hcs.enclosure import sqrt_enclosure
 from conftest import k1_connected_by_removal, random_graph
-from test_golden import digest
+from test_golden import EXTREMAL, case_ids, digest, relabelled
+
+
+def tree_depth(root, children) -> int:
+    """Levels of a tree, the root counted as 1, walked without recursion."""
+    depth, stack = 0, [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        stack.extend((child, level + 1) for child in children(node))
+    return depth
+
+
+def streamed(result) -> dict:
+    buf = io.StringIO()
+    write_result_json(result, buf)
+    return json.loads(buf.getvalue())
 
 
 class TestSizeThreshold:
@@ -110,6 +130,41 @@ class TestExtract:
         res = extract(SimpleGraph.cycle(700), 1, 1)
         assert res.outcome == FOUND
         assert res.subgraph == frozenset(range(700))
+
+    def test_long_path_separable(self):
+        # the tree is 1199 levels deep: extraction, validation and the JSON
+        # dict must not recurse per level
+        g = SimpleGraph.path(1200)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            res = extract(g, 1, 1)
+            validate_decomposition(g, 1, 1, res.tree)
+            data = result_to_json_dict(res)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.outcome == SEPARABLE
+        assert tree_depth(res.tree, lambda node: node.children) == 1199
+        assert data["tree"]["vertices"] == list(range(1200))
+        assert tree_depth(data["tree"], lambda node: node.get("children", ())) == 1199
+
+    def test_validate_rejects_tampered_trees(self):
+        g = SimpleGraph.cycle(12)
+        tree = extract(g, 2, Fraction(1, 5)).tree
+        left, right = tree.children
+        deep_left, deep_right = right.children
+        odd_right = replace(right, children=(deep_left, replace(deep_right, kind="ODD")))
+        cases = [
+            (replace(tree, children=(right, left)), "does not match"),
+            (replace(tree, kind="ODD"), "unknown node kind"),
+            (replace(tree, children=(left,)), "two children"),
+            (replace(tree, kind=LEAF_SMALL), "too large"),
+            (replace(tree, children=(left, odd_right)), "unknown node kind"),
+        ]
+        validate_decomposition(g, 2, Fraction(1, 5), tree)
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                validate_decomposition(g, 2, Fraction(1, 5), bad)
 
     def test_budget_error(self):
         g = SimpleGraph.cycle(12)
@@ -235,3 +290,22 @@ class TestSerialization:
         assert root["kind"] == "SEPARATED"
         assert len(root["separation"]["core"]) == 2
         assert {tuple(c["vertices"]) for c in root["children"]}
+
+    @pytest.mark.parametrize("params", sorted(EXTREMAL), ids=case_ids(EXTREMAL))
+    def test_streamed_json_matches_dict_extremal(self, params):
+        k, sigma_k, level = params
+        e = build_extremal(k, sigma_k, level)
+        res = extract(relabelled(e.graph, level), k, e.sigma)
+        assert streamed(res) == result_to_json_dict(res)
+
+    def test_streamed_json_matches_dict_random(self):
+        rng = random.Random(2718)
+        outcomes = set()
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(8, 30), rng.choice([0.2, 0.35, 0.5, 0.7]))
+            for k in (2, 3):
+                for sigma in (Fraction(1, 5), Fraction(1)):
+                    res = extract(g, k, sigma)
+                    outcomes.add(res.outcome)
+                    assert streamed(res) == result_to_json_dict(res)
+        assert outcomes == {FOUND, SEPARABLE}

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from hcs import (
     FOUND,
-    Separation,
     SimpleGraph,
     extract,
     find_separation,
@@ -26,7 +25,7 @@ from hcs import (
     size_threshold,
     validate_decomposition,
 )
-from hcs.connectivity import _min_cut_capped
+from hcs.connectivity import _min_cut_capped, _side_degrees
 from conftest import k1_connected_by_removal, random_graph
 
 
@@ -53,7 +52,7 @@ def test_mask_matches_induced_subgraph(case, k):
     if ref is None:
         assert sep is None
     else:
-        assert sep == Separation(back(ref.side_a), back(ref.side_b))
+        assert (sep.side_a, sep.side_b) == (back(ref.side_a), back(ref.side_b))
         sep.validate(g, k, alive)
 
     if alive:
@@ -109,3 +108,35 @@ def test_inherited_bound_changes_nothing(g, k):
             sep.validate(g, k, alive)
             for side in (sep.side_a, sep.side_b):
                 todo.append((sum(1 << v for v in side), sep))
+
+
+def fresh_degrees(g: SimpleGraph, alive: int) -> dict[int, int]:
+    """Each degree in the set alive mapped to the bitmask of its vertices of
+    that degree, counted vertex by vertex from the edge list."""
+    degree = {v: 0 for v in range(g.n) if alive >> v & 1}
+    for u, v in g.edges:
+        if u in degree and v in degree:
+            degree[u] += 1
+            degree[v] += 1
+    classes: dict[int, int] = {}
+    for v, d in degree.items():
+        classes[d] = classes.get(d, 0) | 1 << v
+    return classes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(glued_graph(), st.integers(1, 3))
+def test_inherited_degrees_match_a_fresh_count(g, k):
+    """At every node of the separation tree, the degree classes carried down
+    from the parent equal a fresh count on the node's own set."""
+    masks = g.adjacency_masks
+    todo = [((1 << g.n) - 1, None)]
+    while todo:
+        alive, parent = todo.pop()
+        sep = find_separation(g, k, alive, parent=parent)
+        if sep is None:
+            continue
+        assert sep.degrees == fresh_degrees(g, alive)
+        for side in (sep.mask_a, sep.mask_b):
+            assert _side_degrees(masks, sep.degrees, sep.mask_a & sep.mask_b, side) == fresh_degrees(g, side)
+            todo.append((side, sep))
