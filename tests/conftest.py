@@ -60,3 +60,63 @@ def k1_connected_by_removal(g: SimpleGraph, vertices, k: int) -> bool:
             if seen != rest:
                 return False
     return True
+
+
+# --- extremal certificate oracles ---------------------------------------------
+# The set-and-bitmask checks that verify_extremal used before it tested private
+# sides with adjacency lists: one walk per node of the gluing tree, every
+# condition checked on the node's own vertex sets.
+
+def _copy_embedding(v_prev: int, y) -> list[int]:
+    """Second-copy labels for level v_prev vertices glued along y."""
+    y_set = set(y)
+    others = [v for v in range(v_prev) if v not in y_set]
+    image = [0] * v_prev
+    for v in y:
+        image[v] = v
+    for j, v in enumerate(others):
+        image[v] = v_prev + j
+    return image
+
+
+def certificate_check_oracle(e) -> bool:
+    """Whether every recorded gluing set is a k-core separation of its node."""
+    g = e.graph
+    masks = g.adjacency_masks
+    k = e.k
+
+    def walk(level: int, phi: tuple[int, ...]) -> bool:
+        if level == 0:
+            return len(set(phi)) == e.leaf_size
+        y = e.glue_history[level - 1]
+        v_prev = k + (1 << (level - 1)) * e.sigma_k
+        phi1 = phi[:v_prev]
+        mu = _copy_embedding(v_prev, y)
+        phi2 = tuple(phi[mu[x]] for x in range(v_prev))
+        w = set(phi)
+        w1, w2 = set(phi1), set(phi2)
+        core = {phi[v] for v in y}
+        if len(core) != k or (w1 | w2) != w or (w1 & w2) != core:
+            return False
+        if w1 == w or w2 == w:
+            return False
+        mask2 = 0
+        for v in w2 - core:
+            mask2 |= 1 << v
+        for v in w1 - core:
+            if masks[v] & mask2:
+                return False
+        return walk(level - 1, phi1) and walk(level - 1, phi2)
+
+    return walk(e.level, tuple(range(g.n)))
+
+
+def partition_check_oracle(e) -> bool:
+    """Pool parts balanced within one, with no edge between two parts."""
+    sizes = [len(p) for p in e.parts]
+    if max(sizes) - min(sizes) > 1:
+        return False
+    masks = e.graph.adjacency_masks
+    part_masks = [sum(1 << v for v in p) for p in e.parts]
+    pool = sum(part_masks)
+    return not any(masks[v] & pool & ~own for p, own in zip(e.parts, part_masks) for v in p)

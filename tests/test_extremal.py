@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,9 +14,11 @@ from hcs import (
     sharpness_rate,
     verify_extremal,
 )
+import hcs.extremal
 from hcs.extremal import ExtremalGraph, _split_parts, degree_rate_target
 from hcs.graphs import induced_subgraph
 from hcs.connectivity import _is_connected
+from conftest import certificate_check_oracle, partition_check_oracle
 
 
 class TestBuild:
@@ -179,3 +182,73 @@ class TestSeparationInterplay:
         sep = find_separation(e.graph, 2)
         assert sep is not None
         assert sep.core == set(e.glue_history[0])
+
+
+def _with_edge(e: ExtremalGraph, u: int, v: int) -> ExtremalGraph:
+    edge = (min(u, v), max(u, v))
+    assert edge not in e.graph.edges
+    return replace(e, graph=SimpleGraph(e.graph.n, e.graph.edges | {edge}))
+
+
+def _private_side_edges(e: ExtremalGraph, rng: random.Random) -> list[tuple[int, int]]:
+    """One edge per level between the two private sides of a gluing-tree node.
+
+    The level-j node on the first-copy path is the prefix range(v_j): its
+    private sides are range(v_(j-1)) less glue j-1, and range(v_(j-1), v_j).
+    From level 2 on, one more edge joins the private sides of the root's
+    second copy, whose labels are the image of the copy embedding.
+    """
+    k, sigma_k = e.k, e.sigma_k
+    size = [k + (1 << j) * sigma_k for j in range(e.level + 1)]
+    edges = []
+    for j in range(1, e.level + 1):
+        y = set(e.glue_history[j - 1])
+        u = rng.choice([v for v in range(size[j - 1]) if v not in y])
+        edges.append((u, rng.randrange(size[j - 1], size[j])))
+    if e.level >= 2:
+        y_top, y = set(e.glue_history[-1]), set(e.glue_history[-2])
+        others = [v for v in range(size[-2]) if v not in y_top]
+        image = {v: v if v in y_top else size[-2] + others.index(v) for v in range(size[-2])}
+        u = rng.choice([v for v in range(size[-3]) if v not in y])
+        edges.append((image[u], image[rng.randrange(size[-3], size[-2])]))
+    return edges
+
+
+class TestCertificateOracle:
+    """verify_extremal against the per-node set-and-bitmask oracles of conftest."""
+
+    @pytest.fixture(autouse=True)
+    def _no_brute_force(self, monkeypatch):
+        # only the certificate and the partition are compared here
+        monkeypatch.setattr(hcs.extremal, "BRUTE_FORCE_VERTEX_CAP", -1)
+
+    @staticmethod
+    def _agree(e: ExtremalGraph):
+        report = verify_extremal(e)
+        assert report.certificate_ok == certificate_check_oracle(e)
+        assert report.partition_ok == partition_check_oracle(e)
+        return report
+
+    @pytest.mark.parametrize("k, sigma_k", [(2, 2), (3, 3), (1, 3)])
+    @pytest.mark.parametrize("level", range(8))
+    def test_matches_oracle(self, k, sigma_k, level):
+        e = build_extremal(k, sigma_k, level)
+        report = self._agree(e)
+        assert report.certificate_ok and report.partition_ok
+        rng = random.Random(f"{k}/{sigma_k}/{level}")
+        if level > 0:  # level 0 is complete
+            n = e.graph.n
+            while True:
+                u, v = rng.sample(range(n), 2)
+                if (min(u, v), max(u, v)) not in e.graph.edges:
+                    break
+            self._agree(_with_edge(e, u, v))
+        for u, v in _private_side_edges(e, rng):
+            assert not self._agree(_with_edge(e, u, v)).certificate_ok, (u, v)
+        # one vertex more than the level has: it lies in no leaf
+        assert not self._agree(replace(e, graph=SimpleGraph(e.graph.n + 1, e.graph.edges))).certificate_ok
+        parts = [p for p in e.parts if p]
+        if len(parts) >= 2:
+            first, second = rng.sample(parts, 2)
+            mutated = _with_edge(e, rng.choice(first), rng.choice(second))
+            assert not self._agree(mutated).partition_ok
