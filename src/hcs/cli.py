@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -168,7 +169,7 @@ def _cmd_construct(args) -> int:
     e = build_extremal(args.k, args.sigma_k, args.level)
     payload = extremal_to_json_dict(e)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.write(json.dumps(payload, separators=(",", ":")))  # json.dump never uses the C encoder
         fh.write("\n")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -283,6 +284,7 @@ def _cmd_certify(args) -> int:
     return 0 if report.passed and rate_ok else 1
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every dispatch
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hcs",

@@ -57,12 +57,14 @@ def size_threshold(k: int, sigma: SigmaLike) -> int:
     return math.floor((1 + s) * k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionNode:
     """One node of the decomposition tree over original vertex ids.
 
     The node's vertex set is held as the bitmask ``mask``; ``vertices`` is
-    the same set as a frozenset, built on access.
+    the same set as a frozenset, built on access. A tree can be as deep as
+    the graph has vertices, so nodes compare and hash by identity and the
+    repr counts the children instead of showing them.
     """
 
     mask: int
@@ -73,6 +75,9 @@ class DecompositionNode:
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(_bits(self.mask))
+
+    def __repr__(self) -> str:
+        return f"DecompositionNode(kind={self.kind!r}, vertices={self.mask.bit_count()}, children={len(self.children)})"
 
 
 @dataclass(frozen=True)

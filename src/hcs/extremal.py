@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 from .graphs import SimpleGraph, average_degree
@@ -178,14 +180,12 @@ def _validate_structure(e: ExtremalGraph) -> None:
             raise ValueError(f"gluing set {j} out of its level range")
 
 
-def _check_partition(e: ExtremalGraph) -> bool:
+def _check_partition(e: ExtremalGraph, adj: list[list[int]]) -> bool:
     sizes = [len(p) for p in e.parts]
     if max(sizes) - min(sizes) > 1:
         return False
-    masks = e.graph.adjacency_masks
-    part_masks = [sum(1 << v for v in p) for p in e.parts]
-    pool = sum(part_masks)  # the parts are disjoint, as _validate_structure checked
-    return not any(masks[v] & pool & ~own for p, own in zip(e.parts, part_masks) for v in p)
+    part_of = {v: i for i, p in enumerate(e.parts) for v in p}  # disjoint, as _validate_structure checked
+    return all(part_of.get(u, i) == i for v, i in part_of.items() for u in adj[v])
 
 
 def _edge_lower_bound(e: ExtremalGraph) -> Fraction:
@@ -198,19 +198,7 @@ def _edge_lower_bound(e: ExtremalGraph) -> Fraction:
     )
 
 
-def _copy_embedding(v_prev: int, y: tuple[int, ...]) -> list[int]:
-    """Second-copy labels for level v_prev vertices glued along y."""
-    y_set = set(y)
-    others = [v for v in range(v_prev) if v not in y_set]
-    image = [0] * v_prev
-    for v in y:
-        image[v] = v
-    for j, v in enumerate(others):
-        image[v] = v_prev + j
-    return image
-
-
-def _certificate_check(e: ExtremalGraph) -> bool:
+def _certificate_check(e: ExtremalGraph, adj: list[list[int]]) -> bool:
     """Walk the gluing tree and verify each recorded separation on the graph.
 
     At every internal node the image of the gluing set must be a k-core
@@ -218,35 +206,36 @@ def _certificate_check(e: ExtremalGraph) -> bool:
     (1+sigma)k vertices. A (k+1)-connected subgraph cannot be split by a
     k-vertex core, so passing this walk confines any such subgraph to a
     leaf.
+
+    The walk goes one level at a time. A node is its labelling phi of the
+    level's vertex ids by graph vertices: the identity at the root, and for
+    a child a prefix of its parent's or its parent's composed with the copy
+    embedding mu, checked injective per level. So every phi is injective,
+    the core, cover and strictness conditions depend on the level alone,
+    and per node only the private sides are tested, on adjacency lists.
     """
-    g = e.graph
-    masks = g.adjacency_masks
     k = e.k
-
-    def walk(level: int, phi: tuple[int, ...]) -> bool:
-        if level == 0:
-            return len(set(phi)) == e.leaf_size
+    nodes = [tuple(range(e.graph.n))]
+    for level in range(e.level, 0, -1):
         y = e.glue_history[level - 1]
-        v_prev = k + (1 << (level - 1)) * e.sigma_k
-        phi1 = phi[:v_prev]
-        mu = _copy_embedding(v_prev, y)
-        phi2 = tuple(phi[mu[x]] for x in range(v_prev))
-        w = set(phi)
-        w1, w2 = set(phi1), set(phi2)
-        core = {phi[v] for v in y}
-        if len(core) != k or (w1 | w2) != w or (w1 & w2) != core:
+        v_prev, v = k + (1 << (level - 1)) * e.sigma_k, len(nodes[0])
+        y_set, others = set(y), iter(range(v_prev, 2 * v_prev))
+        rest = [x for x in range(v_prev) if x not in y_set]  # the first copy's private labels
+        # the second copy keeps the labels of y and numbers the rest after the first copy
+        mu = [x if x in y_set else next(others) for x in range(v_prev)]
+        first, second = set(range(v_prev)), set(mu)
+        if not (len(y_set) == k and len(second) == v_prev < v
+                and first | second == set(range(v)) and first & second == y_set):
             return False
-        if w1 == w or w2 == w:
-            return False
-        mask2 = 0
-        for v in w2 - core:
-            mask2 |= 1 << v
-        for v in w1 - core:
-            if masks[v] & mask2:
+        copy = itemgetter(*mu)
+        children = []
+        for phi in nodes:
+            private2 = set(phi[v_prev:])  # mu maps the private labels onto range(v_prev, v)
+            if not private2.isdisjoint(chain.from_iterable(map(adj.__getitem__, map(phi.__getitem__, rest)))):
                 return False
-        return walk(level - 1, phi1) and walk(level - 1, phi2)
-
-    return walk(e.level, tuple(range(g.n)))
+            children += (phi[:v_prev], copy(phi))
+        nodes = children
+    return len(nodes[0]) == e.leaf_size
 
 
 def degree_rate_target(k: int, sigma_k: int) -> Fraction:
@@ -260,11 +249,15 @@ def verify_extremal(e: ExtremalGraph) -> ExtremalReport:
     """Re-verify every claimed property of a constructed instance."""
     _validate_structure(e)
     g = e.graph
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     vertex_ok = g.n - e.k == (1 << e.level) * e.sigma_k
-    partition_ok = _check_partition(e)
+    partition_ok = _check_partition(e, adj)
     bound = _edge_lower_bound(e)
     edge_ok = Fraction(g.edge_count) >= bound
-    certificate_ok = _certificate_check(e)
+    certificate_ok = _certificate_check(e, adj)
     brute: Optional[bool] = None
     if g.n <= BRUTE_FORCE_VERTEX_CAP:
         hit = scan_connected_subgraph(g, e.k, e.leaf_size + 1)

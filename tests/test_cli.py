@@ -16,10 +16,11 @@ from hcs import (
     build_extremal,
     dispatch,
     extract,
+    extremal_to_json_dict,
     graph_to_json_dict,
     run_experiment,
 )
-from hcs.cli import NOT_APPLICABLE_SATURATED, rows_to_csv
+from hcs.cli import NOT_APPLICABLE_SATURATED, build_parser, rows_to_csv
 from hcs.extractor import result_to_json_dict
 from test_golden import relabelled
 
@@ -88,6 +89,33 @@ class TestDispatch:
         out_text = capsys.readouterr().out
         assert "no-large-connected-subgraph: PASS" in out_text
 
+    @pytest.mark.parametrize("level", [0, 3, 8])
+    def test_construct_writes_compact_json(self, capsys, tmp_path, level):
+        out = tmp_path / "g.json"
+        assert dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", str(level),
+                         "--out", str(out)]) == 0
+        text = out.read_text()
+        assert json.loads(text) == extremal_to_json_dict(build_extremal(2, 2, level))
+        assert text.endswith("}\n") and not any(c in text[:-1] for c in " \t\n")
+        assert dispatch(["certify", "--in", str(out)]) == 0
+        capsys.readouterr()
+
+    def test_one_parser_serves_every_dispatch(self, capsys, tmp_path):
+        # the parser is built once per process; no call may see another's arguments
+        first, second, dot = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "a.dot"
+        assert dispatch(["construct", "--k", "1", "--sigma-k", "1", "--level", "2",
+                         "--out", str(first), "--dot", str(dot)]) == 0
+        parser = build_parser()
+        assert dispatch(["certify", "--bogus"]) == 2
+        assert dispatch(["certify", "--in", str(first)]) == 0
+        assert dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "1",
+                         "--out", str(second)]) == 0
+        assert dispatch(["verify-bounds", "--alt", "3"]) == 0
+        assert build_parser() is parser
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.dot", "a.json", "b.json"]
+        out = capsys.readouterr().out
+        assert "no-large-connected-subgraph: PASS" in out and "obligations passed" in out
+
     def test_extract_with_alt(self, capsys, tmp_path):
         out = tmp_path / "g.json"
         dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "2",
@@ -107,6 +135,19 @@ class TestDispatch:
         out.write_text(json.dumps(payload))
         assert dispatch(["certify", "--in", str(out)]) == 1
         capsys.readouterr()
+
+    def test_certify_fails_on_truncated_instance(self, capsys, tmp_path):
+        # one vertex short of its level: the certificate walk raised IndexError
+        out = tmp_path / "g.json"
+        dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "4", "--out", str(out)])
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        last = payload["graph"]["n"] = payload["graph"]["n"] - 1
+        payload["graph"]["edges"] = [e for e in payload["graph"]["edges"] if last not in e]
+        out.write_text(json.dumps(payload))
+        assert dispatch(["certify", "--in", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "certificate=FAIL" in text and "vertex-count: FAIL" in text
 
     def test_missing_file_is_usage_error(self, capsys):
         assert dispatch(["extract", "--in", "/nonexistent.json", "--k", "2",
@@ -212,21 +253,33 @@ class TestDispatch:
         capsys.readouterr()
 
 
+def run_optimized(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -O -m hcs`` on argv with this checkout's sources."""
+    src = str(Path(hcs.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-m", "hcs", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_extract_under_python_optimize(tmp_path):
     # -O strips assert statements: the answer must not rest on them
     g = relabelled(build_extremal(2, 2, 4).graph, 4)
     source = tmp_path / "g.json"
     source.write_text(json.dumps(graph_to_json_dict(g)))
-    src = str(Path(hcs.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-O", "-m", "hcs", "extract", "--in", str(source), "--k", "2", "--sigma", "1"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = run_optimized("extract", "--in", str(source), "--k", "2", "--sigma", "1")
     assert done.returncode == 0, done.stderr
     expected = result_to_json_dict(extract(g, 2, 1))
     assert expected["outcome"] == "SEPARABLE"
     assert json.loads(done.stdout) == json.loads(json.dumps(expected))
+
+
+def test_construct_and_certify_under_python_optimize(tmp_path):
+    out = str(tmp_path / "g.json")
+    done = run_optimized("construct", "--k", "2", "--sigma-k", "2", "--level", "6", "--out", out)
+    assert done.returncode == 0, done.stderr
+    done = run_optimized("certify", "--in", out)
+    assert done.returncode == 0, done.stderr
+    assert "no-large-connected-subgraph: PASS  (certificate=pass brute=skipped)" in done.stdout
 
 
 def test_package_exports_no_submodules():

@@ -148,6 +148,22 @@ class TestExtract:
         assert data["tree"]["vertices"] == list(range(1200))
         assert tree_depth(data["tree"], lambda node: node.get("children", ())) == 1199
 
+    def test_long_path_tree_hashes_compares_and_prints(self):
+        # the generated hash, == and repr recursed once per level of the tree
+        g = SimpleGraph.path(1200)
+        res, other = extract(g, 1, 1), extract(g, 1, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert len({res.tree, other.tree, res.tree}) == 2
+            assert res.tree == res.tree and res.tree != other.tree
+            assert res == res and hash(res) == hash(res)
+            text = repr(res)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert repr(res.tree) == "DecompositionNode(kind='SEPARATED', vertices=1200, children=2)"
+        assert text.endswith(f"tree={res.tree!r})")
+
     def test_validate_rejects_tampered_trees(self):
         g = SimpleGraph.cycle(12)
         tree = extract(g, 2, Fraction(1, 5)).tree
