@@ -5,13 +5,11 @@ from types import ModuleType as _ModuleType
 from .graphs import (
     AnticliqueProfile,
     EMPTY_PROFILE,
-    InducedSubgraph,
     SimpleGraph,
     average_degree,
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
-    induced_subgraph,
 )
 from .connectivity import (
     CutWitness,
@@ -21,7 +19,7 @@ from .connectivity import (
     is_k1_connected,
     min_vertex_cut,
 )
-from .enclosure import Enclosure, as_enclosure, sqrt_enclosure
+from .field import Surd, sqrt
 from .extractor import (
     FOUND,
     LEAF_SMALL,
@@ -29,10 +27,8 @@ from .extractor import (
     SEPARATED,
     BudgetExceededError,
     DecompositionNode,
-    DensityImplicationReport,
     ExtractionResult,
     brute_force_hcs,
-    check_density_implication,
     extract,
     scan_connected_subgraph,
     size_threshold,
@@ -44,7 +40,6 @@ from .extremal import (
     build_extremal,
     extremal_from_json_dict,
     extremal_to_json_dict,
-    first_level_meeting_degree_target,
     sharpness_rate,
     verify_extremal,
 )
@@ -64,7 +59,6 @@ from .bounds import (
     separable_density_check,
     small_sides_edge_bound,
     split_maximum,
-    split_maximum_grid,
     square_ratio_gap,
     verify_all_bounds,
     verify_alternative,

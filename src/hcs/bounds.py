@@ -1,10 +1,11 @@
 """Edge-count bound functions and inequality certification.
 
-Everything rational is computed exactly with Fractions; irrational
-constants (square roots) are carried as certified rational enclosures,
-and every PASS verdict is required to hold at the unfavorable end of
-each enclosure. Quadratic inequalities on an interval are certified by
-their exact minimum: the endpoints, and the vertex of a convex quadratic.
+Everything is computed exactly: rational data with Fractions, and the
+irrational constants (square roots) as elements of Q(sqrt2, sqrt3,
+sqrt5), whose comparisons are decided exactly. So every margin is the
+exact minimum and a PASS is a proof, with no tolerance. Quadratic
+inequalities on an interval are certified by their exact minimum: the
+endpoints, and the vertex of a convex quadratic.
 """
 
 from __future__ import annotations
@@ -13,22 +14,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import zip_longest
+from typing import Sequence
 
-import numpy as np
-
-from .enclosure import (
-    Enclosure,
-    as_enclosure,
-    is_exact,
-    sqrt_enclosure,
-    upper_bound,
-)
 from .extractor import SEPARABLE, extract
+from .field import Surd, sqrt
 from .graphs import AnticliqueProfile, SimpleGraph
-
-TOL_ENCLOSED = Fraction(1, 10**9)  # for obligations involving irrational constants
-TOL_EXACT = Fraction(0)
 
 
 # --- parameter alternatives ----------------------------------------------------
@@ -43,16 +34,15 @@ class ParameterAlternative:
     """
 
     id: int
-    sigma: Fraction | Enclosure
-    gamma: Fraction | Enclosure
+    sigma: Fraction | Surd
+    gamma: Fraction | Surd
     rho: Fraction
-    delta: Fraction | Enclosure
+    delta: Fraction | Surd
 
     def __post_init__(self) -> None:
         # delta >= 1 + gamma is what turns the edge bound into the
         # average-degree statement; certify it on construction.
-        d = as_enclosure(self.delta)
-        if not d.certainly_ge(as_enclosure(self.gamma) + 1):
+        if not self.delta >= self.gamma + 1:
             raise ValueError("delta >= 1 + gamma must hold")
 
     @property
@@ -62,20 +52,17 @@ class ParameterAlternative:
 
 def alternative_1(sigma=None) -> ParameterAlternative:
     """Family with sigma >= (sqrt(2)+1)/sqrt(3); defaults to the boundary value."""
-    smin = (sqrt_enclosure(2) + 1) / sqrt_enclosure(3)
-    if sigma is None:
-        s: Fraction | Enclosure = smin
-    else:
-        s = Fraction(sigma)
-        if not as_enclosure(s).certainly_ge(smin):
-            raise ValueError("alternative 1 needs sigma >= (sqrt(2)+1)/sqrt(3)")
-    gamma = 1 / (3 * as_enclosure(s)) if isinstance(s, Enclosure) else Fraction(1, 3) / s
+    smin = (sqrt(2) + 1) / sqrt(3)
+    s = smin if sigma is None else Fraction(sigma)
+    if s < smin:
+        raise ValueError("alternative 1 needs sigma >= (sqrt(2)+1)/sqrt(3)")
+    gamma = 1 / (3 * s)
     delta = 2 + s + gamma
     return ParameterAlternative(1, s, gamma, Fraction(1), delta)
 
 
 def alternative_2() -> ParameterAlternative:
-    sqrt10 = sqrt_enclosure(10)
+    sqrt10 = sqrt(10)
     sigma = sqrt10 / 6
     gamma = sqrt10 / 3
     delta = 2 + Fraction(11, 3) / sqrt10
@@ -95,10 +82,9 @@ def get_alternative(alt_id: int) -> ParameterAlternative:
     return builders[alt_id]()
 
 
-def density_threshold(alt: ParameterAlternative, k: int) -> tuple[Fraction, Fraction]:
-    """Certified bounds on the average-degree threshold delta*k - 1."""
-    t = as_enclosure(alt.delta) * k - 1
-    return t.lo, t.hi
+def density_threshold(alt: ParameterAlternative, k: int) -> Fraction | Surd:
+    """The average-degree threshold delta*k - 1, exactly."""
+    return alt.delta * k - 1
 
 
 # --- elementary inequalities -----------------------------------------------------
@@ -165,51 +151,13 @@ def split_maximum(inst: OptimizationInstance) -> tuple[float, tuple[float, ...],
     return x, xs, split_objective(inst, x, xs)
 
 
-def split_maximum_grid(inst: OptimizationInstance, resolution=Fraction(1, 64)) -> float:
-    """Grid brute force over the feasible region (independent oracle).
-
-    Refuses vectors longer than 3 and resolutions finer than 1/256.
-    Returns -inf when no grid point is feasible.
-    """
-    step = float(Fraction(resolution))
-    if step < 1 / 256:
-        raise ValueError("grid resolution must be at least 1/256")
-    if len(inst.zs) > 3:
-        raise ValueError("grid oracle limited to mass vectors of length 3")
-    z, zs, tau = inst.z, inst.zs, inst.tau
-
-    def axis(lo: float, hi: float) -> np.ndarray:
-        if hi < lo:
-            return np.empty(0)
-        count = int(math.floor((hi - lo) / step + 1e-9))
-        pts = lo + step * np.arange(count + 1)
-        if pts.size == 0 or pts[-1] < hi - 1e-12:
-            pts = np.append(pts, hi)
-        return pts
-
-    x_axis = axis(tau, z / 2)
-    if not zs:
-        vals = x_axis * x_axis + (z - x_axis) ** 2
-        return float(vals.max()) if vals.size else -math.inf
-    mesh = np.meshgrid(*(axis(0.0, zi) for zi in zs), indexing="ij")
-    sq = sum(m * m for m in mesh)
-    sqz = sum((zi - m) ** 2 for zi, m in zip(zs, mesh))
-    best = -math.inf
-    for x in x_axis:
-        feasible = (sq <= x * x) & (sqz <= (z - x) ** 2)
-        if feasible.any():
-            vals = x * x - sq + (z - x) ** 2 - sqz
-            best = max(best, float(vals[feasible].max()))
-    return best
-
-
 # --- edge bounds for separable views ---------------------------------------------
 
 def basic_edge_bound(g, sigma):
     """Edge bound 2g + 1 + sigma^2 + (g - sigma)^2 for a separable view."""
-    if upper_bound(g) < 0:
+    if g < 0:
         raise ValueError("g must be non-negative")
-    if upper_bound(sigma) <= 0:
+    if sigma <= 0:
         raise ValueError("sigma must be positive")
     return 2 * g + 1 + sigma * sigma + (g - sigma) * (g - sigma)
 
@@ -283,86 +231,65 @@ def core_side_edge_bound(b, r, profile: AnticliqueProfile) -> Fraction:
 
 # --- certification -----------------------------------------------------------------
 
-Poly = Sequence  # coefficients (c0, c1, c2), low degree first
+Poly = Sequence  # coefficients (c0, c1, c2), low degree first; int, Fraction or Surd
 
 
-def _poly_eval(coeffs: Poly, x) -> Enclosure:
-    xe = as_enclosure(x)
-    out = as_enclosure(0)
-    for c in reversed(list(coeffs)):
-        out = out * xe + as_enclosure(c)
+def _poly_eval(coeffs: Poly, x):
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
     return out
 
 
 def _poly_sub(lhs: Poly, rhs: Poly) -> list:
-    n = max(len(lhs), len(rhs))
-    out = []
-    for i in range(n):
-        a = lhs[i] if i < len(lhs) else 0
-        b = rhs[i] if i < len(rhs) else 0
-        out.append(as_enclosure(a) - as_enclosure(b))
-    return out
+    return [a - b for a, b in zip_longest(lhs, rhs, fillvalue=0)]
 
 
 @dataclass(frozen=True)
 class CertificateResult:
     passed: bool
-    margin: Fraction           # certified lower bound of the minimum of q
-    at_point: Fraction         # where the minimum margin was observed
-    method: str                # "endpoints+concavity", "endpoints+vertex" or "interval"
+    margin: Fraction | Surd    # the exact minimum of q on the interval
+    at_point: Fraction | Surd  # where the minimum is attained
+    method: str                # "endpoints+concavity" or "endpoints+vertex"
 
 
-def certify_nonnegative_on_interval(
-    coeffs: Poly,
-    lo,
-    hi,
-    *,
-    tolerance: Fraction = TOL_EXACT,
-) -> CertificateResult:
+def certify_nonnegative_on_interval(coeffs: Poly, lo, hi) -> CertificateResult:
     """Certify q(x) >= 0 on [lo, hi] for a quadratic q.
 
     The minimum of q on an interval is at an endpoint, or, when q is
     convex, at its vertex -c1/(2 c2) if that lies inside; there q equals
-    c0 - c1^2/(4 c2). When the sign of c2 is not certain, q is evaluated
-    in interval arithmetic over the whole of [lo, hi]. The margin is a
-    certified lower bound of the minimum in every case.
+    c0 - c1^2/(4 c2). Coefficients and endpoints are exact (int, Fraction
+    or Surd), so the sign of c2 is always decided and the margin is the
+    exact minimum.
     """
     coeffs = list(coeffs)
     if len(coeffs) > 3:
         raise ValueError("only polynomials of degree at most 2 are supported")
-    lo_e, hi_e = as_enclosure(lo), as_enclosure(hi)
-    if hi_e.hi < lo_e.lo:
+    if hi < lo:
         raise ValueError("degenerate interval: lo > hi")
-    candidates = [
-        (_poly_eval(coeffs, lo_e).lo, lo_e.midpoint),
-        (_poly_eval(coeffs, hi_e).lo, hi_e.midpoint),
-    ]
-    c0, c1, c2 = (as_enclosure(c) for c in coeffs + [0] * (3 - len(coeffs)))
-    if c2.hi <= 0:
-        method = "endpoints+concavity"
-    elif c2.lo > 0:
+    c0, c1, c2 = coeffs + [0] * (3 - len(coeffs))
+    candidates = [(_poly_eval(coeffs, lo), lo), (_poly_eval(coeffs, hi), hi)]
+    if c2 > 0:
         method = "endpoints+vertex"
-        vertex = -c1 / (2 * c2)
-        if vertex.hi >= lo_e.lo and vertex.lo <= hi_e.hi:
-            candidates.append(((c0 - c1 * c1 / (4 * c2)).lo, vertex.midpoint))
+        # the Fraction factors keep the divisions exact when c1 and c2 are ints
+        vertex = Fraction(-1, 2) * c1 / c2
+        if lo <= vertex <= hi:
+            candidates.append((c0 - Fraction(1, 4) * c1 * c1 / c2, vertex))
     else:
-        method = "interval"
-        whole = Enclosure(lo_e.lo, hi_e.hi)
-        candidates.append((_poly_eval(coeffs, whole).lo, whole.midpoint))
+        method = "endpoints+concavity"
     margin, at = min(candidates, key=lambda c: c[0])
-    return CertificateResult(margin >= -tolerance, margin, at, method)
+    return CertificateResult(margin >= 0, margin, at, method)
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """An evaluated proof obligation with its certified margin."""
+    """An evaluated proof obligation with its exact margin."""
 
     obligation_id: str
     params: dict
     lhs: str
     rhs: str
-    margin: Fraction
-    tolerance: Fraction
+    margin: Fraction | Surd
     verdict: str  # PASS | FAIL | NOT_APPLICABLE
 
     @property
@@ -371,89 +298,54 @@ class BoundReport:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Enclosure):
-        return f"{float(x.midpoint):.12g}"
     return f"{float(x):.12g}"
 
 
-def _verdict(margin: Fraction, tolerance: Fraction) -> str:
-    return "PASS" if margin >= -tolerance else "FAIL"
+def _verdict(margin) -> str:
+    return "PASS" if margin >= 0 else "FAIL"
 
 
-def _interval_report(
-    oid: str,
-    params: dict,
-    lhs_poly: Poly,
-    rhs_poly: Poly,
-    lo,
-    hi,
-    tolerance: Fraction,
-) -> BoundReport:
-    q = _poly_sub(rhs_poly, lhs_poly)
-    cert = certify_nonnegative_on_interval(q, lo, hi, tolerance=tolerance)
+def _interval_report(oid: str, params: dict, lhs_poly: Poly, rhs_poly: Poly, lo, hi) -> BoundReport:
+    cert = certify_nonnegative_on_interval(_poly_sub(rhs_poly, lhs_poly), lo, hi)
     lhs_at = _poly_eval(lhs_poly, cert.at_point)
     rhs_at = _poly_eval(rhs_poly, cert.at_point)
-    return BoundReport(
-        oid, params, _fmt(lhs_at), _fmt(rhs_at), cert.margin, tolerance,
-        _verdict(cert.margin, tolerance),
-    )
+    return BoundReport(oid, params, _fmt(lhs_at), _fmt(rhs_at), cert.margin, _verdict(cert.margin))
 
 
-def _point_report(oid: str, params: dict, lhs, rhs, tolerance: Fraction) -> BoundReport:
-    margin = (as_enclosure(rhs) - as_enclosure(lhs)).lo
-    return BoundReport(
-        oid, params, _fmt(as_enclosure(lhs)), _fmt(as_enclosure(rhs)), margin,
-        tolerance, _verdict(margin, tolerance),
-    )
+def _point_report(oid: str, params: dict, lhs, rhs) -> BoundReport:
+    margin = rhs - lhs
+    return BoundReport(oid, params, _fmt(lhs), _fmt(rhs), margin, _verdict(margin))
 
 
-def _identity_report(
-    oid: str,
-    params: dict,
-    f1: Callable,
-    f2: Callable,
-    samples: Sequence[Fraction],
-    allowed: Fraction,
-) -> BoundReport:
-    worst = Fraction(0)
-    for x in samples:
-        dev = as_enclosure(f1(x)) - as_enclosure(f2(x))
-        bound = max(abs(dev.lo), abs(dev.hi))
-        worst = max(worst, bound)
-    margin = allowed - worst
-    return BoundReport(
-        oid, params, _fmt(worst), _fmt(allowed), margin, TOL_EXACT,
-        _verdict(margin, TOL_EXACT),
-    )
+def _identity_report(oid: str, params: dict, lhs_poly: Poly, rhs_poly: Poly) -> BoundReport:
+    """Certify that two polynomials are equal, coefficient by coefficient."""
+    worst = max(abs(d) for d in _poly_sub(lhs_poly, rhs_poly))
+    return BoundReport(oid, params, _fmt(worst), _fmt(0), -worst, _verdict(-worst))
 
 
 # --- obligation tables ---------------------------------------------------------------
 
-def _basic_obligations_for(sigma, label: str, tolerance: Fraction) -> list[BoundReport]:
-    s = sigma
-    delta = 2 + s + 1 / (2 * as_enclosure(s)) if isinstance(s, Enclosure) else 2 + s + Fraction(1, 2) / s
+def _basic_obligations_for(s, label: str) -> list[BoundReport]:
+    delta = 2 + s + 1 / (2 * s)
     b1 = delta - 2  # sigma + 1/(2 sigma)
-    s2 = as_enclosure(s) * as_enclosure(s)
-    reports = [
+    return [
         # 2g + 1 + s^2 + (g-s)^2 <= delta*g on [s + 1/(2s), 2s]
         _interval_report(
             f"basic[s={label}]/base-range",
             {"sigma": label, "interval": "[s+1/(2s), 2s]"},
-            (1 + 2 * s2, 2 - 2 * as_enclosure(s), 1),
+            (1 + 2 * s * s, 2 - 2 * s, 1),
             (0, delta, 0),
             b1,
-            2 * as_enclosure(s),
-            tolerance,
+            2 * s,
         ),
         # 2g + 1 + s^2 + (g/2 - s)^2 + (g/2)^2 <= delta*g on [2s, 2s + 1/s]
         _interval_report(
             f"basic[s={label}]/mid-range",
             {"sigma": label, "interval": "[2s, 2s+1/s]"},
-            (1 + 2 * s2, 2 - as_enclosure(s), Fraction(1, 2)),
+            (1 + 2 * s * s, 2 - s, Fraction(1, 2)),
             (0, delta, 0),
-            2 * as_enclosure(s),
-            2 * as_enclosure(s) + 1 / as_enclosure(s),
-            tolerance,
+            2 * s,
+            2 * s + 1 / s,
         ),
         # (2 + b) b <= delta*b for the small side b <= s + 1/(2s)
         _interval_report(
@@ -463,42 +355,25 @@ def _basic_obligations_for(sigma, label: str, tolerance: Fraction) -> list[Bound
             (0, delta, 0),
             0,
             b1,
-            tolerance,
         ),
     ]
-    return reports
 
 
 def verify_basic_bounds() -> list[BoundReport]:
     """Certify basic_edge_bound <= delta*g at the sharp sigma and at sigma = 1."""
-    sharp = 1 / sqrt_enclosure(2)
-    out = _basic_obligations_for(sharp, "1/sqrt2", TOL_ENCLOSED)
-    out += _basic_obligations_for(Fraction(1), "1", TOL_EXACT)
-    return out
+    return _basic_obligations_for(1 / sqrt(2), "1/sqrt2") + _basic_obligations_for(Fraction(1), "1")
 
 
 def _alt1_obligations(alt: ParameterAlternative) -> list[BoundReport]:
     s, gamma, delta = alt.sigma, alt.gamma, alt.delta
-    tol = TOL_EXACT if is_exact(s) else TOL_ENCLOSED
-    d2 = delta - 2 if isinstance(delta, Enclosure) else Fraction(delta) - 2
-    samples = [Fraction(i, 250) for i in range(1000)]
-
-    def lhs_identity(g: Fraction):
-        return -(g * g) + d2 * g - Fraction(1, 3)
-
-    def rhs_identity(g: Fraction):
-        return (g - gamma) * (as_enclosure(s) - g if isinstance(s, Enclosure) else s - g)
-
-    sqrt23 = sqrt_enclosure(Fraction(2, 3))
-    sqrt32 = sqrt_enclosure(Fraction(3, 2))
+    d2 = delta - 2
     return [
+        # -g^2 + (delta-2) g - 1/3 = (g - gamma)(s - g): delta - 2 = s + gamma, 1/3 = s gamma
         _identity_report(
             "alt1/base/identity",
-            {"samples": "1000 on [0,4)"},
-            lhs_identity,
-            rhs_identity,
-            samples,
-            Fraction(1, 10**9),
+            {"coefficients": "g^0, g^1, g^2"},
+            (-Fraction(1, 3), d2, -1),
+            (-s * gamma, s + gamma, -1),
         ),
         # (g+1)^2 <= delta*g + 2/3 on [gamma, sigma]
         _interval_report(
@@ -508,34 +383,29 @@ def _alt1_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             (Fraction(2, 3), delta, 0),
             gamma,
             s,
-            tol,
         ),
         # sqrt(2/3) b + sqrt(2/3) b <= (delta - 2) b, per unit b
         _point_report(
             "alt1/induction/small-side",
             {"r(B)": "sqrt(3/2) b", "r(A)": ">=1"},
-            2 * sqrt23,
+            2 * sqrt(Fraction(2, 3)),
             d2,
-            TOL_ENCLOSED,  # the left side stays irrational for every sigma
         ),
         # witness validity: r(B) = sqrt(3/2) b stays in (0,1] for b <= 1/(3s)
         _point_report(
             "alt1/induction/small-side-witness",
             {"b": "<= 1/(3s)"},
-            sqrt32 * gamma,
+            sqrt(Fraction(3, 2)) * gamma,
             1,
-            TOL_ENCLOSED,
         ),
     ]
 
 
 def _alt2_obligations(alt: ParameterAlternative) -> list[BoundReport]:
     s, gamma, delta = alt.sigma, alt.gamma, alt.delta
-    tol = TOL_ENCLOSED
     d2 = delta - 2
-    s2 = as_enclosure(s) * as_enclosure(s)
-    up = 2 * sqrt_enclosure(Fraction(2, 5))
-    sqrt23 = sqrt_enclosure(Fraction(2, 3))
+    up = 2 * sqrt(Fraction(2, 5))
+    sqrt23 = sqrt(Fraction(2, 3))
     return [
         # 1 + 2 (g/2)^2 <= (delta-2) g + 1/3 on [gamma, 2 sqrt(2/5)], r(G) = 2
         _interval_report(
@@ -545,17 +415,15 @@ def _alt2_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             (Fraction(1, 3), d2, 0),
             gamma,
             up,
-            tol,
         ),
         # 1 + (g/2)^2 + (g/2 - s)^2 + s^2 <= (delta-2) g + 2/9 on [2 sqrt(2/5), 2 gamma]
         _interval_report(
             "alt2/base/high",
             {"interval": "[2*sqrt(2/5), 2*gamma]", "r(G)": "3"},
-            (1 + 2 * s2, -as_enclosure(s), Fraction(1, 2)),
+            (1 + 2 * s * s, -s, Fraction(1, 2)),
             (Fraction(2, 9), d2, 0),
             up,
-            2 * as_enclosure(gamma),
-            tol,
+            2 * gamma,
         ),
         # sqrt(2/3) (1/4 + 1) b <= (delta - 2) b, per unit b
         _point_report(
@@ -563,15 +431,13 @@ def _alt2_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             {"r(B)": "sqrt(3/2) b", "r(A)": ">=2"},
             Fraction(5, 4) * sqrt23,
             d2,
-            tol,
         ),
         # r(B) = sqrt(3/2) b <= 1 for b <= sqrt(2/3)
         _point_report(
             "alt2/induction/small-side-witness",
             {"b": "<= sqrt(2/3)"},
-            sqrt_enclosure(Fraction(3, 2)) * sqrt23,
+            sqrt(Fraction(3, 2)) * sqrt23,
             1,
-            tol,
         ),
         # 1/9 + b^2 <= (delta-2) b on [sqrt(2/3), gamma]
         _interval_report(
@@ -581,14 +447,12 @@ def _alt2_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             (0, d2, 0),
             sqrt23,
             gamma,
-            tol,
         ),
     ]
 
 
 def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
-    d2 = Fraction(alt.delta) - 2  # 1109/1000
-    tol = TOL_EXACT
+    d2 = alt.delta - 2  # 1109/1000
     # weight (10/3)(g/8 - 1/5)^2 expands to (5/96) g^2 - g/6 + 2/15
     tail_c2, tail_c1, tail_c0 = Fraction(5, 96), Fraction(-1, 6), Fraction(2, 15)
     reports = [
@@ -599,7 +463,6 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             (0, d2, 0),
             Fraction(6, 5),
             Fraction(8, 5),
-            tol,
         ),
         _interval_report(
             "alt3/base/g[1.6,2.04]",
@@ -612,7 +475,6 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             (0, d2, 0),
             Fraction(8, 5),
             Fraction(51, 25),
-            tol,
         ),
         _interval_report(
             "alt3/base/g[2.04,2.08]",
@@ -625,7 +487,6 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             (0, d2, 0),
             Fraction(51, 25),
             Fraction(52, 25),
-            tol,
         ),
         _interval_report(
             "alt3/base/g[2.08,2.4]",
@@ -638,7 +499,6 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             (0, d2, 0),
             Fraction(52, 25),
             Fraction(12, 5),
-            tol,
         ),
         # derivative of the combined bound in a is negative on the worst corner,
         # so the maximum sits at a = g/2
@@ -650,7 +510,6 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             + Fraction(1, 4) * Fraction(3, 10)
             + Fraction(10, 3) * Fraction(1, 4) * (Fraction(3, 10) - Fraction(1, 5)),
             0,
-            tol,
         ),
         # (2/27 + 1) b <= (delta-2) b, per unit b
         _point_report(
@@ -658,7 +517,6 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             {"r(B)": "b", "r(A)": ">=3"},
             Fraction(2, 27) + 1,
             d2,
-            tol,
         ),
         # 4/45 + (1 + b^2)/2 <= (delta-2) b on [1, 1.2]
         _interval_report(
@@ -668,21 +526,18 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             (0, d2, 0),
             1,
             Fraction(6, 5),
-            tol,
         ),
         _point_report(
             "alt3/induction/medium-side@b=1",
             {"b": "1"},
             Fraction(4, 45) + Fraction(1, 2) + Fraction(1, 2),
             d2,
-            tol,
         ),
         _point_report(
             "alt3/induction/medium-side@b=1.2",
             {"b": "1.2"},
             Fraction(4, 45) + (1 + Fraction(6, 5) ** 2) / 2,
             d2 * Fraction(6, 5),
-            tol,
         ),
     ]
     return reports
@@ -713,29 +568,27 @@ def separable_density_check(
 ) -> BoundReport:
     """Check ebar <= delta*g + 2/3 on a graph whose extraction is SEPARABLE.
 
-    Reports NOT_APPLICABLE when g < gamma cannot be certified or when the
-    extractor finds a large highly connected subgraph instead.
+    Reports NOT_APPLICABLE when g < gamma or when the extractor finds a
+    large highly connected subgraph instead.
     """
     oid = "separable-density"
     params = {"n": str(g.n), "e": str(g.edge_count), "k": str(k), "alt": alt.label}
+    not_applicable = BoundReport(oid, params, "-", "-", Fraction(0), "NOT_APPLICABLE")
     if g.n == 0:
-        return BoundReport(oid, params, "-", "-", Fraction(0), TOL_EXACT, "NOT_APPLICABLE")
+        return not_applicable
     if k < 1:
         raise ValueError("k must be a positive integer")
     # the graph with every edge doubled and a loop per vertex: v/k vertices, (2e+v)/k^2 edges
     gg = Fraction(g.n, k) - 1
-    if not as_enclosure(gg).certainly_ge(alt.gamma):
-        return BoundReport(oid, params, "-", "-", Fraction(0), TOL_EXACT, "NOT_APPLICABLE")
+    if gg < alt.gamma:
+        return not_applicable
     result = extract(g, k, alt.sigma, budget=budget)
     if result.outcome != SEPARABLE:
-        return BoundReport(oid, params, "-", "-", Fraction(0), TOL_EXACT, "NOT_APPLICABLE")
-    bound = as_enclosure(alt.delta) * gg + Fraction(2, 3)
-    tol = TOL_EXACT if is_exact(alt.delta) else TOL_ENCLOSED
+        return not_applicable
+    bound = alt.delta * gg + Fraction(2, 3)
     ebar = Fraction(2 * g.edge_count + g.n, k * k)
-    margin = (bound - as_enclosure(ebar)).lo
-    return BoundReport(
-        oid, params, _fmt(ebar), _fmt(bound), margin, tol, _verdict(margin, tol)
-    )
+    margin = bound - ebar
+    return BoundReport(oid, params, _fmt(ebar), _fmt(bound), margin, _verdict(margin))
 
 
 # --- serialization --------------------------------------------------------------------
@@ -759,7 +612,7 @@ def reports_to_json(reports: Sequence[BoundReport]) -> list[dict]:
             "rhs": r.rhs,
             "margin": float(r.margin),
             "margin_exact": str(r.margin),
-            "tolerance": str(r.tolerance),
+            "tolerance": "0",  # every margin is exact
             "verdict": r.verdict,
         }
         for r in reports

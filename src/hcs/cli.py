@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -110,19 +111,15 @@ class TrialRow:
 NOT_APPLICABLE_SATURATED = "NOT_APPLICABLE_SATURATED"
 
 
-def _threshold_edge_count(n: int, threshold: Fraction) -> int:
-    """Smallest e with 2e/n >= threshold."""
-    target = n * threshold / 2
-    e = target.numerator // target.denominator
-    if Fraction(e) < target:
-        e += 1
-    return e
+def _threshold_edge_count(n: int, threshold) -> int:
+    """Smallest e with 2e/n >= threshold (a Fraction or a Surd)."""
+    return math.ceil(n * threshold / 2)
 
 
 def run_trial(t: int, cfg: ExperimentConfig, alt: ParameterAlternative) -> TrialRow:
     rng = random.Random(cfg.seed + t)
     n = rng.randint(*cfg.n_range)
-    threshold = density_threshold(alt, cfg.k)[1]  # certified upper end
+    threshold = density_threshold(alt, cfg.k)
     start = time.perf_counter()
     target_e = _threshold_edge_count(n, threshold)
     max_e = n * (n - 1) // 2

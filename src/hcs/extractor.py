@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Optional, TextIO, Union
 
 from .connectivity import Separation, _bits, _members, find_separation, is_k1_connected
-from .enclosure import Enclosure
-from .graphs import SimpleGraph, average_degree
+from .field import Surd
+from .graphs import SimpleGraph
 
 FOUND = "FOUND"
 SEPARABLE = "SEPARABLE"
@@ -32,7 +32,7 @@ SEPARABLE = "SEPARABLE"
 SEPARATED = "SEPARATED"
 LEAF_SMALL = "LEAF_SMALL"
 
-SigmaLike = Union[int, float, Fraction, Enclosure]
+SigmaLike = Union[int, float, Fraction, Surd]
 
 
 class BudgetExceededError(RuntimeError):
@@ -47,11 +47,7 @@ def size_threshold(k: int, sigma: SigmaLike) -> int:
     """floor((1 + sigma) k): subgraphs must have more vertices than this."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if isinstance(sigma, Enclosure):
-        if sigma.lo <= 0:
-            raise ValueError("sigma must be positive")
-        return ((sigma + 1) * k).floor()
-    s = Fraction(sigma)
+    s = Surd(sigma)
     if s <= 0:
         raise ValueError("sigma must be positive")
     return math.floor((1 + s) * k)
@@ -240,42 +236,6 @@ def brute_force_hcs(
     if g.n > max_vertices:
         raise ValueError(f"brute force limited to {max_vertices} vertices, got {g.n}")
     return scan_connected_subgraph(g, k, size_threshold(k, sigma) + 1)
-
-
-@dataclass(frozen=True)
-class DensityImplicationReport:
-    """Outcome of testing the average-degree implication on one graph."""
-
-    applicable: bool
-    average_degree: Optional[Fraction]
-    threshold: tuple[Fraction, Fraction]  # certified bounds on delta*k - 1
-    outcome: Optional[str]
-    subgraph_size: Optional[int]
-    passed: bool
-    note: str = ""
-
-
-def check_density_implication(
-    g: SimpleGraph, k: int, alt, *, budget: int = 10**6
-) -> DensityImplicationReport:
-    """If the average degree reaches delta*k - 1, extraction must FIND.
-
-    Graphs below the threshold produce a NOT_APPLICABLE-style report
-    with passed=True (no claim is being tested).
-    """
-    from .bounds import density_threshold  # local import to avoid a cycle
-
-    thr = density_threshold(alt, k)
-    if g.n == 0:
-        return DensityImplicationReport(False, None, thr, None, None, True, "empty graph")
-    dbar = average_degree(g)
-    if dbar < thr[1]:  # premise not certain: no claim
-        return DensityImplicationReport(False, dbar, thr, None, None, True, "below threshold")
-    result = extract(g, k, alt.sigma, budget=budget)
-    size = len(result.subgraph) if result.subgraph is not None else None
-    passed = result.outcome == FOUND
-    note = "" if passed else "dense graph without extraction result"
-    return DensityImplicationReport(True, dbar, thr, result.outcome, size, passed, note)
 
 
 # --- serialization ----------------------------------------------------------------

@@ -291,22 +291,6 @@ def sharpness_rate(e: ExtremalGraph) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-def first_level_meeting_degree_target(
-    k: int, sigma_k: int, max_level: int = 16
-) -> Optional[int]:
-    """Smallest level whose average degree exceeds delta*k - 2, if any.
-
-    The threshold is met for all sufficiently large instances; this
-    reports the empirical onset for the given parameters.
-    """
-    target = degree_rate_target(k, sigma_k)
-    for level in range(max_level + 1):
-        e = build_extremal(k, sigma_k, level, max_vertices=10**7)
-        if average_degree(e.graph) > target:
-            return level
-    return None
-
-
 # --- serialization --------------------------------------------------------------
 
 def extremal_to_json_dict(e: ExtremalGraph) -> dict:

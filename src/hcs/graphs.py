@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -82,46 +82,12 @@ class SimpleGraph:
         m = self.adjacency_masks[v]
         return frozenset(i for i in range(self.n) if m >> i & 1)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
-
-    def is_complete(self) -> bool:
-        return self.edge_count == self.n * (self.n - 1) // 2
-
 
 def average_degree(g: SimpleGraph) -> Fraction:
     """Exact average degree 2e/v."""
     if g.n == 0:
         raise ValueError("average degree of the empty vertex set is undefined")
     return Fraction(2 * g.edge_count, g.n)
-
-
-class InducedSubgraph(NamedTuple):
-    """A relabeled induced subgraph together with its vertex map.
-
-    ``vertices[i]`` is the original id of the new vertex i; the map is
-    sorted ascending, so relabeling is order preserving.
-    """
-
-    graph: SimpleGraph
-    vertices: tuple[int, ...]
-
-    def to_original(self, new_id: int) -> int:
-        return self.vertices[new_id]
-
-
-def induced_subgraph(g: SimpleGraph, w: Iterable[int]) -> InducedSubgraph:
-    """Subgraph induced by the vertex set w, relabeled to 0..|w|-1."""
-    wset = set(w)
-    for v in wset:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
-    order = tuple(sorted(wset))
-    index = {v: i for i, v in enumerate(order)}
-    edges = frozenset(
-        (index[u], index[v]) for u, v in g.edges if u in wset and v in wset
-    )
-    return InducedSubgraph(SimpleGraph(len(order), edges), order)
 
 
 @dataclass(frozen=True)
@@ -146,10 +112,6 @@ class AnticliqueProfile:
     def total(self) -> Fraction:
         return sum(self.sizes, Fraction(0))
 
-    def fits_within(self, vbar) -> bool:
-        """Whether the parts can live disjointly in a host of normalized size vbar."""
-        return self.total() <= vbar
-
 
 EMPTY_PROFILE = AnticliqueProfile(())
 
@@ -170,10 +132,28 @@ def graph_from_json_dict(data: dict) -> SimpleGraph:
         raise ValueError("'n' must be an integer")
     if not isinstance(edges, list):
         raise ValueError("'edges' must be a list")
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    # one pass checks, normalizes and range-checks each edge, so the graph is
+    # built without SimpleGraph's own check
+    pairs = set()
     for e in edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
+        if type(e) not in (list, tuple) or len(e) != 2:
             raise ValueError(f"malformed edge entry: {e!r}")
-    return SimpleGraph.from_edges(n, edges)
+        u, v = e
+        if type(u) is not int or type(v) is not int:  # bool is not int here
+            raise ValueError(f"malformed edge entry: {e!r}")
+        if u > v:
+            u, v = v, u
+        elif u == v:
+            raise ValueError(f"loop at vertex {u} is not allowed")
+        if u < 0 or v >= n:
+            raise ValueError(f"edge ({u}, {v}) out of range or not normalized")
+        pairs.add((u, v))
+    g = object.__new__(SimpleGraph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", frozenset(pairs))
+    return g
 
 
 def _is_int(value) -> bool:

@@ -1,9 +1,12 @@
+import math
 import random
+from fractions import Fraction
 from itertools import combinations
+from typing import Iterable, NamedTuple
 
 import pytest
 
-from hcs import SimpleGraph
+from hcs import OptimizationInstance, SimpleGraph
 
 
 def pytest_runtest_logreport(report):
@@ -120,3 +123,78 @@ def partition_check_oracle(e) -> bool:
     part_masks = [sum(1 << v for v in p) for p in e.parts]
     pool = sum(part_masks)
     return not any(masks[v] & pool & ~own for p, own in zip(e.parts, part_masks) for v in p)
+
+
+# --- relabelled induced subgraphs ------------------------------------------------
+# The kernel and the extractor work on one graph and a vertex bitmask; the
+# property tests compare them with the same questions asked of a relabelled
+# copy of the set.
+
+class InducedSubgraph(NamedTuple):
+    """A relabeled induced subgraph together with its vertex map.
+
+    ``vertices[i]`` is the original id of the new vertex i; the map is
+    sorted ascending, so relabeling is order preserving.
+    """
+
+    graph: SimpleGraph
+    vertices: tuple[int, ...]
+
+    def to_original(self, new_id: int) -> int:
+        return self.vertices[new_id]
+
+
+def induced_subgraph(g: SimpleGraph, w: Iterable[int]) -> InducedSubgraph:
+    """Subgraph induced by the vertex set w, relabeled to 0..|w|-1."""
+    wset = set(w)
+    for v in wset:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range")
+    order = tuple(sorted(wset))
+    index = {v: i for i, v in enumerate(order)}
+    edges = frozenset(
+        (index[u], index[v]) for u, v in g.edges if u in wset and v in wset
+    )
+    return InducedSubgraph(SimpleGraph(len(order), edges), order)
+
+
+# --- split optimization oracle -------------------------------------------------------
+
+def split_maximum_grid(inst: OptimizationInstance, resolution=Fraction(1, 64)) -> float:
+    """Grid brute force over the feasible region (independent of split_maximum).
+
+    Refuses vectors longer than 3 and resolutions finer than 1/256.
+    Returns -inf when no grid point is feasible. Skips the calling test
+    when numpy is not installed.
+    """
+    np = pytest.importorskip("numpy")
+    step = float(Fraction(resolution))
+    if step < 1 / 256:
+        raise ValueError("grid resolution must be at least 1/256")
+    if len(inst.zs) > 3:
+        raise ValueError("grid oracle limited to mass vectors of length 3")
+    z, zs, tau = inst.z, inst.zs, inst.tau
+
+    def axis(lo: float, hi: float):
+        if hi < lo:
+            return np.empty(0)
+        count = int(math.floor((hi - lo) / step + 1e-9))
+        pts = lo + step * np.arange(count + 1)
+        if pts.size == 0 or pts[-1] < hi - 1e-12:
+            pts = np.append(pts, hi)
+        return pts
+
+    x_axis = axis(tau, z / 2)
+    if not zs:
+        vals = x_axis * x_axis + (z - x_axis) ** 2
+        return float(vals.max()) if vals.size else -math.inf
+    mesh = np.meshgrid(*(axis(0.0, zi) for zi in zs), indexing="ij")
+    sq = sum(m * m for m in mesh)
+    sqz = sum((zi - m) ** 2 for zi, m in zip(zs, mesh))
+    best = -math.inf
+    for x in x_axis:
+        feasible = (sq <= x * x) & (sqz <= (z - x) ** 2)
+        if feasible.any():
+            vals = x * x - sq + (z - x) ** 2 - sqz
+            best = max(best, float(vals[feasible].max()))
+    return best

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from hcs import (
     separable_density_check,
     small_sides_edge_bound,
     split_maximum,
-    split_maximum_grid,
     square_ratio_gap,
     verify_all_bounds,
     verify_alternative,
@@ -31,18 +31,17 @@ from hcs.bounds import (
     reports_to_json,
     split_is_feasible,
 )
-from hcs.enclosure import Enclosure, as_enclosure, sqrt_enclosure
+from hcs.field import sqrt
+from conftest import split_maximum_grid
 
 
 class TestParameterAlternatives:
     def test_alt1_default_is_boundary(self):
         alt = get_alternative(1)
-        smin = (sqrt_enclosure(2) + 1) / sqrt_enclosure(3)
-        assert as_enclosure(alt.sigma).contains(smin.midpoint)
+        assert alt.sigma == (sqrt(2) + 1) / sqrt(3)
         assert alt.rho == 1
-        # delta - 2 equals 2*sqrt(2/3) at the boundary sigma
-        gap = as_enclosure(alt.delta) - 2 - 2 * sqrt_enclosure(Fraction(2, 3))
-        assert gap.contains(0) and gap.width < Fraction(1, 10**25)
+        # delta - 2 equals 2*sqrt(2/3) at the boundary sigma, exactly
+        assert alt.delta - 2 == 2 * sqrt(Fraction(2, 3))
 
     def test_alt1_custom_sigma(self):
         alt = alternative_1(sigma=Fraction(3, 2))
@@ -56,9 +55,10 @@ class TestParameterAlternatives:
 
     def test_alt2_constants(self):
         alt = get_alternative(2)
-        assert as_enclosure(alt.sigma).contains(Fraction("0.52704627669472988866648225740545"))
-        assert as_enclosure(alt.delta).certainly_lt(Fraction(316, 100))
-        assert as_enclosure(alt.gamma).certainly_ge(Fraction(105, 100))
+        assert alt.sigma == sqrt(10) / 6
+        assert abs(alt.sigma - Fraction("0.52704627669472988866648225740545")) < Fraction(1, 10**32)
+        assert alt.delta < Fraction(316, 100)
+        assert alt.gamma >= Fraction(105, 100)
         assert alt.rho == 2
 
     def test_alt3_exact(self):
@@ -71,15 +71,16 @@ class TestParameterAlternatives:
     def test_delta_dominates_gamma(self):
         for alt_id in (1, 2, 3):
             alt = get_alternative(alt_id)
-            assert as_enclosure(alt.delta).certainly_ge(as_enclosure(alt.gamma) + 1)
+            assert alt.delta >= alt.gamma + 1
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             get_alternative(4)
 
     def test_density_threshold(self):
-        lo, hi = density_threshold(get_alternative(3), 2)
-        assert lo == hi == Fraction(5218, 1000)
+        assert density_threshold(get_alternative(3), 2) == Fraction(5218, 1000)
+        # alternative 1: 2(2 + 2 sqrt(2/3)) - 1, exactly
+        assert density_threshold(get_alternative(1), 2) == 3 + 4 * sqrt(Fraction(2, 3))
 
 
 class TestSquareRatioGap:
@@ -173,11 +174,10 @@ class TestEdgeBounds:
 
     def test_basic_boundary_equality_at_sharp_sigma(self):
         # at sigma = 1/sqrt(2) and g = sqrt(2) the bound meets delta*g exactly
-        s = 1 / sqrt_enclosure(2)
-        g = sqrt_enclosure(2)
+        s = 1 / sqrt(2)
+        g = sqrt(2)
         delta = 2 + s + 1 / (2 * s)
-        diff = basic_edge_bound(g, s) - delta * g
-        assert diff.contains(0) and diff.width < Fraction(1, 10**25)
+        assert basic_edge_bound(g, s) == delta * g
 
     def test_basic_domain(self):
         with pytest.raises(ValueError):
@@ -264,13 +264,11 @@ class TestCertifyInterval:
         # (g - 1/(3s))(s - g) >= 0 on [1/(3s), s] at the boundary sigma
         alt = get_alternative(1)
         s, gamma = alt.sigma, alt.gamma
-        coeffs = (-Fraction(1, 3), as_enclosure(alt.delta) - 2, Fraction(-1))
-        res = certify_nonnegative_on_interval(
-            coeffs, gamma, s, tolerance=Fraction(1, 10**9)
-        )
+        coeffs = (-Fraction(1, 3), alt.delta - 2, Fraction(-1))
+        res = certify_nonnegative_on_interval(coeffs, gamma, s)
         assert res.passed
         assert res.method == "endpoints+concavity"
-        assert abs(res.margin) < Fraction(1, 10**20)
+        assert res.margin == 0
 
     def test_exact_margins(self):
         # 1.109 g - 7/9 - (3/8) g^2 on [1.2, 1.6]
@@ -314,12 +312,6 @@ class TestCertifyInterval:
         assert res.method == "endpoints+vertex"
         assert res.passed and res.margin == 1 and res.at_point == 1
 
-    def test_uncertain_curvature_uses_interval_evaluation(self):
-        c2 = Enclosure(Fraction(-1, 10), Fraction(1, 10))
-        res = certify_nonnegative_on_interval((1, 0, c2), 0, 1)
-        assert res.method == "interval"
-        assert res.passed and res.margin == Fraction(9, 10)
-
     def test_degenerate_interval(self):
         with pytest.raises(ValueError):
             certify_nonnegative_on_interval((Fraction(1),), 2, 1)
@@ -335,7 +327,7 @@ class TestObligationTables:
         assert len(reports) == 9
         for r in reports:
             assert r.verdict == "PASS"
-            assert r.tolerance == 0
+            assert isinstance(r.margin, Fraction)  # rational data, rational margins
             assert r.margin > 0
 
     def test_alt3_specific_margins(self):
@@ -345,6 +337,42 @@ class TestObligationTables:
         assert by_id["alt3/base/g[1.2,1.6]"].margin == Fraction(293, 22500)
         assert by_id["alt3/induction/medium-side@b=1"].margin == Fraction(181, 9000)
         assert by_id["alt3/induction/medium-side@b=1.2"].margin == Fraction(493, 22500)
+
+    def test_alt3_margins_are_the_exact_fractions(self):
+        margins = [r.margin for r in verify_alternative(get_alternative(3))]
+        assert margins == [
+            Fraction(293, 22500), Fraction(46193, 25800000), Fraction(9113, 65800000),
+            Fraction(77, 37500), Fraction(73, 2040), Fraction(943, 27000),
+            Fraction(181, 9000), Fraction(181, 9000), Fraction(493, 22500),
+        ]
+
+    def test_tight_irrational_rows_have_margin_exactly_zero(self):
+        # these nine rows once passed only within a tolerance of 1e-9
+        tight = {
+            "basic[s=1/sqrt2]/base-range", "basic[s=1/sqrt2]/mid-range",
+            "basic[s=1/sqrt2]/small-side", "alt1/base/nonneg", "alt1/induction/small-side",
+            "alt2/base/low", "alt2/base/high", "alt2/induction/small-side-witness",
+            "alt2/induction/medium-side",
+        }
+        rows = [r for r in reports_to_json(verify_all_bounds()) if r["obligation_id"] in tight]
+        assert len(rows) == 9
+        for r in rows:
+            assert (r["verdict"], r["margin_exact"], r["tolerance"], r["margin"]) == ("PASS", "0", "0", 0.0)
+
+    def test_identity_fails_when_delta_moves(self):
+        alt = get_alternative(1)
+        for shift in (Fraction(1, 10**40), -Fraction(1, 10**40)):
+            moved = replace(alt, delta=alt.delta + shift)
+            by_id = {r.obligation_id: r for r in verify_alternative(moved)}
+            identity = by_id["alt1/base/identity"]
+            assert identity.verdict == "FAIL" and identity.margin == -Fraction(1, 10**40)
+        exact = {r.obligation_id: r for r in verify_alternative(alt)}["alt1/base/identity"]
+        assert exact.verdict == "PASS" and exact.margin == 0
+
+    def test_identity_holds_for_a_rational_sigma(self):
+        reports = verify_alternative(alternative_1(sigma=Fraction(3, 2)))
+        assert {r.verdict for r in reports} == {"PASS"}
+        assert reports[0].margin == 0
 
     def test_alternative_1_passes(self):
         reports = verify_alternative(get_alternative(1))
@@ -361,8 +389,8 @@ class TestObligationTables:
         reports = verify_basic_bounds()
         assert len(reports) == 6
         assert {r.verdict for r in reports} == {"PASS"}
-        exact = [r for r in reports if "s=1]" in r.obligation_id]
-        assert all(r.margin == 0 for r in exact)  # sigma=1 rows are sharp and exact
+        # both sigmas are sharp: every margin is exactly 0, the irrational one too
+        assert all(r.margin == 0 for r in reports)
 
     def test_verify_all(self):
         reports = verify_all_bounds()

@@ -20,6 +20,7 @@ from hcs import (
     graph_to_json_dict,
     run_experiment,
 )
+from hcs.bounds import reports_to_json, verify_all_bounds
 from hcs.cli import NOT_APPLICABLE_SATURATED, build_parser, rows_to_csv
 from hcs.extractor import result_to_json_dict
 from test_golden import relabelled
@@ -280,6 +281,14 @@ def test_construct_and_certify_under_python_optimize(tmp_path):
     done = run_optimized("certify", "--in", out)
     assert done.returncode == 0, done.stderr
     assert "no-large-connected-subgraph: PASS  (certificate=pass brute=skipped)" in done.stdout
+
+
+def test_verify_bounds_under_python_optimize(tmp_path):
+    out = tmp_path / "bounds.json"
+    done = run_optimized("verify-bounds", "--alt", "all", "--json", str(out))
+    assert done.returncode == 0, done.stderr
+    assert "24/24 obligations passed" in done.stdout
+    assert json.loads(out.read_text()) == json.loads(json.dumps(reports_to_json(verify_all_bounds())))
 
 
 def test_package_exports_no_submodules():

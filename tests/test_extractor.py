@@ -15,18 +15,18 @@ from hcs import (
     BudgetExceededError,
     SimpleGraph,
     brute_force_hcs,
+    average_degree,
     build_extremal,
-    check_density_implication,
+    density_threshold,
     extract,
     get_alternative,
-    induced_subgraph,
     is_k1_connected,
     size_threshold,
     validate_decomposition,
 )
 from hcs.extractor import result_to_json_dict, write_result_json
-from hcs.enclosure import sqrt_enclosure
-from conftest import k1_connected_by_removal, random_graph
+from hcs.field import sqrt
+from conftest import induced_subgraph, k1_connected_by_removal, random_graph
 from test_golden import EXTREMAL, case_ids, digest, relabelled
 
 
@@ -53,8 +53,10 @@ class TestSizeThreshold:
         assert size_threshold(2, 1) == 4
 
     def test_enclosure(self):
-        sigma1 = (sqrt_enclosure(2) + 1) / sqrt_enclosure(3)
+        # the irrational sigma of alternative 1, exactly
+        sigma1 = (sqrt(2) + 1) / sqrt(3)
         assert size_threshold(2, sigma1) == 4  # (1+sigma)*2 ~ 4.787
+        assert size_threshold(5, sigma1) == 11  # (1+sigma)*5 ~ 11.97
 
     def test_float_accepted(self):
         assert size_threshold(2, 0.2) == 2
@@ -263,33 +265,29 @@ class TestBruteForce:
 
 
 class TestDensityImplication:
+    # a graph whose average degree reaches delta*k - 1 must give FOUND
     def test_complete_seven(self):
-        report = check_density_implication(SimpleGraph.complete(7), 2, get_alternative(3))
-        assert report.applicable
-        assert report.average_degree == 6
-        assert report.threshold[0] == Fraction(5218, 1000)
-        assert report.outcome == FOUND
-        assert report.subgraph_size == 7
-        assert report.passed
+        alt = get_alternative(3)
+        assert density_threshold(alt, 2) == Fraction(5218, 1000)
+        assert average_degree(SimpleGraph.complete(7)) == 6 >= density_threshold(alt, 2)
+        result = extract(SimpleGraph.complete(7), 2, alt.sigma)
+        assert result.outcome == FOUND and len(result.subgraph) == 7
 
     def test_extremal_below_alt1_threshold(self):
         g = build_extremal(2, 2, 2).graph
-        report = check_density_implication(g, 2, get_alternative(1))
-        assert not report.applicable
-        assert report.passed
+        assert average_degree(g) < density_threshold(get_alternative(1), 2)
         # and the construction is indeed separable at sigma = 1
         assert extract(g, 2, 1).outcome == SEPARABLE
 
     def test_edgeless_never_applicable(self):
         for alt_id in (1, 2, 3):
-            report = check_density_implication(
-                SimpleGraph.empty(6), 3, get_alternative(alt_id)
-            )
-            assert not report.applicable and report.passed
+            assert average_degree(SimpleGraph.empty(6)) < density_threshold(get_alternative(alt_id), 3)
 
     def test_empty_graph(self):
-        report = check_density_implication(SimpleGraph.empty(0), 2, get_alternative(3))
-        assert not report.applicable and report.passed
+        # no average degree, so no claim; extraction still answers
+        with pytest.raises(ValueError):
+            average_degree(SimpleGraph.empty(0))
+        assert extract(SimpleGraph.empty(0), 2, get_alternative(3).sigma).outcome == SEPARABLE
 
 
 class TestSerialization:

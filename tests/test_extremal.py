@@ -9,23 +9,22 @@ from hcs import (
     build_extremal,
     extremal_from_json_dict,
     extremal_to_json_dict,
+    average_degree,
     find_separation,
-    first_level_meeting_degree_target,
     sharpness_rate,
     verify_extremal,
 )
 import hcs.extremal
 from hcs.extremal import ExtremalGraph, _split_parts, degree_rate_target
-from hcs.graphs import induced_subgraph
 from hcs.connectivity import _is_connected
-from conftest import certificate_check_oracle, partition_check_oracle
+from conftest import certificate_check_oracle, induced_subgraph, partition_check_oracle
 
 
 class TestBuild:
     def test_level_zero_is_complete(self):
         e = build_extremal(2, 2, 0)
         assert e.graph.n == 4 and e.graph.edge_count == 6
-        assert e.graph.is_complete()
+        assert e.graph.edge_count == 4 * 3 // 2
         assert e.parts == ((0, 1, 2, 3),)
         assert e.glue_history == ()
 
@@ -161,7 +160,9 @@ class TestDegreeTarget:
 
     def test_first_level_for_k2_sigma1(self):
         # levels 0..2 stay below 14/3; the level-3 instance reaches 44/9
-        assert first_level_meeting_degree_target(2, 2) == 3
+        degrees = [average_degree(build_extremal(2, 2, level).graph) for level in range(4)]
+        assert [d > degree_rate_target(2, 2) for d in degrees] == [False, False, False, True]
+        assert degrees[3] == Fraction(44, 9)
 
 
 class TestSerialization:

@@ -64,7 +64,7 @@ EXPERIMENT = {
 }
 
 RANDOM_EXTRACTIONS = "6c708e75542cc1e6ebb9d9c20f5e241113751ead05bc41f5342fec07c37f4783"
-BOUND_TABLE = "e482055bf87dc7d4c31f5301f59466b938c5b6ef0c1dc0c1bd078629e277b456"
+BOUND_TABLE = "ad747c5c1d761ca4ed387c0796fc815890bf48e56814b68a63761fe9c37da084"
 
 
 @pytest.mark.parametrize(("params", "expected"), sorted(EXTREMAL.items()), ids=case_ids(EXTREMAL))

@@ -10,9 +10,8 @@ from hcs import (
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
-    induced_subgraph,
 )
-from conftest import random_graph
+from conftest import induced_subgraph, random_graph
 
 
 class TestSimpleGraph:
@@ -44,8 +43,8 @@ class TestSimpleGraph:
         g = SimpleGraph.path(3)
         assert g.neighbors(1) == {0, 2}
         assert g.degree(0) == 1
-        assert g.has_edge(2, 1)
-        assert not g.has_edge(0, 2)
+        assert (1, 2) in g.edges
+        assert (0, 2) not in g.edges
 
 
 class TestAverageDegree:
@@ -71,7 +70,7 @@ class TestInducedSubgraph:
     def test_triangle_from_k4(self):
         ind = induced_subgraph(SimpleGraph.complete(4), {0, 2, 3})
         assert ind.graph.n == 3
-        assert ind.graph.is_complete()
+        assert ind.graph.edge_count == 3
         assert ind.vertices == (0, 2, 3)
         assert ind.to_original(1) == 2
 
@@ -118,6 +117,27 @@ class TestSerialization:
         with pytest.raises(ValueError):
             graph_from_json_dict({"n": 2, "edges": [[0]]})
 
+    def test_json_checks_and_normalizes_each_edge(self):
+        g = graph_from_json_dict({"n": 5, "edges": [[4, 0], [1, 2], [2, 1], (3, 4)]})
+        assert g == SimpleGraph.from_edges(5, [(0, 4), (1, 2), (3, 4)])
+        assert g.adjacency_masks == SimpleGraph.from_edges(5, g.edges).adjacency_masks
+        rng = random.Random(11)
+        for _ in range(20):
+            ref = random_graph(rng, 12, 0.4)
+            flipped = [[v, u] if rng.random() < 0.5 else [u, v] for u, v in ref.edges]
+            assert graph_from_json_dict({"n": 12, "edges": flipped}) == ref
+        for data, message in (
+            ({"n": 3, "edges": [[1, 1]]}, "loop at vertex 1"),
+            ({"n": 3, "edges": [[3, 0]]}, r"edge \(0, 3\) out of range"),
+            ({"n": 3, "edges": [[-1, 2]]}, r"edge \(-1, 2\) out of range"),
+            ({"n": -1, "edges": []}, "vertex count must be non-negative"),
+            ({"n": 3, "edges": [[0, 1, 2]]}, "malformed edge entry"),
+            ({"n": 3, "edges": [[0, False]]}, "malformed edge entry"),
+            ({"n": 3, "edges": [{"u": 0}]}, "malformed edge entry"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                graph_from_json_dict(data)
+
     def test_dot_output(self):
         text = graph_to_dot(SimpleGraph.path(3))
         assert "0 -- 1;" in text and "1 -- 2;" in text
@@ -133,5 +153,3 @@ class TestAnticliqueProfile:
         p = AnticliqueProfile.of(Fraction(1, 2), 1)
         assert p.square_sum == Fraction(5, 4)
         assert p.total() == Fraction(3, 2)
-        assert p.fits_within(2)
-        assert not p.fits_within(1)

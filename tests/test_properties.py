@@ -20,13 +20,12 @@ from hcs import (
     SimpleGraph,
     extract,
     find_separation,
-    induced_subgraph,
     is_k1_connected,
     size_threshold,
     validate_decomposition,
 )
 from hcs.connectivity import _min_cut_capped, _side_degrees
-from conftest import k1_connected_by_removal, random_graph
+from conftest import induced_subgraph, k1_connected_by_removal, random_graph
 
 
 @st.composite
