@@ -57,9 +57,7 @@ from .bounds import (
     get_alternative,
     iterated_edge_bound,
     separable_density_check,
-    small_sides_edge_bound,
     split_maximum,
-    square_ratio_gap,
     verify_all_bounds,
     verify_alternative,
     verify_basic_bounds,

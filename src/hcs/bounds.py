@@ -87,18 +87,7 @@ def density_threshold(alt: ParameterAlternative, k: int) -> Fraction | Surd:
     return alt.delta * k - 1
 
 
-# --- elementary inequalities -----------------------------------------------------
-
-def square_ratio_gap(x, y, r, s):
-    """x^2/r + y^2/s - (x+y)^2/(r+s); non-negative, zero exactly when x/r = y/s."""
-    if r <= 0 or s <= 0:
-        raise ValueError("r and s must be positive")
-    if x < 0 or y < 0:
-        raise ValueError("x and y must be non-negative")
-    if all(isinstance(v, (int, Fraction)) for v in (x, y, r, s)):
-        x, y, r, s = Fraction(x), Fraction(y), Fraction(r), Fraction(s)
-    return x * x / r + y * y / s - (x + y) * (x + y) / (r + s)
-
+# --- split optimization ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class OptimizationInstance:
@@ -153,40 +142,30 @@ def split_maximum(inst: OptimizationInstance) -> tuple[float, tuple[float, ...],
 
 # --- edge bounds for separable views ---------------------------------------------
 
+def _iterated_coeffs(sigma, r, square_sum, m: int) -> tuple:
+    """Coefficients (c0, c1, c2) in g of the iterated bound at halving depth m.
+
+    With t = 2^-(m-1), the halved sides g/2, ..., g/2^(m-1) contribute
+    g^2 (1 - t^2)/3 and the last side (t g - sigma)^2 / r.
+    """
+    t, w = Fraction(1, 2 ** (m - 1)), Fraction(1) / r  # w = 1/r, exact for an int r too
+    return (
+        1 + sigma * sigma * (1 + w) - square_sum / (m + r),
+        2 - 2 * t * sigma * w,
+        (1 - t * t) / 3 + t * t * w,
+    )
+
+
 def basic_edge_bound(g, sigma):
     """Edge bound 2g + 1 + sigma^2 + (g - sigma)^2 for a separable view."""
     if g < 0:
         raise ValueError("g must be non-negative")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return 2 * g + 1 + sigma * sigma + (g - sigma) * (g - sigma)
+    return _poly_eval(_iterated_coeffs(sigma, 1, Fraction(0), 1), g)
 
 
-def small_sides_edge_bound(g, sigma, profile: AnticliqueProfile, b: Sequence) -> Fraction:
-    """Edge bound when both separation sides are small, with anticlique discounts.
-
-    Each b_i in [0, size_i] and sum b_i^2 <= (g - sigma)^2 are required.
-    """
-    g = Fraction(g)
-    sigma = Fraction(sigma)
-    if g <= sigma:
-        raise ValueError("needs g > sigma")
-    bs = [Fraction(x) for x in b]
-    if len(bs) != len(profile.sizes):
-        raise ValueError("one b value per anticlique is required")
-    for bi, size in zip(bs, profile.sizes):
-        if not (0 <= bi <= size):
-            raise ValueError(f"b value {bi} outside [0, {size}]")
-    if sum(bi * bi for bi in bs) > (g - sigma) ** 2:
-        raise ValueError("sum of b_i^2 exceeds (g - sigma)^2")
-    discount = sum(
-        (bi * bi + (size - bi) ** 2 for bi, size in zip(bs, profile.sizes)),
-        Fraction(0),
-    )
-    return 2 * g + 1 + sigma * sigma + (g - sigma) ** 2 - discount
-
-
-def halving_depth(g: Fraction, sigma: Fraction) -> int:
+def halving_depth(g, sigma) -> int:
     """Smallest m >= 1 with g/2^m <= sigma (exactly ceil(log2(g/sigma)) for g > sigma)."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -196,37 +175,32 @@ def halving_depth(g: Fraction, sigma: Fraction) -> int:
     return m
 
 
-def iterated_edge_bound(g, sigma, r, profile: AnticliqueProfile) -> Fraction:
+def iterated_edge_bound(g, sigma, r, profile: AnticliqueProfile):
     """Edge bound obtained by repeatedly splitting off the smaller side.
 
     Valid for g >= sigma and r in (0, 1]; the anticlique discount comes
     with weight 1/(m + r) where m is the halving depth.
     """
-    g = Fraction(g)
-    sigma = Fraction(sigma)
-    r = Fraction(r)
     if g < sigma:
         raise ValueError("needs g >= sigma")
     if not (0 < r <= 1):
         raise ValueError("r must lie in (0, 1]")
     m = halving_depth(g, sigma)
-    total = 2 * g + 1 + sigma * sigma
-    for j in range(1, m):
-        total += (g / 2**j) ** 2
-    total += (g / 2 ** (m - 1) - sigma) ** 2 / r
-    total -= profile.square_sum / (m + r)
-    return total
+    return _poly_eval(_iterated_coeffs(sigma, r, profile.square_sum, m), g)
 
 
-def core_side_edge_bound(b, r, profile: AnticliqueProfile) -> Fraction:
+def _core_side_coeffs(r, square_sum) -> tuple:
+    """Coefficients (c0, c1, c2) in b of the core-side bound."""
+    return ((r - square_sum) / (r + 1), 2, Fraction(1) / (r + 1))
+
+
+def core_side_edge_bound(b, r, profile: AnticliqueProfile):
     """Edge bound for the separation side that carries the unit core anticlique."""
-    b = Fraction(b)
-    r = Fraction(r)
     if not (0 < r <= 1):
         raise ValueError("r must lie in (0, 1]")
     if b < 0:
         raise ValueError("b must be non-negative")
-    return 2 * b + (r + b * b - profile.square_sum) / (r + 1)
+    return _poly_eval(_core_side_coeffs(r, profile.square_sum), b)
 
 
 # --- certification -----------------------------------------------------------------
@@ -235,8 +209,8 @@ Poly = Sequence  # coefficients (c0, c1, c2), low degree first; int, Fraction or
 
 
 def _poly_eval(coeffs: Poly, x):
-    out = 0
-    for c in reversed(coeffs):
+    out = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         out = out * x + c
     return out
 
@@ -267,7 +241,7 @@ def certify_nonnegative_on_interval(coeffs: Poly, lo, hi) -> CertificateResult:
         raise ValueError("only polynomials of degree at most 2 are supported")
     if hi < lo:
         raise ValueError("degenerate interval: lo > hi")
-    c0, c1, c2 = coeffs + [0] * (3 - len(coeffs))
+    c0, c1, c2 = coeffs = coeffs + [0] * (3 - len(coeffs))
     candidates = [(_poly_eval(coeffs, lo), lo), (_poly_eval(coeffs, hi), hi)]
     if c2 > 0:
         method = "endpoints+vertex"
@@ -308,7 +282,7 @@ def _verdict(margin) -> str:
 def _interval_report(oid: str, params: dict, lhs_poly: Poly, rhs_poly: Poly, lo, hi) -> BoundReport:
     cert = certify_nonnegative_on_interval(_poly_sub(rhs_poly, lhs_poly), lo, hi)
     lhs_at = _poly_eval(lhs_poly, cert.at_point)
-    rhs_at = _poly_eval(rhs_poly, cert.at_point)
+    rhs_at = lhs_at + cert.margin  # the margin is rhs - lhs at the same point, exactly
     return BoundReport(oid, params, _fmt(lhs_at), _fmt(rhs_at), cert.margin, _verdict(cert.margin))
 
 
@@ -329,20 +303,21 @@ def _basic_obligations_for(s, label: str) -> list[BoundReport]:
     delta = 2 + s + 1 / (2 * s)
     b1 = delta - 2  # sigma + 1/(2 sigma)
     return [
-        # 2g + 1 + s^2 + (g-s)^2 <= delta*g on [s + 1/(2s), 2s]
+        # basic_edge_bound, 2g + 1 + s^2 + (g-s)^2 <= delta*g on [s + 1/(2s), 2s]
         _interval_report(
             f"basic[s={label}]/base-range",
             {"sigma": label, "interval": "[s+1/(2s), 2s]"},
-            (1 + 2 * s * s, 2 - 2 * s, 1),
+            _iterated_coeffs(s, 1, Fraction(0), 1),
             (0, delta, 0),
             b1,
             2 * s,
         ),
-        # 2g + 1 + s^2 + (g/2 - s)^2 + (g/2)^2 <= delta*g on [2s, 2s + 1/s]
+        # iterated_edge_bound at depth 2, r = 1:
+        # 2g + 1 + s^2 + (g/2)^2 + (g/2 - s)^2 <= delta*g on [2s, 2s + 1/s]
         _interval_report(
             f"basic[s={label}]/mid-range",
             {"sigma": label, "interval": "[2s, 2s+1/s]"},
-            (1 + 2 * s * s, 2 - s, Fraction(1, 2)),
+            _iterated_coeffs(s, 1, Fraction(0), 2),
             (0, delta, 0),
             2 * s,
             2 * s + 1 / s,
@@ -416,11 +391,12 @@ def _alt2_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             gamma,
             up,
         ),
+        # iterated_edge_bound at depth 2, r = 1, less its 2g:
         # 1 + (g/2)^2 + (g/2 - s)^2 + s^2 <= (delta-2) g + 2/9 on [2 sqrt(2/5), 2 gamma]
         _interval_report(
             "alt2/base/high",
             {"interval": "[2*sqrt(2/5), 2*gamma]", "r(G)": "3"},
-            (1 + 2 * s * s, -s, Fraction(1, 2)),
+            _poly_sub(_iterated_coeffs(s, 1, Fraction(0), 2), (0, 2)),
             (Fraction(2, 9), d2, 0),
             up,
             2 * gamma,
@@ -453,8 +429,12 @@ def _alt2_obligations(alt: ParameterAlternative) -> list[BoundReport]:
 
 def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
     d2 = alt.delta - 2  # 1109/1000
-    # weight (10/3)(g/8 - 1/5)^2 expands to (5/96) g^2 - g/6 + 2/15
+    # the last side (10/3)(g/8 - 1/5)^2 of the depth-4 iterated bound expands to
+    # (5/96) g^2 - g/6 + 2/15; the rows above g = 2.04 mix it with other lemma terms
     tail_c2, tail_c1, tail_c0 = Fraction(5, 96), Fraction(-1, 6), Fraction(2, 15)
+    # core_side_edge_bound at r = 1 with an empty profile, (1 + b^2)/2 + 2b, less
+    # its 2b, plus the constant 4/45 that the induction step adds on top of it
+    medium = _poly_sub(_core_side_coeffs(1, Fraction(0)), (-Fraction(4, 45), 2))
     reports = [
         _interval_report(
             "alt3/base/g[1.2,1.6]",
@@ -464,14 +444,12 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             Fraction(6, 5),
             Fraction(8, 5),
         ),
+        # iterated_edge_bound at depth 4, r = 3/10 (m + r = 4.3) and anticlique
+        # square-sum 2/3, less its 2g
         _interval_report(
             "alt3/base/g[1.6,2.04]",
             {"interval": "[1.6, 2.04]", "r": "0.3", "r(G)": "4.3"},
-            (
-                1 + Fraction(1, 25) + tail_c0 - Fraction(2, 3) / Fraction(43, 10),
-                tail_c1,
-                Fraction(1, 4) + Fraction(1, 16) + Fraction(1, 64) + tail_c2,
-            ),
+            _poly_sub(_iterated_coeffs(Fraction(1, 5), Fraction(3, 10), Fraction(2, 3), 4), (0, 2)),
             (0, d2, 0),
             Fraction(8, 5),
             Fraction(51, 25),
@@ -518,11 +496,11 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             Fraction(2, 27) + 1,
             d2,
         ),
-        # 4/45 + (1 + b^2)/2 <= (delta-2) b on [1, 1.2]
+        # 4/45 + (1 + b^2)/2 <= (delta-2) b on [1, 1.2] and at both ends
         _interval_report(
             "alt3/induction/medium-side",
             {"interval": "[1, 1.2]", "r": "1"},
-            (Fraction(4, 45) + Fraction(1, 2), 0, Fraction(1, 2)),
+            medium,
             (0, d2, 0),
             1,
             Fraction(6, 5),
@@ -530,13 +508,13 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
         _point_report(
             "alt3/induction/medium-side@b=1",
             {"b": "1"},
-            Fraction(4, 45) + Fraction(1, 2) + Fraction(1, 2),
+            _poly_eval(medium, 1),
             d2,
         ),
         _point_report(
             "alt3/induction/medium-side@b=1.2",
             {"b": "1.2"},
-            Fraction(4, 45) + (1 + Fraction(6, 5) ** 2) / 2,
+            _poly_eval(medium, Fraction(6, 5)),
             d2 * Fraction(6, 5),
         ),
     ]

@@ -14,7 +14,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Optional
 
-from .graphs import SimpleGraph, average_degree
+from .graphs import SimpleGraph
 from .extractor import scan_connected_subgraph
 
 BRUTE_FORCE_VERTEX_CAP = 20
@@ -130,9 +130,6 @@ class ExtremalReport:
     edge_lower_bound: Fraction
     certificate_ok: bool           # gluing-tree certificate for the subgraph property
     brute_force_ok: Optional[bool]  # exhaustive check; None when too large
-    average_degree: Fraction
-    degree_target: Fraction        # delta * k - 2
-    degree_target_met: bool
 
     @property
     def no_large_subgraph_ok(self) -> bool:
@@ -262,8 +259,6 @@ def verify_extremal(e: ExtremalGraph) -> ExtremalReport:
     if g.n <= BRUTE_FORCE_VERTEX_CAP:
         hit = scan_connected_subgraph(g, e.k, e.leaf_size + 1)
         brute = hit is None
-    dbar = average_degree(g)
-    target = degree_rate_target(e.k, e.sigma_k)
     return ExtremalReport(
         vertex_count_ok=vertex_ok,
         partition_ok=partition_ok,
@@ -272,9 +267,6 @@ def verify_extremal(e: ExtremalGraph) -> ExtremalReport:
         edge_lower_bound=bound,
         certificate_ok=certificate_ok,
         brute_force_ok=brute,
-        average_degree=dbar,
-        degree_target=target,
-        degree_target_met=dbar > target,
     )
 
 

@@ -18,14 +18,14 @@ from hcs import (
     get_alternative,
     iterated_edge_bound,
     separable_density_check,
-    small_sides_edge_bound,
     split_maximum,
-    square_ratio_gap,
     verify_all_bounds,
     verify_alternative,
     verify_basic_bounds,
 )
+from hcs import bounds
 from hcs.bounds import (
+    _poly_eval,
     halving_depth,
     reports_to_csv,
     reports_to_json,
@@ -81,31 +81,6 @@ class TestParameterAlternatives:
         assert density_threshold(get_alternative(3), 2) == Fraction(5218, 1000)
         # alternative 1: 2(2 + 2 sqrt(2/3)) - 1, exactly
         assert density_threshold(get_alternative(1), 2) == 3 + 4 * sqrt(Fraction(2, 3))
-
-
-class TestSquareRatioGap:
-    def test_examples(self):
-        assert square_ratio_gap(1, 1, 1, 1) == 0
-        assert square_ratio_gap(1, 0, 1, 1) == Fraction(1, 2)
-        assert square_ratio_gap(2, 1, 2, 1) == 0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            square_ratio_gap(1, 1, 0, 1)
-        with pytest.raises(ValueError):
-            square_ratio_gap(-1, 1, 1, 1)
-
-    def test_nonnegative_zero_iff_proportional(self):
-        rng = random.Random(123)
-        zeros = 0
-        for _ in range(100_000):
-            x, y = rng.randrange(0, 20), rng.randrange(0, 20)
-            r, s = rng.randrange(1, 20), rng.randrange(1, 20)
-            gap = square_ratio_gap(x, y, r, s)
-            assert gap >= 0
-            assert (gap == 0) == (x * s == y * r)
-            zeros += gap == 0
-        assert zeros > 0  # the equality case was actually exercised
 
 
 class TestSplitMaximum:
@@ -185,26 +160,6 @@ class TestEdgeBounds:
         with pytest.raises(ValueError):
             basic_edge_bound(Fraction(1), Fraction(0))
 
-    def test_small_sides(self):
-        half = Fraction(1, 2)
-        assert small_sides_edge_bound(1, half, EMPTY_PROFILE, []) == Fraction(7, 2)
-        assert small_sides_edge_bound(
-            1, half, AnticliqueProfile.of(1), [half]
-        ) == 3
-        assert small_sides_edge_bound(
-            1, half, AnticliqueProfile.of(Fraction(2, 5)), [0]
-        ) == Fraction(167, 50)
-
-    def test_small_sides_domain(self):
-        half = Fraction(1, 2)
-        with pytest.raises(ValueError):
-            small_sides_edge_bound(Fraction(1, 4), half, EMPTY_PROFILE, [])  # g <= sigma
-        with pytest.raises(ValueError):
-            small_sides_edge_bound(1, half, AnticliqueProfile.of(1), [2])  # b_i > size
-        with pytest.raises(ValueError):
-            # sum of b_i^2 above (g - sigma)^2
-            small_sides_edge_bound(1, half, AnticliqueProfile.of(1, 1), [half, half])
-
     def test_halving_depth(self):
         assert halving_depth(Fraction(1), Fraction(1)) == 1
         assert halving_depth(Fraction(2), Fraction(1)) == 1
@@ -246,6 +201,14 @@ class TestEdgeBounds:
             big = iterated_edge_bound(g, sigma, r, AnticliqueProfile(tuple(sizes)))
             small = iterated_edge_bound(g, sigma, r, AnticliqueProfile(tuple(merged)))
             assert small <= big
+
+    def test_field_inputs(self):
+        # g = sqrt(2) lies at halving depth 3 for sigma = 1/5
+        g, s, r = sqrt(2), Fraction(1, 5), Fraction(3, 10)
+        value = iterated_edge_bound(g, s, r, EMPTY_PROFILE)
+        assert value == 2 * g + 1 + s * s + (g / 2) ** 2 + (g / 4) ** 2 + (g / 4 - s) ** 2 / r
+        assert value == Fraction(443, 200) + Fraction(5, 3) * sqrt(2)
+        assert core_side_edge_bound(g, 1, EMPTY_PROFILE) == Fraction(3, 2) + 2 * sqrt(2)
 
     def test_core_side(self):
         assert core_side_edge_bound(1, 1, EMPTY_PROFILE) == 3
@@ -373,6 +336,53 @@ class TestObligationTables:
         reports = verify_alternative(alternative_1(sigma=Fraction(3, 2)))
         assert {r.verdict for r in reports} == {"PASS"}
         assert reports[0].margin == 0
+
+    def test_derived_rows_are_the_bound_functions(self, monkeypatch):
+        # capture what the table hands to the report builders
+        lhs = {}
+        interval, point = bounds._interval_report, bounds._point_report
+
+        def capture_interval(oid, params, lhs_poly, rhs_poly, lo, hi):
+            lhs[oid] = (lhs_poly, lo, hi)
+            return interval(oid, params, lhs_poly, rhs_poly, lo, hi)
+
+        def capture_point(oid, params, lhs_value, rhs_value):
+            lhs[oid] = lhs_value
+            return point(oid, params, lhs_value, rhs_value)
+
+        monkeypatch.setattr(bounds, "_interval_report", capture_interval)
+        monkeypatch.setattr(bounds, "_point_report", capture_point)
+        verify_all_bounds()
+
+        # row id -> (bound as a function of g, sigma, halving depth)
+        s2, s10 = 1 / sqrt(2), sqrt(10) / 6
+        square_sum_2_3 = AnticliqueProfile.of(Fraction(2, 3), Fraction(1, 3), Fraction(1, 3))
+        iterated = {
+            "basic[s=1/sqrt2]/base-range": (lambda g: basic_edge_bound(g, s2), s2, 1),
+            "basic[s=1]/base-range": (lambda g: basic_edge_bound(g, 1), 1, 1),
+            "basic[s=1/sqrt2]/mid-range": (lambda g: iterated_edge_bound(g, s2, 1, EMPTY_PROFILE), s2, 2),
+            "basic[s=1]/mid-range": (lambda g: iterated_edge_bound(g, 1, 1, EMPTY_PROFILE), 1, 2),
+            "alt2/base/high": (lambda g: iterated_edge_bound(g, s10, 1, EMPTY_PROFILE) - 2 * g, s10, 2),
+            "alt3/base/g[1.6,2.04]": (
+                lambda g: iterated_edge_bound(g, Fraction(1, 5), Fraction(3, 10), square_sum_2_3) - 2 * g,
+                Fraction(1, 5),
+                4,
+            ),
+        }
+
+        def medium(b):
+            return core_side_edge_bound(b, 1, EMPTY_PROFILE) - 2 * b + Fraction(4, 45)
+
+        for oid, (bound, sigma, depth) in iterated.items():
+            poly, lo, hi = lhs[oid]
+            for g in (hi, lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3):
+                assert halving_depth(g, sigma) == depth, (oid, g)
+                assert bound(g) == _poly_eval(poly, g), (oid, g)
+        poly, lo, hi = lhs["alt3/induction/medium-side"]
+        for b in (hi, lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3):
+            assert medium(b) == _poly_eval(poly, b)
+        assert lhs["alt3/induction/medium-side@b=1"] == medium(1)
+        assert lhs["alt3/induction/medium-side@b=1.2"] == medium(Fraction(6, 5))
 
     def test_alternative_1_passes(self):
         reports = verify_alternative(get_alternative(1))
