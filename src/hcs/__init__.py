@@ -14,7 +14,6 @@ from .graphs import (
 from .connectivity import (
     CutWitness,
     Separation,
-    brute_force_min_cut,
     find_separation,
     is_k1_connected,
     min_vertex_cut,
@@ -28,9 +27,7 @@ from .extractor import (
     BudgetExceededError,
     DecompositionNode,
     ExtractionResult,
-    brute_force_hcs,
     extract,
-    scan_connected_subgraph,
     size_threshold,
     validate_decomposition,
 )

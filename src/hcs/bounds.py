@@ -53,7 +53,9 @@ class ParameterAlternative:
 def alternative_1(sigma=None) -> ParameterAlternative:
     """Family with sigma >= (sqrt(2)+1)/sqrt(3); defaults to the boundary value."""
     smin = (sqrt(2) + 1) / sqrt(3)
-    s = smin if sigma is None else Fraction(sigma)
+    if sigma is None:
+        sigma = smin
+    s = sigma if isinstance(sigma, Surd) else Fraction(sigma)
     if s < smin:
         raise ValueError("alternative 1 needs sigma >= (sqrt(2)+1)/sqrt(3)")
     gamma = 1 / (3 * s)

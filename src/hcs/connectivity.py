@@ -8,8 +8,7 @@ is one dict naming, for each vertex that carries a unit, the neighbour
 the unit comes from (see ``_st_vertex_cut``). Pairs are
 restricted to the classic dominating strategy: one minimum-degree vertex
 against all of its non-neighbors, then all non-adjacent pairs of its
-neighbors. A slow exhaustive oracle is provided for cross-checking on
-small graphs.
+neighbors.
 
 Once the best cut found is 2, only a 1-vertex cut could lower it, and a
 connected set has one exactly when it has a cut vertex. So the first time
@@ -490,28 +489,3 @@ def find_separation(
         else:
             side_a |= priv_b & -priv_b
     return Separation(side_a, side_b, witness.kappa, degrees)
-
-
-def brute_force_min_cut(g: SimpleGraph, *, max_vertices: int = 14) -> CutWitness:
-    """Exhaustive minimum vertex cut; refuses graphs above the size guard.
-
-    Scans vertex subsets by increasing size (lexicographic within a size)
-    and returns the first one whose removal disconnects the graph.
-    """
-    n = g.n
-    if n == 0:
-        raise ValueError("connectivity of the empty graph is undefined")
-    if n > max_vertices:
-        raise ValueError(f"brute force limited to {max_vertices} vertices, got {n}")
-    if n == 1:
-        return CutWitness(0, None)
-    masks = g.adjacency_masks
-    full = (1 << n) - 1
-    for size in range(0, n - 1):
-        for subset in combinations(range(n), size):
-            removed = 0
-            for v in subset:
-                removed |= 1 << v
-            if not _is_connected(masks, full & ~removed):
-                return CutWitness(size, frozenset(subset))
-    return CutWitness(n - 1, None)

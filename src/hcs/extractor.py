@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, TextIO, Union
 
-from .connectivity import Separation, _bits, _members, find_separation, is_k1_connected
+from .connectivity import Separation, _bits, _members, find_separation
 from .field import Surd
 from .graphs import SimpleGraph
 
@@ -172,70 +172,6 @@ def validate_decomposition(
             if child.mask.bit_count() >= node.mask.bit_count():
                 raise ValueError("child not strictly smaller")
             stack.append(child)
-
-
-def scan_connected_subgraph(
-    g: SimpleGraph, k: int, min_size: int
-) -> Optional[tuple[int, ...]]:
-    """Lexicographically first vertex set of size >= min_size inducing a
-    (k+1)-connected subgraph, or None.
-
-    The scan prunes to the (k+1)-core first (every (k+1)-connected
-    subgraph survives the peeling) and walks candidate sets in prefix
-    order, which coincides with lexicographic order on sorted tuples.
-    """
-    need = max(min_size, k + 2)
-    if g.n < need:
-        return None
-    masks = g.adjacency_masks
-    alive = (1 << g.n) - 1
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if alive >> v & 1 and (masks[v] & alive).bit_count() < k + 1:
-                alive &= ~(1 << v)
-                changed = True
-    core = [v for v in range(g.n) if alive >> v & 1]
-    if len(core) < need:
-        return None
-    suffix = [0] * (len(core) + 1)
-    for i in range(len(core) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << core[i])
-
-    def dfs(prefix: list[int], pmask: int, idx: int) -> Optional[tuple[int, ...]]:
-        for j in range(idx, len(core)):
-            if len(prefix) + 1 + (len(core) - j - 1) < need:
-                break  # later starts only get shorter
-            v = core[j]
-            nmask = pmask | (1 << v)
-            prefix.append(v)
-            potential = nmask | suffix[j + 1]
-            if all((masks[u] & potential).bit_count() >= k + 1 for u in prefix):
-                if len(prefix) >= need and all(
-                    (masks[u] & nmask).bit_count() >= k + 1 for u in prefix
-                ):
-                    if is_k1_connected(g, k, nmask):
-                        hit = tuple(prefix)
-                        prefix.pop()
-                        return hit
-                hit = dfs(prefix, nmask, j + 1)
-                if hit is not None:
-                    prefix.pop()
-                    return hit
-            prefix.pop()
-        return None
-
-    return dfs([], 0, 0)
-
-
-def brute_force_hcs(
-    g: SimpleGraph, k: int, sigma: SigmaLike, *, max_vertices: int = 18
-) -> Optional[tuple[int, ...]]:
-    """Exhaustive oracle for extract; refuses graphs above the size guard."""
-    if g.n > max_vertices:
-        raise ValueError(f"brute force limited to {max_vertices} vertices, got {g.n}")
-    return scan_connected_subgraph(g, k, size_threshold(k, sigma) + 1)
 
 
 # --- serialization ----------------------------------------------------------------

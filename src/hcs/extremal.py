@@ -15,9 +15,10 @@ from operator import itemgetter
 from typing import Optional
 
 from .graphs import SimpleGraph
-from .extractor import scan_connected_subgraph
+from .extractor import SEPARABLE, extract, validate_decomposition
 
-BRUTE_FORCE_VERTEX_CAP = 20
+# verify_extremal also runs extract on instances up to this size: (2,2) levels 0-6
+EXTRACTION_VERTEX_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -129,12 +130,12 @@ class ExtremalReport:
     edge_count: int
     edge_lower_bound: Fraction
     certificate_ok: bool           # gluing-tree certificate for the subgraph property
-    brute_force_ok: Optional[bool]  # exhaustive check; None when too large
+    extraction_ok: Optional[bool]  # extract's answer checked against its tree; None when too large
 
     @property
     def no_large_subgraph_ok(self) -> bool:
-        if self.brute_force_ok is not None:
-            return self.brute_force_ok
+        if self.extraction_ok is not None:
+            return self.extraction_ok
         return self.certificate_ok
 
     @property
@@ -235,6 +236,22 @@ def _certificate_check(e: ExtremalGraph, adj: list[list[int]]) -> bool:
     return len(nodes[0]) == e.leaf_size
 
 
+def _extraction_check(e: ExtremalGraph) -> bool:
+    """Whether extract answers SEPARABLE with a tree that checks out on the graph.
+
+    The size threshold floor((1+sigma)k) is the leaf size, so a FOUND set
+    is a (k+1)-connected subgraph larger than any leaf: a failure.
+    """
+    result = extract(e.graph, e.k, e.sigma)
+    if result.outcome != SEPARABLE:
+        return False
+    try:
+        validate_decomposition(e.graph, e.k, e.sigma, result.tree)
+    except ValueError:
+        return False
+    return True
+
+
 def degree_rate_target(k: int, sigma_k: int) -> Fraction:
     """The average-degree target delta*k - 2 with delta = 2 + sigma + 1/(3 sigma)."""
     sigma = Fraction(sigma_k, k)
@@ -255,10 +272,9 @@ def verify_extremal(e: ExtremalGraph) -> ExtremalReport:
     bound = _edge_lower_bound(e)
     edge_ok = Fraction(g.edge_count) >= bound
     certificate_ok = _certificate_check(e, adj)
-    brute: Optional[bool] = None
-    if g.n <= BRUTE_FORCE_VERTEX_CAP:
-        hit = scan_connected_subgraph(g, e.k, e.leaf_size + 1)
-        brute = hit is None
+    extraction: Optional[bool] = None
+    if g.n <= EXTRACTION_VERTEX_CAP:
+        extraction = _extraction_check(e)
     return ExtremalReport(
         vertex_count_ok=vertex_ok,
         partition_ok=partition_ok,
@@ -266,7 +282,7 @@ def verify_extremal(e: ExtremalGraph) -> ExtremalReport:
         edge_count=g.edge_count,
         edge_lower_bound=bound,
         certificate_ok=certificate_ok,
-        brute_force_ok=brute,
+        extraction_ok=extraction,
     )
 
 

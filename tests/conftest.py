@@ -2,11 +2,11 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 import pytest
 
-from hcs import OptimizationInstance, SimpleGraph
+from hcs import CutWitness, OptimizationInstance, SimpleGraph, size_threshold
 
 
 def pytest_runtest_logreport(report):
@@ -35,6 +35,27 @@ def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
 
 
+def _adjacency_sets(g: SimpleGraph, vs: set[int]) -> dict[int, set[int]]:
+    adj = {v: set() for v in vs}
+    for u, v in g.edges:
+        if u in vs and v in vs:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+def _connected(adj: dict[int, set[int]], rest: set[int]) -> bool:
+    """Whether the non-empty set rest is connected, by a plain graph search."""
+    start = min(rest)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()] & rest - seen:
+            seen.add(w)
+            stack.append(w)
+    return seen == rest
+
+
 def k1_connected_by_removal(g: SimpleGraph, vertices, k: int) -> bool:
     """Whether g on vertices is (k+1)-connected, by brute force.
 
@@ -45,24 +66,103 @@ def k1_connected_by_removal(g: SimpleGraph, vertices, k: int) -> bool:
     vs = set(vertices)
     if len(vs) < k + 2:
         return False
-    adj = {v: set() for v in vs}
-    for u, v in g.edges:
-        if u in vs and v in vs:
-            adj[u].add(v)
-            adj[v].add(u)
-    for size in range(k + 1):
-        for removed in combinations(sorted(vs), size):
-            rest = vs - set(removed)
-            start = min(rest)
-            seen = {start}
-            stack = [start]
-            while stack:
-                for w in adj[stack.pop()] & rest - seen:
-                    seen.add(w)
-                    stack.append(w)
-            if seen != rest:
-                return False
-    return True
+    adj = _adjacency_sets(g, vs)
+    return all(
+        _connected(adj, vs - set(removed))
+        for size in range(k + 1)
+        for removed in combinations(sorted(vs), size)
+    )
+
+
+# --- exhaustive oracles -------------------------------------------------------
+# Exponential scans that the connectivity kernel and the extractor are compared
+# against on small graphs. They share no code with either.
+
+def brute_force_min_cut(g: SimpleGraph, *, max_vertices: int = 14) -> CutWitness:
+    """Exhaustive minimum vertex cut; refuses graphs above the size guard.
+
+    Scans vertex subsets by increasing size (lexicographic within a size)
+    and returns the first one whose removal disconnects the graph.
+    """
+    n = g.n
+    if n == 0:
+        raise ValueError("connectivity of the empty graph is undefined")
+    if n > max_vertices:
+        raise ValueError(f"brute force limited to {max_vertices} vertices, got {n}")
+    if n == 1:
+        return CutWitness(0, None)
+    vs = set(range(n))
+    adj = _adjacency_sets(g, vs)
+    for size in range(0, n - 1):
+        for subset in combinations(range(n), size):
+            if not _connected(adj, vs - set(subset)):
+                return CutWitness(size, frozenset(subset))
+    return CutWitness(n - 1, None)
+
+
+def scan_connected_subgraph(
+    g: SimpleGraph, k: int, min_size: int
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically first vertex set of size >= min_size inducing a
+    (k+1)-connected subgraph, or None.
+
+    The scan prunes to the (k+1)-core first (every (k+1)-connected
+    subgraph survives the peeling) and walks candidate sets in prefix
+    order, which coincides with lexicographic order on sorted tuples.
+    Each candidate is decided by ``k1_connected_by_removal``.
+    """
+    need = max(min_size, k + 2)
+    if g.n < need:
+        return None
+    masks = g.adjacency_masks
+    alive = (1 << g.n) - 1
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if alive >> v & 1 and (masks[v] & alive).bit_count() < k + 1:
+                alive &= ~(1 << v)
+                changed = True
+    core = [v for v in range(g.n) if alive >> v & 1]
+    if len(core) < need:
+        return None
+    suffix = [0] * (len(core) + 1)
+    for i in range(len(core) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | (1 << core[i])
+
+    def dfs(prefix: list[int], pmask: int, idx: int) -> Optional[tuple[int, ...]]:
+        for j in range(idx, len(core)):
+            if len(prefix) + 1 + (len(core) - j - 1) < need:
+                break  # later starts only get shorter
+            v = core[j]
+            nmask = pmask | (1 << v)
+            prefix.append(v)
+            potential = nmask | suffix[j + 1]
+            if all((masks[u] & potential).bit_count() >= k + 1 for u in prefix):
+                if len(prefix) >= need and all(
+                    (masks[u] & nmask).bit_count() >= k + 1 for u in prefix
+                ):
+                    if k1_connected_by_removal(g, prefix, k):
+                        hit = tuple(prefix)
+                        prefix.pop()
+                        return hit
+                hit = dfs(prefix, nmask, j + 1)
+                if hit is not None:
+                    prefix.pop()
+                    return hit
+            prefix.pop()
+        return None
+
+    return dfs([], 0, 0)
+
+
+def brute_force_hcs(
+    g: SimpleGraph, k: int, sigma, *, max_vertices: int = 18
+) -> Optional[tuple[int, ...]]:
+    """Exhaustive oracle for extract; refuses graphs above the size guard."""
+    if g.n > max_vertices:
+        raise ValueError(f"brute force limited to {max_vertices} vertices, got {g.n}")
+    return scan_connected_subgraph(g, k, size_threshold(k, sigma) + 1)
 
 
 # --- extremal certificate oracles ---------------------------------------------

@@ -17,8 +17,6 @@ from hcs import (
     FOUND,
     OptimizationInstance,
     SimpleGraph,
-    brute_force_hcs,
-    brute_force_min_cut,
     build_extremal,
     dispatch,
     extract,
@@ -32,7 +30,13 @@ from hcs import (
     verify_extremal,
 )
 from hcs.bounds import reports_to_json, split_is_feasible
-from conftest import k1_connected_by_removal, random_graph, split_maximum_grid
+from conftest import (
+    brute_force_hcs,
+    brute_force_min_cut,
+    k1_connected_by_removal,
+    random_graph,
+    split_maximum_grid,
+)
 
 
 def report(criterion: int, started: float, limit: float, detail: str):
@@ -83,8 +87,8 @@ def test_criterion_2_sharpness_construction():
         rep = verify_extremal(e)
         assert rep.vertex_count_ok and rep.partition_ok and rep.edge_bound_ok, level
         assert rep.certificate_ok, level
-        if level <= 2:
-            assert rep.brute_force_ok is True, level
+        if level <= 6:  # at most EXTRACTION_VERTEX_CAP vertices
+            assert rep.extraction_ok is True, level
         lhs, rhs = sharpness_rate(e)
         assert rhs == floor_rate
         assert lhs >= floor_rate, level

@@ -48,10 +48,21 @@ class TestParameterAlternatives:
         assert alt.sigma == Fraction(3, 2)
         assert alt.gamma == Fraction(2, 9)
         assert alt.delta == 2 + Fraction(3, 2) + Fraction(2, 9)
+        alt = alternative_1(sigma=2)
+        assert (alt.sigma, alt.gamma, alt.delta) == (2, Fraction(1, 6), Fraction(25, 6))
+        assert all(type(x) is Fraction for x in (alt.sigma, alt.gamma, alt.delta))
+
+    def test_alt1_field_sigma(self):
+        alt = alternative_1(sigma=sqrt(3))
+        assert alt.sigma == sqrt(3)
+        assert alt.gamma == sqrt(3) / 9
+        assert alt.delta == 2 + Fraction(10, 9) * sqrt(3)
 
     def test_alt1_rejects_small_sigma(self):
         with pytest.raises(ValueError):
             alternative_1(sigma=1)
+        with pytest.raises(ValueError):
+            alternative_1(sigma=(sqrt(2) + 1) / sqrt(3) - Fraction(1, 10**30))
 
     def test_alt2_constants(self):
         alt = get_alternative(2)

@@ -137,6 +137,17 @@ class TestDispatch:
         assert dispatch(["certify", "--in", str(out)]) == 1
         capsys.readouterr()
 
+    def test_certify_fails_on_complete_graph(self, capsys, tmp_path):
+        # the complete graph on 18 vertices is 3-connected: extract finds it whole
+        out = tmp_path / "g.json"
+        dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "3", "--out", str(out)])
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        payload["graph"] = graph_to_json_dict(SimpleGraph.complete(payload["graph"]["n"]))
+        out.write_text(json.dumps(payload))
+        assert dispatch(["certify", "--in", str(out)]) == 1
+        assert "no-large-connected-subgraph: FAIL  (certificate=FAIL extract=FAIL)" in capsys.readouterr().out
+
     def test_certify_fails_on_truncated_instance(self, capsys, tmp_path):
         # one vertex short of its level: the certificate walk raised IndexError
         out = tmp_path / "g.json"
@@ -280,7 +291,7 @@ def test_construct_and_certify_under_python_optimize(tmp_path):
     assert done.returncode == 0, done.stderr
     done = run_optimized("certify", "--in", out)
     assert done.returncode == 0, done.stderr
-    assert "no-large-connected-subgraph: PASS  (certificate=pass brute=skipped)" in done.stdout
+    assert "no-large-connected-subgraph: PASS  (certificate=pass extract=pass)" in done.stdout
 
 
 def test_verify_bounds_under_python_optimize(tmp_path):

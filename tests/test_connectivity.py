@@ -5,7 +5,6 @@ import pytest
 from hcs import (
     Separation,
     SimpleGraph,
-    brute_force_min_cut,
     build_extremal,
     connectivity,
     extract,
@@ -20,7 +19,7 @@ from hcs.connectivity import (
     _is_connected,
     _st_vertex_cut,
 )
-from conftest import random_graph
+from conftest import brute_force_min_cut, random_graph
 from test_golden import relabelled
 
 

@@ -14,7 +14,6 @@ from hcs import (
     SEPARATED,
     BudgetExceededError,
     SimpleGraph,
-    brute_force_hcs,
     average_degree,
     build_extremal,
     density_threshold,
@@ -26,7 +25,7 @@ from hcs import (
 )
 from hcs.extractor import result_to_json_dict, write_result_json
 from hcs.field import sqrt
-from conftest import induced_subgraph, k1_connected_by_removal, random_graph
+from conftest import brute_force_hcs, induced_subgraph, k1_connected_by_removal, random_graph
 from test_golden import EXTREMAL, case_ids, digest, relabelled
 
 

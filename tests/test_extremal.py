@@ -5,6 +5,10 @@ from fractions import Fraction
 import pytest
 
 from hcs import (
+    LEAF_SMALL,
+    SEPARABLE,
+    DecompositionNode,
+    ExtractionResult,
     SimpleGraph,
     build_extremal,
     extremal_from_json_dict,
@@ -74,8 +78,32 @@ class TestVerify:
         report = verify_extremal(build_extremal(2, 2, level))
         assert report.passed
         assert report.certificate_ok
-        assert report.brute_force_ok in (True, None)
+        assert report.extraction_ok is True
         assert report.edge_margin >= 0
+
+    def test_extraction_runs_up_to_the_cap(self):
+        assert hcs.extremal.EXTRACTION_VERTEX_CAP == 256
+        report = verify_extremal(build_extremal(2, 2, 6))  # 130 vertices
+        assert report.extraction_ok is True and report.passed
+        report = verify_extremal(build_extremal(2, 2, 7))  # 258 vertices
+        assert report.extraction_ok is None and report.passed
+
+    def test_complete_graph_fails_extraction(self):
+        e = build_extremal(2, 2, 3)
+        report = verify_extremal(replace(e, graph=SimpleGraph.complete(e.graph.n)))
+        assert report.extraction_ok is False
+        assert not report.no_large_subgraph_ok
+        assert not report.passed
+
+    def test_extraction_tree_must_check_out(self, monkeypatch):
+        # a SEPARABLE answer counts only with a tree that fits the graph
+        e = build_extremal(2, 2, 3)
+        whole = DecompositionNode((1 << e.graph.n) - 1, LEAF_SMALL, None, ())
+        monkeypatch.setattr(hcs.extremal, "extract",
+                            lambda *args: ExtractionResult(SEPARABLE, None, whole))
+        report = verify_extremal(e)
+        assert report.extraction_ok is False and report.certificate_ok
+        assert not report.passed
 
     def test_other_parameters(self):
         for k, sigma_k in ((1, 1), (1, 3), (3, 3), (2, 5)):
@@ -119,7 +147,7 @@ class TestVerify:
         report = verify_extremal(mutated)
         assert report.edge_margin == -1
         assert not report.edge_bound_ok
-        assert report.brute_force_ok  # still no large connected subgraph
+        assert report.extraction_ok  # still no large connected subgraph
         assert report.certificate_ok  # leaf-size certificate is edge-insensitive
         assert not report.passed
 
@@ -219,9 +247,9 @@ class TestCertificateOracle:
     """verify_extremal against the per-node set-and-bitmask oracles of conftest."""
 
     @pytest.fixture(autouse=True)
-    def _no_brute_force(self, monkeypatch):
+    def _no_extraction(self, monkeypatch):
         # only the certificate and the partition are compared here
-        monkeypatch.setattr(hcs.extremal, "BRUTE_FORCE_VERTEX_CAP", -1)
+        monkeypatch.setattr(hcs.extremal, "EXTRACTION_VERTEX_CAP", -1)
 
     @staticmethod
     def _agree(e: ExtremalGraph):
