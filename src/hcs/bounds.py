@@ -50,6 +50,12 @@ class ParameterAlternative:
         return f"alt{self.id}"
 
 
+def _alt1_constants(sigma) -> tuple:
+    """Alternative 1's (gamma, delta) at sigma: gamma = 1/(3 sigma), delta = 2 + sigma + gamma."""
+    gamma = 1 / (3 * sigma)
+    return gamma, 2 + sigma + gamma
+
+
 def alternative_1(sigma=None) -> ParameterAlternative:
     """Family with sigma >= (sqrt(2)+1)/sqrt(3); defaults to the boundary value."""
     smin = (sqrt(2) + 1) / sqrt(3)
@@ -58,8 +64,7 @@ def alternative_1(sigma=None) -> ParameterAlternative:
     s = sigma if isinstance(sigma, Surd) else Fraction(sigma)
     if s < smin:
         raise ValueError("alternative 1 needs sigma >= (sqrt(2)+1)/sqrt(3)")
-    gamma = 1 / (3 * s)
-    delta = 2 + s + gamma
+    gamma, delta = _alt1_constants(s)
     return ParameterAlternative(1, s, gamma, Fraction(1), delta)
 
 
@@ -429,68 +434,65 @@ def _alt2_obligations(alt: ParameterAlternative) -> list[BoundReport]:
     ]
 
 
+def _core_split_coeffs(iterated: Poly, r, square_sum, s) -> tuple:
+    """The depth-4 iterated bound with its first halved side on the core side.
+
+    Takes the coefficients of ``_iterated_coeffs(sigma, r, square_sum, 4)``.
+    The side (g/2)^2 becomes the core-side term (s + (g/2)^2)/(1+s), and
+    the anticlique discount is weighted 1/(4 + r + s) instead of 1/(4 + r).
+    """
+    c0, c1, c2 = iterated
+    k0, _, k2 = _core_side_coeffs(s, 0)  # in b = g/2
+    return (
+        c0 + k0 + square_sum / (4 + r) - square_sum / (4 + r + s),
+        c1,
+        c2 + (k2 - 1) / 4,
+    )
+
+
 def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
-    d2 = alt.delta - 2  # 1109/1000
-    # the last side (10/3)(g/8 - 1/5)^2 of the depth-4 iterated bound expands to
-    # (5/96) g^2 - g/6 + 2/15; the rows above g = 2.04 mix it with other lemma terms
-    tail_c2, tail_c1, tail_c0 = Fraction(5, 96), Fraction(-1, 6), Fraction(2, 15)
+    sigma, gamma, d2 = alt.sigma, alt.gamma, alt.delta - 2
+    r, square_sum, s_low, s_high = Fraction(3, 10), Fraction(2, 3), Fraction(2, 5), Fraction(7, 10)
+    # the base rows cover [gamma, 2.4], one row per pair of neighbouring breakpoints
+    breakpoints = [gamma, Fraction(8, 5), Fraction(51, 25), Fraction(52, 25), Fraction(12, 5)]
+    iterated = _iterated_coeffs(sigma, r, square_sum, 4)
+
+    def less_2g(coeffs) -> list:
+        return _poly_sub(coeffs, (0, 2))
+
+    # each base row's left-hand side and the params that follow its interval
+    base = [
+        # stays data: 7/9 + (3/8) g^2 is 1 + (g/2)^2 + 2 (g/4)^2 less the
+        # anticlique discount (2/3)/r(G) at r(G) = 3
+        ((Fraction(7, 9), 0, Fraction(3, 8)), {"r(G)": "3"}),
+        # iterated_edge_bound at depth 4, r = 3/10 (m + r = 4.3) and anticlique
+        # square-sum 2/3, less its 2g
+        (less_2g(iterated), {"r": _fmt(r), "r(G)": _fmt(4 + r)}),
+    ] + [
+        # the same with its first halved side on the core side of weight s, less its 2g
+        (less_2g(_core_split_coeffs(iterated, r, square_sum, s)), {"s": _fmt(s), "r(G)": _fmt(4 + r + s)})
+        for s in (s_low, s_high)
+    ]
+    reports = []
+    for (lhs, params), lo, hi in zip(base, breakpoints, breakpoints[1:]):
+        lo_s, hi_s = _fmt(lo), _fmt(hi)
+        reports.append(_interval_report(
+            f"alt3/base/g[{lo_s},{hi_s}]", {"interval": f"[{lo_s}, {hi_s}]", **params}, lhs, (0, d2, 0), lo, hi
+        ))
+    # derivative of the combined bound in a is negative on the worst corner,
+    # so the maximum sits at a = g/2
+    g, a = breakpoints[2], Fraction(6, 5)
+    reports.append(_point_report(
+        "alt3/base/derivative-sign",
+        {"s": _fmt(s_high), "g": _fmt(g), "a": _fmt(a)},
+        -(g - a) / (1 + s_high) + (a / 2) / 2 + (a / 4) / 4 + (a / 4 - sigma) / (4 * r),
+        0,
+    ))
     # core_side_edge_bound at r = 1 with an empty profile, (1 + b^2)/2 + 2b, less
     # its 2b, plus the constant 4/45 that the induction step adds on top of it
     medium = _poly_sub(_core_side_coeffs(1, Fraction(0)), (-Fraction(4, 45), 2))
-    reports = [
-        _interval_report(
-            "alt3/base/g[1.2,1.6]",
-            {"interval": "[1.2, 1.6]", "r(G)": "3"},
-            (Fraction(7, 9), 0, Fraction(3, 8)),
-            (0, d2, 0),
-            Fraction(6, 5),
-            Fraction(8, 5),
-        ),
-        # iterated_edge_bound at depth 4, r = 3/10 (m + r = 4.3) and anticlique
-        # square-sum 2/3, less its 2g
-        _interval_report(
-            "alt3/base/g[1.6,2.04]",
-            {"interval": "[1.6, 2.04]", "r": "0.3", "r(G)": "4.3"},
-            _poly_sub(_iterated_coeffs(Fraction(1, 5), Fraction(3, 10), Fraction(2, 3), 4), (0, 2)),
-            (0, d2, 0),
-            Fraction(8, 5),
-            Fraction(51, 25),
-        ),
-        _interval_report(
-            "alt3/base/g[2.04,2.08]",
-            {"interval": "[2.04, 2.08]", "s": "0.4", "r(G)": "4.7"},
-            (
-                1 + Fraction(2, 7) + Fraction(1, 25) + tail_c0 - Fraction(2, 3) / Fraction(47, 10),
-                tail_c1,
-                Fraction(5, 28) + Fraction(1, 16) + Fraction(1, 64) + tail_c2,
-            ),
-            (0, d2, 0),
-            Fraction(51, 25),
-            Fraction(52, 25),
-        ),
-        _interval_report(
-            "alt3/base/g[2.08,2.4]",
-            {"interval": "[2.08, 2.4]", "s": "0.7", "r(G)": "5"},
-            (
-                1 + Fraction(7, 17) + Fraction(1, 25) + tail_c0 - Fraction(2, 15),
-                tail_c1,
-                Fraction(5, 34) + Fraction(1, 16) + Fraction(1, 64) + tail_c2,
-            ),
-            (0, d2, 0),
-            Fraction(52, 25),
-            Fraction(12, 5),
-        ),
-        # derivative of the combined bound in a is negative on the worst corner,
-        # so the maximum sits at a = g/2
-        _point_report(
-            "alt3/base/derivative-sign",
-            {"s": "0.7", "g": "2.04", "a": "1.2"},
-            -Fraction(10, 17) * Fraction(21, 25)
-            + Fraction(1, 2) * Fraction(3, 5)
-            + Fraction(1, 4) * Fraction(3, 10)
-            + Fraction(10, 3) * Fraction(1, 4) * (Fraction(3, 10) - Fraction(1, 5)),
-            0,
-        ),
+    lo, hi = 1, gamma
+    return reports + [
         # (2/27 + 1) b <= (delta-2) b, per unit b
         _point_report(
             "alt3/induction/small-side",
@@ -498,29 +500,19 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
             Fraction(2, 27) + 1,
             d2,
         ),
-        # 4/45 + (1 + b^2)/2 <= (delta-2) b on [1, 1.2] and at both ends
+        # 4/45 + (1 + b^2)/2 <= (delta-2) b on [1, gamma] and at both ends
         _interval_report(
             "alt3/induction/medium-side",
-            {"interval": "[1, 1.2]", "r": "1"},
+            {"interval": f"[{_fmt(lo)}, {_fmt(hi)}]", "r": "1"},
             medium,
             (0, d2, 0),
-            1,
-            Fraction(6, 5),
+            lo,
+            hi,
         ),
-        _point_report(
-            "alt3/induction/medium-side@b=1",
-            {"b": "1"},
-            _poly_eval(medium, 1),
-            d2,
-        ),
-        _point_report(
-            "alt3/induction/medium-side@b=1.2",
-            {"b": "1.2"},
-            _poly_eval(medium, Fraction(6, 5)),
-            d2 * Fraction(6, 5),
-        ),
+    ] + [
+        _point_report(f"alt3/induction/medium-side@b={_fmt(b)}", {"b": _fmt(b)}, _poly_eval(medium, b), d2 * b)
+        for b in (lo, hi)
     ]
-    return reports
 
 
 def verify_alternative(alt: ParameterAlternative) -> list[BoundReport]:
@@ -543,9 +535,7 @@ def verify_all_bounds() -> list[BoundReport]:
 
 # --- consequence check on concrete graphs --------------------------------------------
 
-def separable_density_check(
-    g: SimpleGraph, k: int, alt: ParameterAlternative, *, budget: int = 10**6
-) -> BoundReport:
+def separable_density_check(g: SimpleGraph, k: int, alt: ParameterAlternative) -> BoundReport:
     """Check ebar <= delta*g + 2/3 on a graph whose extraction is SEPARABLE.
 
     Reports NOT_APPLICABLE when g < gamma or when the extractor finds a
@@ -562,7 +552,7 @@ def separable_density_check(
     gg = Fraction(g.n, k) - 1
     if gg < alt.gamma:
         return not_applicable
-    result = extract(g, k, alt.sigma, budget=budget)
+    result = extract(g, k, alt.sigma)
     if result.outcome != SEPARABLE:
         return not_applicable
     bound = alt.delta * gg + Fraction(2, 3)

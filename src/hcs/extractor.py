@@ -94,9 +94,11 @@ def extract(
 
     Returns FOUND with the vertex set, or SEPARABLE with a decomposition
     tree whose separations certify that no such subgraph exists. Both
-    sides of every separation are explored, side A first, with
-    memoization on vertex sets, and the search ends at the first FOUND;
-    exceeding the budget raises BudgetExceededError. The walk keeps its
+    sides of every separation are explored, side A first, and the search
+    ends at the first FOUND; exceeding the budget raises
+    BudgetExceededError. No set is explored twice: every side has more
+    than k vertices, and two subtrees of one node meet only in its k-vertex
+    core, so there is nothing to memoize. The walk keeps its
     path on an explicit stack, so the depth of the tree is not bounded by
     the interpreter's recursion limit.
 
@@ -112,28 +114,25 @@ def extract(
     threshold = size_threshold(k, sigma)
     # sets of at most k+1 vertices cannot host a (k+1)-connected subgraph either
     small_cap = max(threshold, k + 1)
-    memo: dict[int, DecompositionNode] = {}
     explored = 0
     # each open SEPARATED node: its separation, whose sides cover its vertex
     # set, and the children finished so far
     path: list[tuple[Separation, list[DecompositionNode]]] = []
     w, parent = (1 << g.n) - 1, None
     while True:
-        node = memo.get(w)
-        if node is None:
-            explored += 1
-            if explored > budget:
-                raise BudgetExceededError(
-                    f"exploration budget of {budget} vertex sets exceeded"
-                )
-            if w.bit_count() > small_cap:
-                sep = find_separation(g, k, w, parent=parent)
-                if sep is None:
-                    return ExtractionResult(FOUND, frozenset(_bits(w)), None)
-                path.append((sep, []))
-                w, parent = sep.mask_a, sep
-                continue
-            node = memo[w] = DecompositionNode(w, LEAF_SMALL, None, ())
+        explored += 1
+        if explored > budget:
+            raise BudgetExceededError(
+                f"exploration budget of {budget} vertex sets exceeded"
+            )
+        if w.bit_count() > small_cap:
+            sep = find_separation(g, k, w, parent=parent)
+            if sep is None:
+                return ExtractionResult(FOUND, frozenset(_bits(w)), None)
+            path.append((sep, []))
+            w, parent = sep.mask_a, sep
+            continue
+        node = DecompositionNode(w, LEAF_SMALL, None, ())
         while path:  # hand the finished node to the open nodes above it
             sep, children = path[-1]
             children.append(node)
@@ -142,7 +141,7 @@ def extract(
                 break
             path.pop()
             w = sep.mask_a | sep.mask_b
-            node = memo[w] = DecompositionNode(w, SEPARATED, sep, tuple(children))
+            node = DecompositionNode(w, SEPARATED, sep, tuple(children))
         else:
             return ExtractionResult(SEPARABLE, None, node)
 

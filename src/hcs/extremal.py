@@ -14,7 +14,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import Optional
 
-from .graphs import SimpleGraph
+from .bounds import _alt1_constants
+from .graphs import VERTEX_CAP, SimpleGraph
 from .extractor import SEPARABLE, extract, validate_decomposition
 
 # verify_extremal also runs extract on instances up to this size: (2,2) levels 0-6
@@ -76,9 +77,7 @@ def _split_parts(
     return first, second
 
 
-def build_extremal(
-    k: int, sigma_k: int, level: int, *, max_vertices: int = 100_000
-) -> ExtremalGraph:
+def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
     """Build the level-``level`` instance for parameters k and sigma_k = sigma*k."""
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -87,9 +86,9 @@ def build_extremal(
     if level < 0:
         raise ValueError("level must be non-negative")
     final_n = k + (1 << level) * sigma_k
-    if final_n > max_vertices:
+    if final_n > VERTEX_CAP:
         raise ValueError(
-            f"level {level} would need {final_n} vertices, above the cap {max_vertices}"
+            f"level {level} would need {final_n} vertices, above the cap {VERTEX_CAP}"
         )
     n = k + sigma_k
     edges = {(u, v) for u in range(n) for v in range(u + 1, n)}
@@ -252,13 +251,6 @@ def _extraction_check(e: ExtremalGraph) -> bool:
     return True
 
 
-def degree_rate_target(k: int, sigma_k: int) -> Fraction:
-    """The average-degree target delta*k - 2 with delta = 2 + sigma + 1/(3 sigma)."""
-    sigma = Fraction(sigma_k, k)
-    delta = 2 + sigma + Fraction(1, 3) / sigma
-    return delta * k - 2
-
-
 def verify_extremal(e: ExtremalGraph) -> ExtremalReport:
     """Re-verify every claimed property of a constructed instance."""
     _validate_structure(e)
@@ -293,7 +285,8 @@ def sharpness_rate(e: ExtremalGraph) -> tuple[Fraction, Fraction]:
     construction lost edges somewhere.
     """
     lhs = Fraction(2 * e.graph.edge_count, e.graph.n - e.k)
-    rhs = degree_rate_target(e.k, e.sigma_k) + 1 - Fraction(1, 3) / e.sigma
+    gamma, delta = _alt1_constants(e.sigma)
+    rhs = delta * e.k - 1 - gamma
     if lhs < rhs:
         raise ArithmeticError(f"rate {lhs} fell below the guaranteed {rhs}")
     return lhs, rhs

@@ -15,6 +15,9 @@ from typing import Iterable
 
 Edge = tuple[int, int]
 
+# the largest vertex count that build_extremal builds and graph_from_json_dict loads
+VERTEX_CAP = 100_000
+
 
 def _normalize_edge(u: int, v: int) -> Edge:
     if u == v:
@@ -75,13 +78,6 @@ class SimpleGraph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    def degree(self, v: int) -> int:
-        return self.adjacency_masks[v].bit_count()
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        m = self.adjacency_masks[v]
-        return frozenset(i for i in range(self.n) if m >> i & 1)
-
 
 def average_degree(g: SimpleGraph) -> Fraction:
     """Exact average degree 2e/v."""
@@ -109,9 +105,6 @@ class AnticliqueProfile:
     def square_sum(self) -> Fraction:
         return sum((s * s for s in self.sizes), Fraction(0))
 
-    def total(self) -> Fraction:
-        return sum(self.sizes, Fraction(0))
-
 
 EMPTY_PROFILE = AnticliqueProfile(())
 
@@ -134,6 +127,8 @@ def graph_from_json_dict(data: dict) -> SimpleGraph:
         raise ValueError("'edges' must be a list")
     if n < 0:
         raise ValueError("vertex count must be non-negative")
+    if n > VERTEX_CAP:
+        raise ValueError(f"graph has {n} vertices, above the cap {VERTEX_CAP}")
     # one pass checks, normalizes and range-checks each edge, so the graph is
     # built without SimpleGraph's own check
     pairs = set()

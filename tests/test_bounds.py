@@ -381,6 +381,18 @@ class TestObligationTables:
             ),
         }
 
+        def core_split(s):
+            # the depth-4 row with its first halved side (g/2)^2 moved to the core
+            # side of weight s, and the discount weight 1/4.3 moved to 1/(4.3 + s)
+            return lambda g: (
+                iterated_edge_bound(g, Fraction(1, 5), Fraction(3, 10), square_sum_2_3) - 2 * g
+                - (g / 2) ** 2 + core_side_edge_bound(g / 2, s, EMPTY_PROFILE) - g
+                + Fraction(2, 3) * (1 / Fraction(43, 10) - 1 / (Fraction(43, 10) + s))
+            )
+
+        iterated["alt3/base/g[2.04,2.08]"] = (core_split(Fraction(2, 5)), Fraction(1, 5), 4)
+        iterated["alt3/base/g[2.08,2.4]"] = (core_split(Fraction(7, 10)), Fraction(1, 5), 4)
+
         def medium(b):
             return core_side_edge_bound(b, 1, EMPTY_PROFILE) - 2 * b + Fraction(4, 45)
 
@@ -394,6 +406,23 @@ class TestObligationTables:
             assert medium(b) == _poly_eval(poly, b)
         assert lhs["alt3/induction/medium-side@b=1"] == medium(1)
         assert lhs["alt3/induction/medium-side@b=1.2"] == medium(Fraction(6, 5))
+
+    def test_alt3_least_delta(self):
+        # alt3/base/g[2.04,2.08] binds: it holds iff delta >= 2 + 5954167/5369280
+        binding = "alt3/base/g[2.04,2.08]"
+        least = 2 + Fraction(5954167, 5369280)
+
+        def margins(delta):
+            reports = verify_alternative(replace(get_alternative(3), delta=delta))
+            return {r.obligation_id: r.margin for r in reports}
+
+        at_least = margins(least)
+        assert at_least.pop(binding) == 0
+        assert all(m >= 0 for m in at_least.values())
+        below = margins(least - Fraction(1, 10**40))
+        assert below.pop(binding) < 0
+        assert all(m >= 0 for m in below.values())
+        assert margins(Fraction(3109, 1000))[binding] == Fraction(9113, 65800000)
 
     def test_alternative_1_passes(self):
         reports = verify_alternative(get_alternative(1))

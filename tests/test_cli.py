@@ -23,6 +23,7 @@ from hcs import (
 from hcs.bounds import reports_to_json, verify_all_bounds
 from hcs.cli import NOT_APPLICABLE_SATURATED, build_parser, rows_to_csv
 from hcs.extractor import result_to_json_dict
+from hcs.graphs import VERTEX_CAP
 from test_golden import relabelled
 
 
@@ -235,6 +236,23 @@ class TestDispatch:
         assert dispatch(["extract", "--in", str(source), "--k", "1", "--sigma", "1"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_construct_above_the_vertex_cap_exits_2(self, capsys, tmp_path):
+        # level 16 at k=2, sigma_k=2 would need 131074 vertices; nothing is built
+        out = tmp_path / "g.json"
+        args = ["construct", "--k", "2", "--sigma-k", "2", "--level", "16", "--out", str(out)]
+        assert dispatch(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(VERTEX_CAP) in err[0]
+        assert not out.exists()
+
+    def test_extract_above_the_vertex_cap_exits_2(self, capsys, tmp_path):
+        # the cap is checked before any per-vertex structure is allocated
+        source = tmp_path / "g.json"
+        source.write_text(json.dumps({"n": VERTEX_CAP + 1, "edges": []}))
+        assert dispatch(["extract", "--in", str(source), "--k", "1", "--sigma", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(VERTEX_CAP) in err[0]
 
     @pytest.mark.parametrize("key, edit", [
         pytest.param("level", lambda meta: meta["level"] + 0.9, id="level-float"),

@@ -106,7 +106,7 @@ class TestAgreementAndWitnesses:
         for _ in range(200):
             g = random_graph(rng, rng.randint(2, 14), rng.random())
             kappa = min_vertex_cut(g).kappa
-            assert kappa <= min(g.degree(v) for v in range(g.n))
+            assert kappa <= min(g.adjacency_masks[v].bit_count() for v in range(g.n))
 
     def test_named_families(self):
         # complete bipartite: kappa equals the smaller part

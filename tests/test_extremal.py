@@ -19,7 +19,8 @@ from hcs import (
     verify_extremal,
 )
 import hcs.extremal
-from hcs.extremal import ExtremalGraph, _split_parts, degree_rate_target
+from hcs.bounds import _alt1_constants
+from hcs.extremal import ExtremalGraph, _split_parts
 from hcs.connectivity import _is_connected
 from conftest import certificate_check_oracle, induced_subgraph, partition_check_oracle
 
@@ -69,7 +70,7 @@ class TestBuild:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            build_extremal(2, 2, 20, max_vertices=1000)
+            build_extremal(2, 2, 16)  # 131074 vertices, above VERTEX_CAP
 
 
 class TestVerify:
@@ -183,13 +184,16 @@ class TestSharpnessRate:
 
 
 class TestDegreeTarget:
+    # the average-degree target delta*k - 2 of alternative 1 at k = 2, sigma = 1
+    target = _alt1_constants(Fraction(1))[1] * 2 - 2
+
     def test_target_value(self):
-        assert degree_rate_target(2, 2) == Fraction(14, 3)
+        assert self.target == Fraction(14, 3)
 
     def test_first_level_for_k2_sigma1(self):
         # levels 0..2 stay below 14/3; the level-3 instance reaches 44/9
         degrees = [average_degree(build_extremal(2, 2, level).graph) for level in range(4)]
-        assert [d > degree_rate_target(2, 2) for d in degrees] == [False, False, False, True]
+        assert [d > self.target for d in degrees] == [False, False, False, True]
         assert degrees[3] == Fraction(44, 9)
 
 
