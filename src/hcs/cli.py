@@ -48,6 +48,7 @@ from .extremal import (
     verify_extremal,
 )
 from .graphs import (
+    VERTEX_CAP,
     SimpleGraph,
     average_degree,
     graph_from_json_dict,
@@ -82,6 +83,8 @@ class ExperimentConfig:
         lo, hi = self.n_range
         if lo > hi or lo < 1:
             raise ValueError("n_range must be a non-empty positive interval")
+        if hi > VERTEX_CAP:
+            raise ValueError(f"n_range goes up to {hi} vertices, above the cap {VERTEX_CAP}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
 

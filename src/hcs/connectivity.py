@@ -10,6 +10,28 @@ restricted to the classic dominating strategy: one minimum-degree vertex
 against all of its non-neighbors, then all non-adjacent pairs of its
 neighbors.
 
+Most of these flows are decided before they run (Menger's fan argument,
+as in Esfahanian–Hakimi's dominating-set test). For the loop's current
+source x, call a vertex z good when z is a neighbour of x or a pair (x, z)
+came earlier in the loop; then kappa(x, z) >= best for every good z,
+because best only falls and an earlier pair's flow either lowered best
+to its own value, found no cut below best, or was skipped by this rule.
+The flow of a pair (x, y) is skipped when y has at least best good
+neighbours, since then kappa(x, y) >= best:
+  - a set X of fewer than best vertices misses some good neighbour z of y,
+    so z is in y's component of W - X;
+  - if z is a neighbour of x, the path x-z-y avoids X;
+  - otherwise kappa(x, z) >= best > |X|, so x is in z's component too.
+So X does not separate x from y. A skipped pair could not have lowered
+the best cut, and the loop replaces it only on a strict drop, so the pair
+order, the first minimum cut and every output are those of the full loop.
+
+Each flow starts from the paths s-w-t through the common neighbours w of
+s and t, one unit each, which is the flow those augmenting paths would
+leave; when there are at least ``limit`` of them the flow is not run.
+Every maximum flow leaves the same residual-reachable set, so the
+separator read from it is unchanged.
+
 Once the best cut found is 2, only a 1-vertex cut could lower it, and a
 connected set has one exactly when it has a cut vertex. So the first time
 the best cut reaches 2, one depth-first search (Hopcroft–Tarjan low
@@ -252,9 +274,17 @@ def _st_vertex_cut(masks: tuple[int, ...], s: int, t: int, limit: int, alive: in
     out-nodes a search has reached. The first search that misses in(t) has
     reached the whole residual reachable set, and the separator is
     ``reach_in & ~reach_out``.
+
+    The flow starts with one unit on each path s-w-t through a common
+    neighbour w (``into[w] = s``), as a search along it would leave it.
+    Every maximum flow has the same residual reachable set, so the
+    separator does not depend on where the flow started.
     """
-    into: dict[int, int] = {}
-    for value in range(limit):
+    common = masks[s] & masks[t] & alive
+    if common.bit_count() >= limit:
+        return limit, None
+    into = dict.fromkeys(_bits(common), s)  # the flow of the paths s-w-t
+    for value in range(len(into), limit):
         reach_in, reach_out = 0, 1 << s
         came: dict[int, int] = {}  # in(w) was reached from out(came[w])
         went: dict[int, int] = {}  # out(x) was reached from in(went[x])
@@ -373,6 +403,12 @@ def _min_cut_capped(
     below 2, the first time the best cut is 2, whether from the degree or
     from a flow, ``_has_cut_vertex`` is asked once: without a cut vertex
     no flow can return 1.
+
+    ``good`` holds, for the current source x of the pair loop, x's
+    neighbours and every y already paired with x; a pair whose y has at
+    least ``best`` good neighbours cannot lower the best cut, so its flow
+    is skipped (see the module docstring). ``good`` starts afresh with
+    each source: a cut between x and z bounds nothing for another source.
     """
     alive = _vertex_mask(g, alive)
     n = alive.bit_count()
@@ -400,12 +436,17 @@ def _min_cut_capped(
         best_sep = frozenset(_bits(masks[s] & alive))
     if best <= floor or best == 2 and not _has_cut_vertex(masks, alive):
         return CutWitness(best, best_sep)
+    source, good = -1, 0
     for x, y in _dominating_pairs(masks, alive, s):
-        value, sep = _st_vertex_cut(masks, x, y, best, alive)
-        if value < best:
-            best, best_sep = value, sep
-            if best <= floor or best == 2 and not _has_cut_vertex(masks, alive):
-                break
+        if x != source:
+            source, good = x, masks[x] & alive
+        if (masks[y] & good).bit_count() < best:
+            value, sep = _st_vertex_cut(masks, x, y, best, alive)
+            if value < best:
+                best, best_sep = value, sep
+                if best <= floor or best == 2 and not _has_cut_vertex(masks, alive):
+                    break
+        good |= 1 << y
     return CutWitness(best, best_sep)
 
 

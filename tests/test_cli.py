@@ -254,6 +254,20 @@ class TestDispatch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(VERTEX_CAP) in err[0]
 
+    def test_experiment_above_the_vertex_cap_exits_2(self, capsys, monkeypatch):
+        # refused by the config, before any trial runs
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("hcs.cli.run_trial", no_trial)
+        args = ["experiment", "--trials", "1", "--k", "2", "--alt", "3", "--seed", "1",
+                "--n-min", "15", "--n-max", str(VERTEX_CAP + 1)]
+        assert dispatch(args) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(VERTEX_CAP) in err[0]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("key, edit", [
         pytest.param("level", lambda meta: meta["level"] + 0.9, id="level-float"),
         pytest.param("sigma_k", lambda meta: str(meta["sigma_k"]), id="sigma_k-string"),
@@ -333,6 +347,9 @@ class TestExperiment:
             ExperimentConfig(trials=1, k=2, n_range=(50, 15), alternative_id=3, seed=1)
         with pytest.raises(ValueError):
             ExperimentConfig(trials=1, k=0, n_range=(15, 50), alternative_id=3, seed=1)
+        with pytest.raises(ValueError, match=str(VERTEX_CAP)):
+            ExperimentConfig(trials=1, k=2, n_range=(15, VERTEX_CAP + 1), alternative_id=3, seed=1)
+        ExperimentConfig(trials=1, k=2, n_range=(15, VERTEX_CAP), alternative_id=3, seed=1)
 
     def test_golden_seeded_trial(self):
         cfg = ExperimentConfig(trials=1, k=2, n_range=(20, 20), alternative_id=3, seed=42)

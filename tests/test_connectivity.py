@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -121,6 +122,15 @@ class TestAgreementAndWitnesses:
         assert w.kappa == 1 and w.separator == {2}
         assert min_vertex_cut(SimpleGraph.cycle(4)).kappa == 2
 
+    def test_cut_through_the_least_degree_vertex(self):
+        # two 6-cliques joined through 0 and 1: vertex 0, of least degree 5,
+        # is in the only 2-cut, so only the flows of its neighbour pairs
+        # (2 or 3 against 8 or 9) find it
+        edges = [(0, v) for v in (1, 2, 3, 8, 9)] + [(1, v) for v in range(2, 14)]
+        edges += [e for part in (range(2, 8), range(8, 14)) for e in combinations(part, 2)]
+        w = min_vertex_cut(SimpleGraph.from_edges(14, edges))
+        assert w.kappa == 2 and w.separator == {0, 1}
+
     def test_matches_networkx_beyond_brute_force(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(120)
@@ -194,6 +204,59 @@ class TestStVertexCut:
         assert _st_vertex_cut(g.adjacency_masks, 6, 9, 16, full) == (3, frozenset({0, 1, 12}))
         assert _st_vertex_cut(g.adjacency_masks, 6, 9, 3, full) == (3, None)
 
+    def test_matches_networkx_on_the_split_network(self):
+        # each flow starts from the paths through common neighbours; the value
+        # must be min(kappa, limit) and the separator the vertices whose in-node
+        # but not out-node the source reaches in the residual network
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2020)
+        compared = seeded = 0
+        for _ in range(240):
+            n = rng.randint(5, 40)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.9))
+            masks = g.adjacency_masks
+            alive = rng.getrandbits(n) | rng.choice([0, (1 << n) - 1])
+            live = [v for v in range(n) if alive >> v & 1]
+            pairs = [(s, t) for s in live for t in live if s < t and not masks[s] >> t & 1]
+            if not pairs:
+                continue
+            s, t = rng.choice(pairs)
+            limit = rng.randint(1, len(live))
+            d = nx.DiGraph()
+            for v in live:
+                d.add_edge((v, "in"), (v, "out"), capacity=1)
+            for u, v in g.edges:
+                if alive >> u & 1 and alive >> v & 1:
+                    d.add_edge((u, "out"), (v, "in"))  # no capacity: unbounded
+                    d.add_edge((v, "out"), (u, "in"))
+            residual = nx.flow.edmonds_karp(d, (s, "out"), (t, "in"))
+            kappa = residual.graph["flow_value"]
+            value, sep = _st_vertex_cut(masks, s, t, limit, alive)
+            assert value == min(kappa, limit), (sorted(g.edges), alive, s, t, limit)
+            compared += 1
+            seeded += 0 < (masks[s] & masks[t] & alive).bit_count() < limit
+            if kappa >= limit:
+                assert sep is None
+                continue
+            ahead = {(s, "out")}
+            todo = [(s, "out")]
+            while todo:
+                x = todo.pop()
+                for y, arc in residual[x].items():
+                    if arc["flow"] < arc["capacity"] and y not in ahead:
+                        ahead.add(y)
+                        todo.append(y)
+            assert sep == {v for v in live if (v, "in") in ahead and (v, "out") not in ahead}
+        assert compared >= 200 and seeded >= 50
+
+    def test_common_neighbours_reach_the_limit(self):
+        # K(2,5): 0 and 1 share five neighbours, so five disjoint paths
+        g = SimpleGraph.from_edges(7, [(a, b) for a in range(2) for b in range(2, 7)])
+        full = (1 << 7) - 1
+        for limit in range(1, 6):
+            assert _st_vertex_cut(g.adjacency_masks, 0, 1, limit, full) == (limit, None)
+        assert _st_vertex_cut(g.adjacency_masks, 0, 1, 6, full) == (5, frozenset(range(2, 7)))
+
 
 class TestHasCutVertex:
     def test_matches_networkx(self):
@@ -241,7 +304,8 @@ class TestHasCutVertex:
 
 
 class TestFlowCount:
-    """Flows saved by the cut-vertex search and by the inherited bound."""
+    """Flows saved by the cut-vertex search, the inherited bound and the
+    skip of decided pairs."""
 
     @pytest.fixture
     def flows(self, monkeypatch):
@@ -274,6 +338,13 @@ class TestFlowCount:
         e = build_extremal(3, 3, 5)
         extract(relabelled(e.graph, 5), 3, e.sigma)
         assert len(flows) <= 260  # 519 without the bound
+
+    def test_decided_pairs_run_no_flow(self, flows):
+        # a pair (x, y) runs no flow when y has at least best neighbours that
+        # are neighbours of x or earlier partners of x
+        e = build_extremal(3, 3, 5)
+        extract(relabelled(e.graph, 5), 3, e.sigma)
+        assert len(flows) <= 140  # 204 when every pair runs its flow
 
 
 class TestIsK1Connected:

@@ -24,7 +24,14 @@ from hcs import (
     size_threshold,
     validate_decomposition,
 )
-from hcs.connectivity import _min_cut_capped, _side_degrees
+from hcs.connectivity import (
+    CutWitness,
+    _bits,
+    _dominating_pairs,
+    _min_cut_capped,
+    _side_degrees,
+    _st_vertex_cut,
+)
 from conftest import induced_subgraph, k1_connected_by_removal, random_graph
 
 
@@ -59,6 +66,60 @@ def test_mask_matches_induced_subgraph(case, k):
         ref_cut = _min_cut_capped(ind.graph, ind.graph.n)
         assert cut.kappa == ref_cut.kappa
         assert cut.separator == (None if ref_cut.separator is None else back(ref_cut.separator))
+
+
+@st.composite
+def split_at_a_low_vertex(draw):
+    """Two dense parts joined through vertex 0 and up to two vertices
+    adjacent to 0 and to most of both parts, relabelled at random. Vertex 0 has two or three
+    neighbours in each part, so it often has the least degree and lies in
+    every least cut, which then only a pair of its neighbours finds."""
+    a, b, c = draw(st.integers(5, 8)), draw(st.integers(5, 8)), draw(st.integers(0, 2))
+    n = 1 + c + a + b
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.floats(0.8, 1))
+    lo = 1 + c
+    edges = [(u + lo, v + lo) for u, v in random_graph(rng, a, p).edges]
+    edges += [(u + lo + a, v + lo + a) for u, v in random_graph(rng, b, p).edges]
+    for x in range(1, lo):
+        edges += [(0, x)] + [(x, v) for v in range(lo, n) if rng.random() < p]
+    edges += [(0, v) for v in rng.sample(range(lo, lo + a), draw(st.integers(2, 3)))]
+    edges += [(0, v) for v in rng.sample(range(lo + a, n), draw(st.integers(2, 3)))]
+    order = draw(st.permutations(range(n)))
+    g = SimpleGraph.from_edges(n, [(order[u], order[v]) for u, v in edges])
+    return g, (1 << n) - 1 if draw(st.booleans()) else draw(st.integers(0, (1 << n) - 1))
+
+
+def min_cut_every_pair(g: SimpleGraph, cap: int, alive: int) -> CutWitness:
+    """The capped minimum cut by a flow on every dominating pair, with no
+    pair skipped and no early stop, keeping the first strict drop."""
+    masks = g.adjacency_masks
+    n = alive.bit_count()
+    if n == 1:
+        return CutWitness(0, None)
+    live = _bits(alive)
+    degree = {v: (masks[v] & alive).bit_count() for v in live}
+    if all(d == n - 1 for d in degree.values()):
+        return CutWitness(min(n - 1, cap), None)
+    s = min(live, key=lambda v: (degree[v], v))
+    best, best_sep = degree[s], frozenset(_bits(masks[s] & alive))
+    if best >= cap:
+        best, best_sep = cap, None
+    for x, y in _dominating_pairs(masks, alive, s):
+        value, sep = _st_vertex_cut(masks, x, y, best, alive)
+        if value < best:
+            best, best_sep = value, sep
+    return CutWitness(best, best_sep)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(graph_and_mask(), split_at_a_low_vertex()), st.integers(1, 15))
+def test_skipped_flows_change_nothing(case, cap):
+    """Skipping the flows whose pair is already decided gives the cut of the
+    loop that runs them all."""
+    g, alive = case
+    if alive:
+        assert _min_cut_capped(g, cap, alive) == min_cut_every_pair(g, cap, alive)
 
 
 @st.composite
