@@ -6,7 +6,8 @@ from typing import Iterable, NamedTuple, Optional
 
 import pytest
 
-from hcs import CutWitness, OptimizationInstance, SimpleGraph, size_threshold
+from hcs import CutWitness, OptimizationInstance, SimpleGraph, density_threshold, get_alternative, size_threshold
+from hcs.cli import _threshold_edge_count
 
 
 def pytest_runtest_logreport(report):
@@ -33,6 +34,16 @@ def diamond() -> SimpleGraph:
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return SimpleGraph.from_edges(n, edges)
+
+
+def threshold_graph(rng: random.Random, n: int, alternative_id: int, k: int) -> SimpleGraph:
+    """A graph drawn as an experiment trial draws it: the first
+    ceil(n * threshold / 2) of all vertex pairs, shuffled, at the density
+    threshold of the alternative and k."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    threshold = density_threshold(get_alternative(alternative_id), k)
+    return SimpleGraph(n, frozenset(pairs[:_threshold_edge_count(n, threshold)]))
 
 
 def _adjacency_sets(g: SimpleGraph, vs: set[int]) -> dict[int, set[int]]:

@@ -334,6 +334,17 @@ def test_verify_bounds_under_python_optimize(tmp_path):
     assert json.loads(out.read_text()) == json.loads(json.dumps(reports_to_json(verify_all_bounds())))
 
 
+def test_experiment_under_python_optimize(tmp_path):
+    out = tmp_path / "rows.csv"
+    done = run_optimized("experiment", "--trials", "8", "--k", "3", "--alt", "3", "--seed", "5",
+                         "--n-min", "15", "--n-max", "50", "--csv", str(out))
+    assert done.returncode == 0, done.stderr
+    cfg = ExperimentConfig(trials=8, k=3, n_range=(15, 50), alternative_id=3, seed=5)
+    rows, ok = run_experiment(cfg)
+    assert ok and "8 found, 0 saturated, 8 trials: OK" in done.stdout
+    assert strip_elapsed(out.read_text()) == strip_elapsed(rows_to_csv(rows))
+
+
 def test_package_exports_no_submodules():
     assert not [name for name in hcs.__all__ if isinstance(getattr(hcs, name), ModuleType)]
     assert "extract" in hcs.__all__ and "connectivity" not in hcs.__all__

@@ -10,6 +10,7 @@ from hcs import (
     connectivity,
     extract,
     find_separation,
+    get_alternative,
     is_k1_connected,
     min_vertex_cut,
 )
@@ -20,7 +21,7 @@ from hcs.connectivity import (
     _is_connected,
     _st_vertex_cut,
 )
-from conftest import brute_force_min_cut, random_graph
+from conftest import brute_force_min_cut, random_graph, threshold_graph
 from test_golden import relabelled
 
 
@@ -150,11 +151,13 @@ class TestAgreementAndWitnesses:
                 assert removing_disconnects(g, w.separator)
 
 
-def splits(masks, alive: int, sep, s: int, t: int) -> bool:
-    """Whether removing sep from alive leaves s and t in different components."""
-    for v in sep:
-        alive &= ~(1 << v)
-    return not _component(masks, alive, 1 << s) >> t & 1
+def splits(masks, alive: int, sep: int, s: int, t: int) -> bool:
+    """Whether removing the bitmask sep from alive leaves s and t in different components."""
+    return not _component(masks, alive & ~sep, 1 << s) >> t & 1
+
+
+def mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
 
 
 class TestStVertexCut:
@@ -167,19 +170,19 @@ class TestStVertexCut:
             first = _st_vertex_cut(masks, s, t, g.n, full)
             assert _st_vertex_cut(masks, s, t, g.n, full) == first
             value, sep = first
-            assert len(sep) == value and s not in sep and t not in sep
+            assert sep.bit_count() == value and not (sep >> s | sep >> t) & 1
             assert splits(masks, full, sep, s, t)
 
     def test_capped_flow_reports_the_cap(self):
         # K6 without the edge 05: four disjoint 0-5 paths
         g = SimpleGraph.from_edges(6, [e for e in SimpleGraph.complete(6).edges if e != (0, 5)])
         assert _st_vertex_cut(g.adjacency_masks, 0, 5, 3, 0b111111) == (3, None)
-        assert _st_vertex_cut(g.adjacency_masks, 0, 5, 5, 0b111111) == (4, frozenset({1, 2, 3, 4}))
+        assert _st_vertex_cut(g.adjacency_masks, 0, 5, 5, 0b111111) == (4, mask({1, 2, 3, 4}))
 
     def test_on_a_vertex_mask(self):
         # K6 less the edge 05, without vertices 2 and 3: the cut is {1, 4}
         g = SimpleGraph.from_edges(6, [e for e in SimpleGraph.complete(6).edges if e != (0, 5)])
-        assert _st_vertex_cut(g.adjacency_masks, 0, 5, 6, 0b110011) == (2, frozenset({1, 4}))
+        assert _st_vertex_cut(g.adjacency_masks, 0, 5, 6, 0b110011) == (2, mask({1, 4}))
         # on random sets the separator names only live vertices, in graph ids
         rng = random.Random(31)
         g = random_graph(rng, 40, 0.2)
@@ -189,7 +192,7 @@ class TestStVertexCut:
             pairs = [(s, t) for s in live for t in live if s < t and (s, t) not in g.edges]
             s, t = rng.choice(pairs)
             value, sep = _st_vertex_cut(g.adjacency_masks, s, t, 40, alive)
-            assert len(sep) == value and sep <= set(live) - {s, t}
+            assert sep.bit_count() == value and set(_bits(sep)) <= set(live) - {s, t}
             assert splits(g.adjacency_masks, alive, sep, s, t)
 
     def test_flow_sent_back_through_a_vertex(self):
@@ -201,7 +204,7 @@ class TestStVertexCut:
             (7, 12), (9, 11), (9, 12), (9, 13), (10, 15), (11, 12), (12, 15), (13, 14),
         ])
         full = (1 << 16) - 1
-        assert _st_vertex_cut(g.adjacency_masks, 6, 9, 16, full) == (3, frozenset({0, 1, 12}))
+        assert _st_vertex_cut(g.adjacency_masks, 6, 9, 16, full) == (3, mask({0, 1, 12}))
         assert _st_vertex_cut(g.adjacency_masks, 6, 9, 3, full) == (3, None)
 
     def test_matches_networkx_on_the_split_network(self):
@@ -246,7 +249,7 @@ class TestStVertexCut:
                     if arc["flow"] < arc["capacity"] and y not in ahead:
                         ahead.add(y)
                         todo.append(y)
-            assert sep == {v for v in live if (v, "in") in ahead and (v, "out") not in ahead}
+            assert set(_bits(sep)) == {v for v in live if (v, "in") in ahead and (v, "out") not in ahead}
         assert compared >= 200 and seeded >= 50
 
     def test_common_neighbours_reach_the_limit(self):
@@ -255,7 +258,7 @@ class TestStVertexCut:
         full = (1 << 7) - 1
         for limit in range(1, 6):
             assert _st_vertex_cut(g.adjacency_masks, 0, 1, limit, full) == (limit, None)
-        assert _st_vertex_cut(g.adjacency_masks, 0, 1, 6, full) == (5, frozenset(range(2, 7)))
+        assert _st_vertex_cut(g.adjacency_masks, 0, 1, 6, full) == (5, mask(range(2, 7)))
 
 
 class TestHasCutVertex:
@@ -345,6 +348,16 @@ class TestFlowCount:
         e = build_extremal(3, 3, 5)
         extract(relabelled(e.graph, 5), 3, e.sigma)
         assert len(flows) <= 140  # 204 when every pair runs its flow
+
+    def test_closure_decides_the_certifying_pairs(self, flows):
+        # a graph at the k=3 alt3 density threshold, drawn as an experiment
+        # trial draws it; certifying its FOUND set, a pair (x, y) runs no
+        # flow when y joins the closure of x's good vertices
+        g = threshold_graph(random.Random(2), 50, 3, 3)
+        found = extract(g, 3, get_alternative(3).sigma).subgraph
+        flows.clear()
+        assert is_k1_connected(g, 3, mask(found)) and len(found) == 49
+        assert len(flows) <= 5  # 22 when each y is tested only when the loop reaches it
 
 
 class TestIsK1Connected:
