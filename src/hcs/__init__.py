@@ -24,7 +24,6 @@ from .extractor import (
     LEAF_SMALL,
     SEPARABLE,
     SEPARATED,
-    BudgetExceededError,
     DecompositionNode,
     ExtractionResult,
     extract,

@@ -18,7 +18,7 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .extractor import SEPARABLE, extract
-from .field import Surd, sqrt
+from .field import Surd, _exact, sqrt
 from .graphs import AnticliqueProfile, SimpleGraph
 
 
@@ -57,11 +57,14 @@ def _alt1_constants(sigma) -> tuple:
 
 
 def alternative_1(sigma=None) -> ParameterAlternative:
-    """Family with sigma >= (sqrt(2)+1)/sqrt(3); defaults to the boundary value."""
+    """Family with sigma >= (sqrt(2)+1)/sqrt(3); defaults to the boundary value.
+
+    A float sigma is read as the decimal it prints as, so 1.4 is 7/5.
+    """
     smin = (sqrt(2) + 1) / sqrt(3)
     if sigma is None:
         sigma = smin
-    s = sigma if isinstance(sigma, Surd) else Fraction(sigma)
+    s = _exact(sigma)
     if s < smin:
         raise ValueError("alternative 1 needs sigma >= (sqrt(2)+1)/sqrt(3)")
     gamma, delta = _alt1_constants(s)
@@ -121,12 +124,15 @@ def split_objective(inst: OptimizationInstance, x: float, xs: Sequence[float]) -
     return x * x - q + (inst.z - x) * (inst.z - x) - qz
 
 
-def split_is_feasible(inst: OptimizationInstance, x: float, xs: Sequence[float], slack: float = 1e-12) -> bool:
-    if not (inst.tau - slack <= x <= inst.z / 2 + slack):
+_SLACK = 1e-12  # float rounding allowed in each constraint of a split
+
+
+def split_is_feasible(inst: OptimizationInstance, x: float, xs: Sequence[float]) -> bool:
+    if not (inst.tau - _SLACK <= x <= inst.z / 2 + _SLACK):
         return False
-    if math.sqrt(sum(v * v for v in xs)) > x + slack:
+    if math.sqrt(sum(v * v for v in xs)) > x + _SLACK:
         return False
-    if math.sqrt(sum((z - v) ** 2 for z, v in zip(inst.zs, xs))) > inst.z - x + slack:
+    if math.sqrt(sum((z - v) ** 2 for z, v in zip(inst.zs, xs))) > inst.z - x + _SLACK:
         return False
     return True
 

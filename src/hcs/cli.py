@@ -8,7 +8,7 @@ Subcommands:
   certify        re-verify a constructed instance from its JSON file
 
 Exit codes: 0 all passed, 1 a failed verdict, 2 a usage or resource error
-(bad arguments or input, or out of search budget, stack depth or memory).
+(bad arguments or input, stack depth or memory).
 The environment variable HCS_LOG in {quiet, info, debug} controls
 logging verbosity.
 """
@@ -39,7 +39,7 @@ from .bounds import (
     verify_all_bounds,
     verify_alternative,
 )
-from .extractor import FOUND, BudgetExceededError, extract, write_result_json
+from .extractor import FOUND, extract, write_result_json
 from .extremal import (
     build_extremal,
     extremal_from_json_dict,
@@ -346,7 +346,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

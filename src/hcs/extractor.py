@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, TextIO, Union
 
 from .connectivity import Separation, _bits, _members, find_separation
-from .field import Surd
+from .field import Surd, _exact
 from .graphs import SimpleGraph
 
 FOUND = "FOUND"
@@ -35,19 +35,14 @@ LEAF_SMALL = "LEAF_SMALL"
 SigmaLike = Union[int, float, Fraction, Surd]
 
 
-class BudgetExceededError(RuntimeError):
-    """Raised when exploration would exceed its vertex-set budget.
-
-    This is a resource refusal, never a verdict: callers get no FOUND or
-    SEPARABLE answer when it is raised.
-    """
-
-
 def size_threshold(k: int, sigma: SigmaLike) -> int:
-    """floor((1 + sigma) k): subgraphs must have more vertices than this."""
+    """floor((1 + sigma) k): subgraphs must have more vertices than this.
+
+    A float sigma is read as the decimal it prints as, so 0.3 is 3/10.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    s = Surd(sigma)
+    s = Surd(_exact(sigma))
     if s <= 0:
         raise ValueError("sigma must be positive")
     return math.floor((1 + s) * k)
@@ -83,24 +78,22 @@ class ExtractionResult:
     tree: Optional[DecompositionNode]
 
 
-def extract(
-    g: SimpleGraph,
-    k: int,
-    sigma: SigmaLike,
-    *,
-    budget: int = 10**6,
-) -> ExtractionResult:
+def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
     """Find a (k+1)-connected induced subgraph on more than (1+sigma)k vertices.
 
     Returns FOUND with the vertex set, or SEPARABLE with a decomposition
     tree whose separations certify that no such subgraph exists. Both
     sides of every separation are explored, side A first, and the search
-    ends at the first FOUND; exceeding the budget raises
-    BudgetExceededError. No set is explored twice: every side has more
+    ends at the first FOUND. No set is explored twice: every side has more
     than k vertices, and two subtrees of one node meet only in its k-vertex
     core, so there is nothing to memoize. The walk keeps its
     path on an explicit stack, so the depth of the tree is not bounded by
     the interpreter's recursion limit.
+
+    The search visits at most max(1, 2(n - k) - 1) vertex sets: a split of
+    W into sides A and B with a k-vertex core has |A| - k + |B| - k =
+    |W| - k, and both terms are at least 1, so a tree over n > k vertices
+    has at most n - k leaves.
 
     A FOUND set is certified once, by the search itself: ``find_separation``
     returns None on a set of more than k+1 vertices only when its capped
@@ -114,17 +107,11 @@ def extract(
     threshold = size_threshold(k, sigma)
     # sets of at most k+1 vertices cannot host a (k+1)-connected subgraph either
     small_cap = max(threshold, k + 1)
-    explored = 0
     # each open SEPARATED node: its separation, whose sides cover its vertex
     # set, and the children finished so far
     path: list[tuple[Separation, list[DecompositionNode]]] = []
     w, parent = (1 << g.n) - 1, None
     while True:
-        explored += 1
-        if explored > budget:
-            raise BudgetExceededError(
-                f"exploration budget of {budget} vertex sets exceeded"
-            )
         if w.bit_count() > small_cap:
             sep = find_separation(g, k, w, parent=parent)
             if sep is None:

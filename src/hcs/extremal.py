@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .bounds import _alt1_constants
-from .graphs import VERTEX_CAP, SimpleGraph
+from .graphs import VERTEX_CAP, SimpleGraph, _is_int, graph_from_json_dict, graph_to_json_dict
 from .extractor import SEPARABLE, extract, validate_decomposition
 
 # verify_extremal also runs extract on instances up to this size: (2,2) levels 0-6
@@ -295,8 +295,6 @@ def sharpness_rate(e: ExtremalGraph) -> tuple[Fraction, Fraction]:
 # --- serialization --------------------------------------------------------------
 
 def extremal_to_json_dict(e: ExtremalGraph) -> dict:
-    from .graphs import graph_to_json_dict
-
     return {
         "graph": graph_to_json_dict(e.graph),
         "metadata": {
@@ -311,8 +309,6 @@ def extremal_to_json_dict(e: ExtremalGraph) -> dict:
 
 def extremal_from_json_dict(data: dict) -> ExtremalGraph:
     """Load an instance; every number must be a JSON integer, every set a list."""
-    from .graphs import _is_int, graph_from_json_dict
-
     try:
         graph = graph_from_json_dict(data["graph"])
         meta = data["metadata"]

@@ -231,6 +231,13 @@ def _rational(q: int | Fraction) -> Surd:
     return x
 
 
+def _exact(x) -> Surd | Fraction:
+    """x as a Surd or a Fraction; a float is read as the decimal it prints as."""
+    if isinstance(x, Surd):
+        return x
+    return Fraction(repr(float(x))) if isinstance(x, float) else Fraction(x)
+
+
 def _coerce(x) -> Surd | None:
     if isinstance(x, Surd):
         return x

@@ -156,8 +156,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def graph_to_dot(g: SimpleGraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: SimpleGraph) -> str:
+    lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f"  {v};")
     for u, v in sorted(g.edges):

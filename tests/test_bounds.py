@@ -51,6 +51,8 @@ class TestParameterAlternatives:
         alt = alternative_1(sigma=2)
         assert (alt.sigma, alt.gamma, alt.delta) == (2, Fraction(1, 6), Fraction(25, 6))
         assert all(type(x) is Fraction for x in (alt.sigma, alt.gamma, alt.delta))
+        # a float is read as the decimal it prints as
+        assert alternative_1(sigma=1.4).sigma == Fraction(7, 5)
 
     def test_alt1_field_sigma(self):
         alt = alternative_1(sigma=sqrt(3))

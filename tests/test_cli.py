@@ -10,7 +10,6 @@ import pytest
 
 import hcs
 from hcs import (
-    BudgetExceededError,
     ExperimentConfig,
     SimpleGraph,
     build_extremal,
@@ -208,7 +207,6 @@ class TestDispatch:
         assert result_path.stat().st_size < 1_000_000
 
     @pytest.mark.parametrize("error", [
-        BudgetExceededError("exploration budget of 3 vertex sets exceeded"),
         RecursionError("maximum recursion depth exceeded"),
         MemoryError(),
     ])

@@ -12,7 +12,6 @@ from hcs import (
     LEAF_SMALL,
     SEPARABLE,
     SEPARATED,
-    BudgetExceededError,
     SimpleGraph,
     average_degree,
     build_extremal,
@@ -39,6 +38,15 @@ def tree_depth(root, children) -> int:
     return depth
 
 
+def tree_size(root, children) -> int:
+    """Nodes of a tree, walked without recursion."""
+    size, stack = 0, [root]
+    while stack:
+        size += 1
+        stack.extend(children(stack.pop()))
+    return size
+
+
 def streamed(result) -> dict:
     buf = io.StringIO()
     write_result_json(result, buf)
@@ -59,6 +67,9 @@ class TestSizeThreshold:
 
     def test_float_accepted(self):
         assert size_threshold(2, 0.2) == 2
+        # read as 3/10, as the CLI reads --sigma 0.3; the binary float is below it
+        assert size_threshold(10, 0.3) == 13
+        assert extract(SimpleGraph.complete(13), 10, 0.3).outcome == SEPARABLE
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -146,6 +157,8 @@ class TestExtract:
             sys.setrecursionlimit(limit)
         assert res.outcome == SEPARABLE
         assert tree_depth(res.tree, lambda node: node.children) == 1199
+        # max(1, 2(n - k) - 1) bounds every search; a path meets it
+        assert tree_size(res.tree, lambda node: node.children) == 2397
         assert data["tree"]["vertices"] == list(range(1200))
         assert tree_depth(data["tree"], lambda node: node.get("children", ())) == 1199
 
@@ -182,11 +195,6 @@ class TestExtract:
         for bad, message in cases:
             with pytest.raises(ValueError, match=message):
                 validate_decomposition(g, 2, Fraction(1, 5), bad)
-
-    def test_budget_error(self):
-        g = SimpleGraph.cycle(12)
-        with pytest.raises(BudgetExceededError):
-            extract(g, 2, Fraction(1, 5), budget=3)
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,7 @@ from hcs.connectivity import (
     _st_vertex_cut,
 )
 from conftest import induced_subgraph, k1_connected_by_removal, random_graph, threshold_graph
+from test_extractor import tree_size
 
 
 @st.composite
@@ -164,6 +165,7 @@ def test_extract_answers_check_out(g, k, sigma):
     else:
         assert res.tree.vertices == frozenset(range(g.n))
         validate_decomposition(g, k, sigma, res.tree)
+        assert tree_size(res.tree, lambda node: node.children) <= max(1, 2 * (g.n - k) - 1)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
