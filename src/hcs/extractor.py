@@ -11,7 +11,10 @@ Trees of unbalanced separations, such as those of long paths and of the
 extremal graphs, are about as deep as the graph has vertices. So the
 search, the tree check and both JSON writers walk the tree on explicit
 stacks, never by recursion, and vertex sets become frozensets or sorted
-lists only at the public API and in JSON.
+lists only at the public API and in JSON. The nested JSON of such a tree
+holds about n^2 ids, so the streaming writer cuts a large side's list out
+of its parent's list text by deleting the few ids the side lacks: its
+Python work follows the peeled parts, not the output's size.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, TextIO, Union
 
 from .connectivity import Separation, _bits, _members, find_separation
-from .field import Surd, _exact
+from .field import Surd
 from .graphs import SimpleGraph
 
 FOUND = "FOUND"
@@ -42,7 +45,7 @@ def size_threshold(k: int, sigma: SigmaLike) -> int:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    s = Surd(_exact(sigma))
+    s = Surd(sigma)
     if s <= 0:
         raise ValueError("sigma must be positive")
     return math.floor((1 + s) * k)
@@ -188,11 +191,52 @@ def _json_list(mask: int, names: list[str]) -> str:
     return "[" + ",".join(_members(mask, names)) + "]"
 
 
+# A side's list is cut out of its parent's list text when the ids it lacks
+# number at most 1/_DELETE_RATIO of the ids it keeps; otherwise it is encoded.
+# A deleted id costs about 1.5 us (a bit loop over a mask as wide as the
+# graph, and the search), an encoded id about 40 ns. Measured with Python
+# 3.11 on a 2-CPU machine, with every id of the graph in the parent list and
+# the deleted ids drawn at random: deleting 4 of 300 ids took 4 us against
+# 14 us for encoding the rest, 31 of 2,000 took 53 us against 78 us, 312 of
+# 20,000 took 0.85 ms against 0.81 ms, and 62 of 2,000 took 92 us against
+# 74 us.
+_DELETE_RATIO = 64
+
+
+def _without(text: str, names: list[str]) -> str:
+    """The JSON id list ``text`` less the ids ``names``, which it holds in the same order.
+
+    Ids are ascending and have no leading zeros, so an id is a prefix only of
+    larger ids: the first match of "," + id after the previous cut is the id
+    itself, unless it is the first id left, which starts the text there.
+    Each search runs in C from the previous cut on, and only the kept text
+    is copied.
+    """
+    pieces, start = ["["], 1  # text[start:] is not copied yet
+    for name in names:
+        if text.startswith(name, start):  # the first id left: drop it and the comma after it
+            start += len(name) + 1
+        else:
+            cut = text.index("," + name, start)
+            pieces.append(text[start:cut])
+            start = cut + 1 + len(name)
+    pieces.append(text[start:])
+    return "".join(pieces)
+
+
+def _side_text(side: int, other: int, parent_text: str, names: list[str]) -> str:
+    """The JSON list of side; parent_text lists side | other."""
+    lacks = other & ~side
+    if lacks.bit_count() * _DELETE_RATIO <= side.bit_count():
+        return _without(parent_text, _members(lacks, names))
+    return _json_list(side, names)
+
+
 def write_result_json(result: ExtractionResult, fh: TextIO) -> None:
     """Write ``result_to_json_dict(result)`` to fh as compact JSON.
 
     The text is written piece by piece, so the whole document is never
-    held in memory, and a node's vertex list is encoded once: a child's
+    held in memory, and a node's vertex list is built once: a child's
     ``vertices`` is the side of its parent's separation that it holds.
     """
     if result.outcome == FOUND:
@@ -201,7 +245,7 @@ def write_result_json(result: ExtractionResult, fh: TextIO) -> None:
     root = result.tree
     names = list(map(str, range(root.mask.bit_length())))
     fh.write('{"outcome":"SEPARABLE","tree":')
-    # items are either text to write or (node, its encoded vertex list)
+    # items are either text to write or (node, its vertex list text)
     stack: list = [(root, _json_list(root.mask, names))]
     while stack:
         item = stack.pop()
@@ -209,14 +253,15 @@ def write_result_json(result: ExtractionResult, fh: TextIO) -> None:
             fh.write(item)
             continue
         node, vertices = item
-        fh.write(f'{{"vertices":{vertices},"kind":{json.dumps(node.kind)}')
+        fh.writelines(('{"vertices":', vertices, ',"kind":"', node.kind, '"'))
         sep = node.separation
         if sep is None:
             fh.write("}")
             continue
-        side_a, side_b = _json_list(sep.mask_a, names), _json_list(sep.mask_b, names)
-        core = _json_list(sep.mask_a & sep.mask_b, names)
-        fh.write(f',"separation":{{"side_a":{side_a},"side_b":{side_b},"core":{core}}},"children":[')
+        a, b = sep.mask_a, sep.mask_b
+        side_a, side_b = _side_text(a, b, vertices, names), _side_text(b, a, vertices, names)
+        fh.writelines((',"separation":{"side_a":', side_a, ',"side_b":', side_b, ',"core":',
+                       _json_list(a & b, names), '},"children":['))
         left, right = node.children
         stack += ["]}", (right, side_b), ",", (left, side_a)]
     fh.write("}")

@@ -27,9 +27,12 @@ class Surd:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, value=0) -> None:
-        """The element equal to value: a Surd, or anything Fraction accepts."""
+        """The element equal to value: a Surd, or anything Fraction accepts.
+
+        A float is read as the decimal it prints as, so Surd(0.3) is 3/10.
+        """
         if not isinstance(value, Surd):
-            value = _rational(Fraction(value))
+            value = _rational(_exact(value))
         self._nums: dict[int, int] = value._nums  # basis mask -> non-zero numerator
         self._den: int = value._den
 
@@ -247,8 +250,11 @@ def _coerce(x) -> Surd | None:
 
 
 def sqrt(q) -> Surd:
-    """The square root of a non-negative rational q, which must lie in the field."""
-    q = Fraction(q)
+    """The square root of a non-negative rational q, which must lie in the field.
+
+    A float is read as the decimal it prints as, so sqrt(0.3) is sqrt(3/10).
+    """
+    q = Fraction(_exact(q))
     if q < 0:
         raise ValueError(f"square root of the negative value {q}")
     n = q.numerator * q.denominator  # sqrt(q) = sqrt(n) / q.denominator

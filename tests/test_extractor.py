@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import sys
 from dataclasses import replace
@@ -23,7 +24,7 @@ from hcs import (
     validate_decomposition,
 )
 from hcs.extractor import result_to_json_dict, write_result_json
-from hcs.field import sqrt
+from hcs.field import Surd, sqrt
 from conftest import brute_force_hcs, induced_subgraph, k1_connected_by_removal, random_graph
 from test_golden import EXTREMAL, case_ids, digest, relabelled
 
@@ -53,6 +54,35 @@ def streamed(result) -> dict:
     return json.loads(buf.getvalue())
 
 
+def assert_written_as_dumped(result) -> None:
+    """write_result_json's text is the compact json.dumps of the result's dict, byte for byte."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))  # json.dumps recurses once per level
+    try:
+        expected = json.dumps(result_to_json_dict(result), separators=(",", ":"))
+    finally:
+        sys.setrecursionlimit(limit)
+    buf = io.StringIO()
+    write_result_json(result, buf)
+    text = buf.getvalue()
+    if text != expected:  # name the first difference; a diff of megabytes takes minutes
+        at = len(os.path.commonprefix([text, expected]))
+        pytest.fail(f"texts differ at {at}: {text[at - 30:at + 30]!r} against {expected[at - 30:at + 30]!r}")
+
+
+def triangle_chain(m: int) -> SimpleGraph:
+    """m triangles in a row, each sharing one vertex with the next.
+
+    Triangle i is x_i y_i x_{i+1}, with x_i = m + i and y_i = m - 1 - i, so
+    at k = 1 each separation peels the last triangle's y and x, which are
+    the lowest and the highest id of the vertex set it splits.
+    """
+    edges = []
+    for i in range(m):
+        edges += [(m + i, m - 1 - i), (m - 1 - i, m + i + 1), (m + i, m + i + 1)]
+    return SimpleGraph.from_edges(2 * m + 1, edges)
+
+
 class TestSizeThreshold:
     def test_exact_rational(self):
         assert size_threshold(2, Fraction(1, 5)) == 2
@@ -70,6 +100,12 @@ class TestSizeThreshold:
         # read as 3/10, as the CLI reads --sigma 0.3; the binary float is below it
         assert size_threshold(10, 0.3) == 13
         assert extract(SimpleGraph.complete(13), 10, 0.3).outcome == SEPARABLE
+
+    def test_float_read_exactly_by_the_field(self):
+        # Surd and sqrt read a float as size_threshold does, as its decimal
+        assert Surd(0.3) == Fraction(3, 10)
+        assert size_threshold(10, Surd(0.3)) == 13
+        assert sqrt(0.3) == sqrt(Fraction(3, 10))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -330,3 +366,32 @@ class TestSerialization:
                     outcomes.add(res.outcome)
                     assert streamed(res) == result_to_json_dict(res)
         assert outcomes == {FOUND, SEPARABLE}
+
+    @pytest.mark.parametrize("case", ["path", "relabelled path", "triangle chain"])
+    def test_written_text_is_dumped_text_long_trees(self, case):
+        # ids cross 9 -> 10, 99 -> 100 and 999 -> 1000; the path peels the
+        # first id of each set, the triangle chain its first and last ids
+        g, k, sigma = {
+            "path": (SimpleGraph.path(1200), 1, 1),
+            "relabelled path": (relabelled(SimpleGraph.path(1200), 0), 1, 1),
+            "triangle chain": (triangle_chain(600), 1, 3),
+        }[case]
+        res = extract(g, k, sigma)
+        assert res.outcome == SEPARABLE
+        if case == "triangle chain":  # the root peels its lowest and its highest id
+            assert res.tree.separation.mask_a & ~res.tree.separation.mask_b == 1 | 1 << 1200
+        assert_written_as_dumped(res)
+
+    @pytest.mark.parametrize("params", sorted(EXTREMAL), ids=case_ids(EXTREMAL))
+    def test_written_text_is_dumped_text_extremal(self, params):
+        k, sigma_k, level = params
+        e = build_extremal(k, sigma_k, level)
+        assert_written_as_dumped(extract(relabelled(e.graph, level), k, e.sigma))
+
+    def test_written_text_is_dumped_text_random(self):
+        rng = random.Random(2718)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(8, 30), rng.choice([0.2, 0.35, 0.5, 0.7]))
+            for k in (2, 3):
+                for sigma in (Fraction(1, 5), Fraction(1)):
+                    assert_written_as_dumped(extract(g, k, sigma))
