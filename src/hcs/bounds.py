@@ -279,10 +279,6 @@ class BoundReport:
     margin: Fraction | Surd
     verdict: str  # PASS | FAIL | NOT_APPLICABLE
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict != "FAIL"
-
 
 def _fmt(x) -> str:
     return f"{float(x):.12g}"

@@ -9,8 +9,6 @@ Subcommands:
 
 Exit codes: 0 all passed, 1 a failed verdict, 2 a usage or resource error
 (bad arguments or input, stack depth or memory).
-The environment variable HCS_LOG in {quiet, info, debug} controls
-logging verbosity.
 """
 
 from __future__ import annotations
@@ -20,9 +18,7 @@ import csv
 import functools
 import io
 import json
-import logging
 import math
-import os
 import random
 import sys
 import time
@@ -54,16 +50,6 @@ from .graphs import (
     graph_from_json_dict,
     graph_to_dot,
 )
-
-log = logging.getLogger("hcs")
-
-_LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
-
-
-def _setup_logging() -> None:
-    level = _LOG_LEVELS.get(os.environ.get("HCS_LOG", "info"), logging.INFO)
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -174,11 +160,7 @@ def _cmd_construct(args) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graph_to_dot(e.graph))
-    lhs, rhs = sharpness_rate(e)
-    log.info(
-        "constructed level-%d instance: %d vertices, %d edges, rate %s >= %s",
-        e.level, e.graph.n, e.graph.edge_count, lhs, rhs,
-    )
+    sharpness_rate(e)  # raises if the construction lost edges
     print(f"wrote {args.out}: n={e.graph.n} e={e.graph.edge_count}")
     return 0
 
@@ -204,7 +186,6 @@ def _cmd_extract(args) -> int:
     else:
         write_result_json(result, sys.stdout)
         sys.stdout.write("\n")
-    log.info("extraction outcome: %s", result.outcome)
     return 0
 
 
@@ -335,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv and run the chosen subcommand; returns the exit code."""
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -31,9 +31,7 @@ looked at again, and every neighbour of the good set once best falls. x
 itself may join the good set, which adds nothing: its neighbours are good
 already. A skipped pair could not have lowered the best cut, and the loop
 replaces it only on a strict drop, so the pair order, the first minimum
-cut and every output are those of the full loop. On one round of the
-density-trials benchmark workload the flows fell from 4,208 (every pair)
-and 1,834 (each y tested once, when the loop reaches it) to 659.
+cut and every output are those of the full loop.
 
 Each flow starts from the paths s-w-t through the common neighbours w of
 s and t, one unit each, which is the flow those augmenting paths would
@@ -72,9 +70,9 @@ had in W, and only the k core vertices change degree. The degree classes
 of a set (each degree mapped to the bitmask of its vertices) are counted
 in one pass at the root and then carried down: a side's classes are its
 parent's restricted to the side's private part, plus the k core vertices
-counted again. The minimum degree, its lowest-numbered vertex and
-completeness (the degrees sum to n(n-1)) are read from the classes, with
-no pass over the set.
+counted again. The minimum degree and its lowest-numbered vertex are
+read from the classes, with no pass over the set, and the set is complete
+exactly when its minimum degree is n - 1.
 
 The kernel works on one graph and a vertex set given as a bitmask over
 it (``alive``, all of the graph by default). Separators are bitmasks in
@@ -424,9 +422,10 @@ def _min_cut_capped(
     true connectivity may then be larger).
 
     ``degrees`` are the degree classes of alive (``_degree_classes``),
-    counted here when None. They give the minimum degree, the
-    lowest-numbered vertex s of that degree, and completeness (the degrees
-    sum to n(n-1)) without a pass over the set.
+    counted here when None. They give the minimum degree and the
+    lowest-numbered vertex s of that degree without a pass over the set;
+    the set is complete exactly when the minimum degree is n - 1, which
+    covers a single vertex (degree 0).
 
     The best cut starts at the minimum degree (or cap) and drops only when
     a flow returns less, so the loop may stop as soon as the best cut
@@ -454,19 +453,17 @@ def _min_cut_capped(
     n = alive.bit_count()
     if n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
-    if n == 1:
-        return 0, None
     masks = g.adjacency_masks
     if degrees is None:
         degrees = _degree_classes(masks, alive)
-    if sum(d * members.bit_count() for d, members in degrees.items()) == n * (n - 1):
-        return min(n - 1, cap), None
+    best = min(degrees)
+    if best == n - 1:
+        return min(best, cap), None
     floor = 0 if inherited is None else _inherited_floor(masks, alive, *inherited)
     if floor == 0:
         if not _is_connected(masks, alive):
             return 0, 0
         floor = 1
-    best = min(degrees)
     low = degrees[best]
     s = (low & -low).bit_length() - 1
     best_sep: Optional[int] = None
@@ -501,18 +498,17 @@ def _min_cut_capped(
 
 def min_vertex_cut(g: SimpleGraph) -> CutWitness:
     """Exact vertex connectivity with a minimum-separator witness."""
-    kappa, sep = _min_cut_capped(g, g.n if g.n else 1)
+    kappa, sep = _min_cut_capped(g, g.n)
     return CutWitness(kappa, None if sep is None else frozenset(_bits(sep)))
 
 
 def is_k1_connected(g: SimpleGraph, k: int, alive: Optional[int] = None) -> bool:
-    """Whether g on alive is (k+1)-connected: at least k+2 vertices and kappa >= k+1."""
+    """Whether g on alive is (k+1)-connected: at least k+2 vertices and no
+    separation with a k-vertex core (``find_separation`` finds none)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     alive = _vertex_mask(g, alive)
-    if alive.bit_count() < k + 2:
-        return False
-    return _min_cut_capped(g, k + 1, alive)[0] >= k + 1
+    return alive.bit_count() >= k + 2 and find_separation(g, k, alive) is None
 
 
 def find_separation(
@@ -522,9 +518,11 @@ def find_separation(
 
     Exists iff the set has at least k+2 vertices and kappa <= k. A minimum
     separator is padded up to k vertices by repeatedly moving the
-    lowest-indexed private vertex of the currently larger side into the
-    core (ties prefer side A); moves that would empty a private side are
-    redirected to the other side. Side A grows from the component, after
+    lowest-indexed vertex of the larger private part into the core (ties
+    go to side A). The move never empties a private part: it happens only
+    while the core has fewer than k vertices, so the private parts of the
+    k+2 or more vertices hold at least 3 between them and the larger holds
+    at least 2. Side A grows from the component, after
     the separator is removed, that holds the lowest vertex left; only that
     one component is searched. The separation's ``kappa`` is the set's
     exact connectivity, which is below the cap k+1, and its ``degrees``
@@ -556,7 +554,7 @@ def find_separation(
     if degrees is None:
         degrees = _degree_classes(masks, alive)
     kappa, core = _min_cut_capped(g, k + 1, alive, inherited, degrees)
-    if kappa > k or core is None:
+    if kappa > k:
         return None
     rest = alive & ~core
     comp = _component(masks, rest, rest & -rest)
@@ -565,12 +563,7 @@ def find_separation(
     side_a, side_b = comp | core, alive & ~comp
     for _ in range(k - kappa):
         priv_a, priv_b = side_a & ~side_b, side_b & ~side_a
-        prefer_a = side_a.bit_count() >= side_b.bit_count()
-        if prefer_a and priv_a & (priv_a - 1) == 0:  # fewer than two private vertices
-            prefer_a = False
-        elif not prefer_a and priv_b & (priv_b - 1) == 0:
-            prefer_a = True
-        if prefer_a:
+        if priv_a.bit_count() >= priv_b.bit_count():
             side_b |= priv_a & -priv_a
         else:
             side_a |= priv_b & -priv_b

@@ -100,7 +100,8 @@ def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
 
     A FOUND set is certified once, by the search itself: ``find_separation``
     returns None on a set of more than k+1 vertices only when its capped
-    minimum vertex cut reaches k+1, so the set is (k+1)-connected.
+    minimum vertex cut reaches k+1, so the set is (k+1)-connected; that is
+    also the test ``is_k1_connected`` makes.
 
     Each side is searched with its parent separation, whose connectivity
     and core bound the side's connectivity from below and whose degree
@@ -139,7 +140,12 @@ def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
 def validate_decomposition(
     g: SimpleGraph, k: int, sigma: SigmaLike, node: DecompositionNode
 ) -> None:
-    """Raise ValueError unless the tree is internally consistent for g."""
+    """Raise ValueError unless the tree is internally consistent for g.
+
+    Each child must equal a side of its node's separation, which
+    ``Separation.validate`` checks is not the whole node, so every child is
+    strictly smaller than its parent.
+    """
     threshold = size_threshold(k, sigma)
     small_cap = max(threshold, k + 1)
     stack = [node]
@@ -158,8 +164,6 @@ def validate_decomposition(
         for child, side in zip(node.children, (sep.mask_a, sep.mask_b)):
             if child.mask != side:
                 raise ValueError("child vertex set does not match its separation side")
-            if child.mask.bit_count() >= node.mask.bit_count():
-                raise ValueError("child not strictly smaller")
             stack.append(child)
 
 

@@ -166,11 +166,6 @@ class TestDispatch:
                          "--sigma", "0.2"]) == 2
         capsys.readouterr()
 
-    def test_log_level_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HCS_LOG", "quiet")
-        assert dispatch(["verify-bounds", "--alt", "3"]) == 0
-        capsys.readouterr()
-
     def test_extract_long_cycle(self, capsys, tmp_path):
         source, result_path = tmp_path / "cycle.json", tmp_path / "res.json"
         source.write_text(json.dumps({"n": 700, "edges": sorted(SimpleGraph.cycle(700).edges)}))

@@ -217,3 +217,14 @@ def test_inherited_degrees_match_a_fresh_count(g, k):
         for side in (sep.mask_a, sep.mask_b):
             assert _side_degrees(masks, sep.degrees, sep.mask_a & sep.mask_b, side) == fresh_degrees(g, side)
             todo.append((side, sep))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(graph_and_mask(), split_at_a_low_vertex()), st.integers(1, 3))
+def test_is_k1_connected_matches_removal(case, k):
+    """``is_k1_connected``, which answers through ``find_separation``, agrees
+    with brute-force removal on sets of at most 12 vertices."""
+    g, alive = case
+    while alive.bit_count() > 12:
+        alive &= alive - 1  # drop the lowest vertex
+    assert is_k1_connected(g, k, alive) == k1_connected_by_removal(g, _bits(alive), k)
