@@ -116,13 +116,16 @@ def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
     path: list[tuple[Separation, list[DecompositionNode]]] = []
     w, parent = (1 << g.n) - 1, None
     while True:
-        if w.bit_count() > small_cap:
-            sep = find_separation(g, k, w, parent=parent)
-            if sep is None:
-                return ExtractionResult(FOUND, frozenset(_bits(w)), None)
+        large = w.bit_count() > small_cap
+        sep = find_separation(g, k, w, parent=parent) if large else None
+        if parent is not None and w == parent.mask_b:
+            parent.forget_degrees()  # both of its sides have been searched
+        if sep is not None:
             path.append((sep, []))
             w, parent = sep.mask_a, sep
             continue
+        if large:
+            return ExtractionResult(FOUND, frozenset(_bits(w)), None)
         node = DecompositionNode(w, LEAF_SMALL, None, ())
         while path:  # hand the finished node to the open nodes above it
             sep, children = path[-1]

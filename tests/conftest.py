@@ -67,6 +67,21 @@ def _connected(adj: dict[int, set[int]], rest: set[int]) -> bool:
     return seen == rest
 
 
+def component_by_search(g: SimpleGraph, alive: int, start: int) -> int:
+    """The bitmask of the component of g on the bitmask alive that holds the
+    vertex start, by a plain graph search over the edge list: no code is
+    shared with the connectivity kernel."""
+    vs = {v for v in range(g.n) if alive >> v & 1}
+    adj = _adjacency_sets(g, vs)
+    seen = {start}
+    queue = [start]
+    for v in queue:
+        for w in adj[v] - seen:
+            seen.add(w)
+            queue.append(w)
+    return sum(1 << v for v in seen)
+
+
 def k1_connected_by_removal(g: SimpleGraph, vertices, k: int) -> bool:
     """Whether g on vertices is (k+1)-connected, by brute force.
 

@@ -160,6 +160,12 @@ def mask(vertices) -> int:
     return sum(1 << v for v in vertices)
 
 
+def pair_cut(masks, s: int, t: int, limit: int, alive: int):
+    """The flow of the pair (s, t) as the pair loop runs it: to the sink
+    {t}, seeded with the common neighbours; (value, separator)."""
+    return _st_vertex_cut(masks, s, 1 << t, limit, alive, masks[s] & masks[t] & alive)[:2]
+
+
 class TestStVertexCut:
     def test_repeats_and_separates(self):
         rng = random.Random(9)
@@ -167,8 +173,8 @@ class TestStVertexCut:
         masks, full = g.adjacency_masks, (1 << g.n) - 1
         pairs = [(s, t) for s in range(g.n) for t in range(s + 1, g.n) if (s, t) not in g.edges]
         for s, t in rng.sample(pairs, 20):
-            first = _st_vertex_cut(masks, s, t, g.n, full)
-            assert _st_vertex_cut(masks, s, t, g.n, full) == first
+            first = pair_cut(masks, s, t, g.n, full)
+            assert pair_cut(masks, s, t, g.n, full) == first
             value, sep = first
             assert sep.bit_count() == value and not (sep >> s | sep >> t) & 1
             assert splits(masks, full, sep, s, t)
@@ -176,13 +182,13 @@ class TestStVertexCut:
     def test_capped_flow_reports_the_cap(self):
         # K6 without the edge 05: four disjoint 0-5 paths
         g = SimpleGraph.from_edges(6, [e for e in SimpleGraph.complete(6).edges if e != (0, 5)])
-        assert _st_vertex_cut(g.adjacency_masks, 0, 5, 3, 0b111111) == (3, None)
-        assert _st_vertex_cut(g.adjacency_masks, 0, 5, 5, 0b111111) == (4, mask({1, 2, 3, 4}))
+        assert pair_cut(g.adjacency_masks, 0, 5, 3, 0b111111) == (3, None)
+        assert pair_cut(g.adjacency_masks, 0, 5, 5, 0b111111) == (4, mask({1, 2, 3, 4}))
 
     def test_on_a_vertex_mask(self):
         # K6 less the edge 05, without vertices 2 and 3: the cut is {1, 4}
         g = SimpleGraph.from_edges(6, [e for e in SimpleGraph.complete(6).edges if e != (0, 5)])
-        assert _st_vertex_cut(g.adjacency_masks, 0, 5, 6, 0b110011) == (2, mask({1, 4}))
+        assert pair_cut(g.adjacency_masks, 0, 5, 6, 0b110011) == (2, mask({1, 4}))
         # on random sets the separator names only live vertices, in graph ids
         rng = random.Random(31)
         g = random_graph(rng, 40, 0.2)
@@ -191,7 +197,7 @@ class TestStVertexCut:
             live = [v for v in range(40) if alive >> v & 1]
             pairs = [(s, t) for s in live for t in live if s < t and (s, t) not in g.edges]
             s, t = rng.choice(pairs)
-            value, sep = _st_vertex_cut(g.adjacency_masks, s, t, 40, alive)
+            value, sep = pair_cut(g.adjacency_masks, s, t, 40, alive)
             assert sep.bit_count() == value and set(_bits(sep)) <= set(live) - {s, t}
             assert splits(g.adjacency_masks, alive, sep, s, t)
 
@@ -204,8 +210,8 @@ class TestStVertexCut:
             (7, 12), (9, 11), (9, 12), (9, 13), (10, 15), (11, 12), (12, 15), (13, 14),
         ])
         full = (1 << 16) - 1
-        assert _st_vertex_cut(g.adjacency_masks, 6, 9, 16, full) == (3, mask({0, 1, 12}))
-        assert _st_vertex_cut(g.adjacency_masks, 6, 9, 3, full) == (3, None)
+        assert pair_cut(g.adjacency_masks, 6, 9, 16, full) == (3, mask({0, 1, 12}))
+        assert pair_cut(g.adjacency_masks, 6, 9, 3, full) == (3, None)
 
     def test_matches_networkx_on_the_split_network(self):
         # each flow starts from the paths through common neighbours; the value
@@ -234,7 +240,7 @@ class TestStVertexCut:
                     d.add_edge((v, "out"), (u, "in"))
             residual = nx.flow.edmonds_karp(d, (s, "out"), (t, "in"))
             kappa = residual.graph["flow_value"]
-            value, sep = _st_vertex_cut(masks, s, t, limit, alive)
+            value, sep = pair_cut(masks, s, t, limit, alive)
             assert value == min(kappa, limit), (sorted(g.edges), alive, s, t, limit)
             compared += 1
             seeded += 0 < (masks[s] & masks[t] & alive).bit_count() < limit
@@ -257,8 +263,8 @@ class TestStVertexCut:
         g = SimpleGraph.from_edges(7, [(a, b) for a in range(2) for b in range(2, 7)])
         full = (1 << 7) - 1
         for limit in range(1, 6):
-            assert _st_vertex_cut(g.adjacency_masks, 0, 1, limit, full) == (limit, None)
-        assert _st_vertex_cut(g.adjacency_masks, 0, 1, 6, full) == (5, mask(range(2, 7)))
+            assert pair_cut(g.adjacency_masks, 0, 1, limit, full) == (limit, None)
+        assert pair_cut(g.adjacency_masks, 0, 1, 6, full) == (5, mask(range(2, 7)))
 
 
 class TestHasCutVertex:
@@ -315,9 +321,9 @@ class TestFlowCount:
         pairs = []
         st_vertex_cut = connectivity._st_vertex_cut
 
-        def counted(masks, s, t, limit, alive):
-            pairs.append((s, t))
-            return st_vertex_cut(masks, s, t, limit, alive)
+        def counted(masks, s, sink, limit, alive, seed):
+            pairs.append((s, sink))
+            return st_vertex_cut(masks, s, sink, limit, alive, seed)
 
         monkeypatch.setattr(connectivity, "_st_vertex_cut", counted)
         return pairs

@@ -260,16 +260,36 @@ class TestExtract:
 
 class TestInheritedBound:
     def test_disconnected_child(self):
-        # The root has connectivity 1 and core {0, 1, 2}. On its child
-        # {0, 1, 2, 4, 6} the core pair 0, 1 is split by nothing, so the
-        # child is disconnected although its parent was connected: the
-        # child's core must be {0, 1, 4}, not the {1, 2, 4} of a degree-1 cut.
-        g = SimpleGraph.from_edges(7, [(0, 2), (0, 3), (0, 5), (1, 4), (1, 5), (1, 6), (2, 3), (3, 5)])
+        # The root has connectivity 1: vertex 2 cuts the triangle {0, 1, 2}
+        # off, and the core {2} is padded with 3 and 4. On the child
+        # {0, 1, 2, 3, 4} the core pair 2, 3 is split by nothing, so the child
+        # is disconnected although its parent was connected: the child's core
+        # must be {0, 1, 3}, padded from the empty cut, not one padded from
+        # the cut {4} at the degree-1 vertex 3.
+        g = SimpleGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 5), (2, 6), (3, 4), (3, 5), (4, 6), (5, 6)])
         data = result_to_json_dict(extract(g, 3, Fraction(1, 5)))
-        child = data["tree"]["children"][1]
-        assert child["vertices"] == [0, 1, 2, 4, 6]
-        assert child["separation"]["core"] == [0, 1, 4]
-        assert digest(data) == "16498f30f7f51a0c5a26ef2dad33ee266aed10276953ebb46bf65ad64fadcb0f"
+        assert data["tree"]["separation"]["core"] == [2, 3, 4]
+        child = data["tree"]["children"][0]
+        assert child["vertices"] == [0, 1, 2, 3, 4]
+        assert child["separation"]["core"] == [0, 1, 3]
+        assert digest(data) == "bbe2473cbc984ca2e195792b3a5feff64430f2439387b810296834bdc1557efd"
+
+    @pytest.mark.parametrize("g, k", [
+        (relabelled(build_extremal(2, 2, 6).graph, 6), 2),
+        (build_extremal(3, 3, 5).graph, 3),
+        (SimpleGraph.path(60), 1),
+    ], ids=["extremal-2-2-6", "extremal-3-3-5", "path"])
+    def test_finished_separations_hold_no_degrees(self, g, k):
+        # the degree classes serve only the searches of a separation's sides
+        tree = extract(g, k, 1).tree
+        seps, stack = 0, [tree]
+        while stack:
+            node = stack.pop()
+            if node.separation is not None:
+                seps += 1
+                assert node.separation.degrees is None
+            stack.extend(node.children)
+        assert seps >= 10
 
 
 class TestBruteForce:

@@ -40,15 +40,15 @@ def case_ids(table: dict) -> list[str]:
 # (k, sigma_k, level) -> digest of the extraction JSON on the relabelled instance
 EXTREMAL = {
     (2, 2, 3):
-        "21808342a556248e70319bb0893edc6bec924081a704e0d0dc948aeaed715d28",
+        "ef8955c1729b0cea2f446c7ee0dd6cc098ee8def3d8ac27790fee986ac2b35fa",
     (2, 2, 4):
-        "42bba965ed3430909d4cddf0fa3434c684467259ddca77a7d6fb4f59f7d38bd5",
+        "e029b57fa77c0f8c0a6808a3f821f4511ac941b65be30b16dfdc32c17bfe6b08",
     (2, 2, 5):
-        "6e89419c496deefe2a4680f4d3b5938cbdae5732b7cf1b331aa2a651d1045a21",
+        "4586806348bd48c9e02e7c3aad76e13127b03a62b190d8de1b3d4d4817fc5b8c",
     (2, 2, 6):
-        "fd22d317e5177fbe1d14bc811e42f104d60080d0baf89368e98563eff16df26d",
+        "227a2cda11ac6984f52d0b40d988af381e0ca156a6aff815583bcdf2f0a7a5fc",
     (3, 3, 4):
-        "d48525962f65d5943740a72c457b20b665b78c0a12c1e2ce0f34ccdba8a8b59a",
+        "4b21d48856245f22383a4d2631bd6cc1d34208a7b966c2efb6cfc22a85ff56db",
 }
 
 # acceptance configurations (k, alternative, seed) -> digest of 12 trials
@@ -63,7 +63,7 @@ EXPERIMENT = {
         "ccd6df37a5e9133c09606739fdb44ad41375b23b33789d10439beda26f0f5496",
 }
 
-RANDOM_EXTRACTIONS = "6c708e75542cc1e6ebb9d9c20f5e241113751ead05bc41f5342fec07c37f4783"
+RANDOM_EXTRACTIONS = "e543fc06e70b2193143f934a67b92ef072a6f5c4c4c5005eaf4e6ee5d6a26b56"
 BOUND_TABLE = "ad747c5c1d761ca4ed387c0796fc815890bf48e56814b68a63761fe9c37da084"
 
 

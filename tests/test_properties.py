@@ -7,6 +7,7 @@ extractor answer is checked by code it does not share: a SEPARABLE tree
 by ``validate_decomposition``, a FOUND set by brute-force removal.
 """
 
+import functools
 import random
 from fractions import Fraction
 from typing import Optional
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from hcs import (
     FOUND,
     SimpleGraph,
+    build_extremal,
     extract,
     find_separation,
     is_k1_connected,
@@ -32,8 +34,10 @@ from hcs.connectivity import (
     _side_degrees,
     _st_vertex_cut,
 )
-from conftest import induced_subgraph, k1_connected_by_removal, random_graph, threshold_graph
+from conftest import component_by_search, induced_subgraph, k1_connected_by_removal, random_graph, threshold_graph
 from test_extractor import tree_size
+from test_golden import relabelled
+from test_near_extremal import non_edges
 
 
 @st.composite
@@ -63,8 +67,8 @@ def test_mask_matches_induced_subgraph(case, k):
         sep.validate(g, k, alive)
 
     if alive:
-        kappa, cut = _min_cut_capped(g, ind.graph.n, alive)
-        ref_kappa, ref_cut = _min_cut_capped(ind.graph, ind.graph.n)
+        kappa, cut, _ = _min_cut_capped(g, ind.graph.n, alive)
+        ref_kappa, ref_cut, _ = _min_cut_capped(ind.graph, ind.graph.n)
         assert kappa == ref_kappa
         assert (None if cut is None else frozenset(_bits(cut))) == (None if ref_cut is None else back(_bits(ref_cut)))
 
@@ -105,27 +109,31 @@ def threshold_density(draw):
     return g, alive
 
 
-def min_cut_every_pair(g: SimpleGraph, cap: int, alive: int) -> tuple[int, Optional[int]]:
+def min_cut_every_pair(g: SimpleGraph, cap: int, alive: int) -> tuple[int, Optional[int], int]:
     """The capped minimum cut by a flow on every dominating pair, with no
     pair skipped and no early stop, keeping the first strict drop: the
-    value and the separator's bitmask, or None."""
+    value, the separator's bitmask or None, and the cut's source: s for the
+    degree cut, x for the flow of a pair (x, y), and the lowest vertex of a
+    disconnected set."""
     masks = g.adjacency_masks
     n = alive.bit_count()
-    if n == 1:
-        return 0, None
     live = _bits(alive)
+    if n == 1:
+        return 0, None, live[0]
     degree = {v: (masks[v] & alive).bit_count() for v in live}
     if all(d == n - 1 for d in degree.values()):
-        return min(n - 1, cap), None
+        return min(n - 1, cap), None, live[0]
     s = min(live, key=lambda v: (degree[v], v))
-    best, best_sep = degree[s], masks[s] & alive
+    best, best_sep, source = degree[s], masks[s] & alive, s
     if best >= cap:
         best, best_sep = cap, None
     for x, y in _dominating_pairs(masks, alive, s):
-        value, sep = _st_vertex_cut(masks, x, y, best, alive)
+        value, sep, _ = _st_vertex_cut(masks, x, 1 << y, best, alive, masks[x] & masks[y] & alive)
         if value < best:
-            best, best_sep = value, sep
-    return best, best_sep
+            best, best_sep, source = value, sep, x
+    if component_by_search(g, alive, live[0]) != alive:
+        source = live[0]
+    return best, best_sep, source
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
@@ -135,7 +143,7 @@ def test_skipped_flows_change_nothing(case, cap):
     loop that runs them all."""
     g, alive = case
     if alive:
-        assert _min_cut_capped(g, cap, alive) == min_cut_every_pair(g, cap, alive)
+        assert _min_cut_capped(g, cap, alive)[:2] == min_cut_every_pair(g, cap, alive)[:2]
 
 
 @st.composite
@@ -228,3 +236,57 @@ def test_is_k1_connected_matches_removal(case, k):
     while alive.bit_count() > 12:
         alive &= alive - 1  # drop the lowest vertex
     assert is_k1_connected(g, k, alive) == k1_connected_by_removal(g, _bits(alive), k)
+
+
+def check_cuts_down_the_tree(g: SimpleGraph, k: int, alive: int) -> None:
+    """At every node of the separation tree from alive, searched with its
+    parent's bound and degree classes as ``extract`` searches it,
+    ``_min_cut_capped`` gives the separator of the loop over every pair,
+    and its source side is the component of the set less the separator
+    that holds the cut's source."""
+    masks = g.adjacency_masks
+    todo = [(alive, None)]
+    while todo:
+        alive, parent = todo.pop()
+        inherited = degrees = None
+        if parent is not None:
+            inherited = (parent.kappa, parent.mask_a & parent.mask_b)
+            degrees = _side_degrees(masks, parent.degrees, inherited[1], alive)
+        kappa, sep, side = _min_cut_capped(g, k + 1, alive, inherited, degrees)
+        ref_kappa, ref_sep, source = min_cut_every_pair(g, k + 1, alive)
+        assert (kappa, sep) == (ref_kappa, ref_sep), (sorted(g.edges), k, alive)
+        assert side == (0 if sep is None else component_by_search(g, alive & ~sep, source))
+        split = find_separation(g, k, alive, parent=parent)
+        if split is not None:
+            todo += [(split.mask_a, split), (split.mask_b, split)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(glued_graph().map(lambda g: (g, (1 << g.n) - 1)), split_at_a_low_vertex()), st.integers(1, 3))
+def test_local_flow_and_source_side(case, k):
+    g, alive = case
+    if alive:
+        check_cuts_down_the_tree(g, k, alive)
+
+
+@functools.lru_cache(maxsize=None)
+def relabelled_extremal(k: int, level: int) -> tuple[SimpleGraph, list[tuple[int, int]]]:
+    g = relabelled(build_extremal(k, k, level).graph, level)
+    return g, non_edges(g)
+
+
+@st.composite
+def near_extremal(draw):
+    """The extremal graph with sigma_k = k, relabelled, plus one non-edge:
+    deep trees whose every node peels a small leaf, where the local flow
+    settles most nodes."""
+    k, level = draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)]))
+    g, missing = relabelled_extremal(k, level)
+    return SimpleGraph.from_edges(g.n, [*g.edges, draw(st.sampled_from(missing))]), k
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(near_extremal())
+def test_local_flow_and_source_side_near_extremal(case):
+    g, k = case
+    check_cuts_down_the_tree(g, k, (1 << g.n) - 1)
