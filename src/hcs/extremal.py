@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
+from itertools import combinations
 from typing import Optional
 
 from .bounds import _alt1_constants
@@ -98,7 +97,7 @@ def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
         y_parts, z_parts = _split_parts(parts, k)
         y = tuple(sorted(v for p in y_parts for v in p))
         y_set = set(y)
-        e_y = sum(1 for u, v in edges if u in y_set and v in y_set)
+        e_y = sum(p in edges for p in combinations(y, 2))
         # the gluing set must keep at most a 2^-i share of the complete edge count
         if 2 * e_y * (1 << i) > k * k - k:
             raise RuntimeError(f"gluing set {i} keeps more than a 2^-{i} share of its edges")
@@ -177,12 +176,16 @@ def _validate_structure(e: ExtremalGraph) -> None:
             raise ValueError(f"gluing set {j} out of its level range")
 
 
-def _check_partition(e: ExtremalGraph, adj: list[list[int]]) -> bool:
+def _check_partition(e: ExtremalGraph) -> bool:
     sizes = [len(p) for p in e.parts]
     if max(sizes) - min(sizes) > 1:
         return False
     part_of = {v: i for i, p in enumerate(e.parts) for v in p}  # disjoint, as _validate_structure checked
-    return all(part_of.get(u, i) == i for v, i in part_of.items() for u in adj[v])
+    edges = e.graph.edges
+    # the 2k pool vertices, ascending, so every pair is a normalized edge
+    return not any(
+        part_of[u] != part_of[w] and (u, w) in edges for u, w in combinations(sorted(part_of), 2)
+    )
 
 
 def _edge_lower_bound(e: ExtremalGraph) -> Fraction:
@@ -195,44 +198,42 @@ def _edge_lower_bound(e: ExtremalGraph) -> Fraction:
     )
 
 
-def _certificate_check(e: ExtremalGraph, adj: list[list[int]]) -> bool:
-    """Walk the gluing tree and verify each recorded separation on the graph.
+def _certificate_check(e: ExtremalGraph) -> bool:
+    """Check every recorded separation of the gluing tree on the graph.
 
     At every internal node the image of the gluing set must be a k-core
     separation of the node's induced subgraph; leaves must have exactly
     (1+sigma)k vertices. A (k+1)-connected subgraph cannot be split by a
-    k-vertex core, so passing this walk confines any such subgraph to a
+    k-vertex core, so passing this check confines any such subgraph to a
     leaf.
 
-    The walk goes one level at a time. A node is its labelling phi of the
-    level's vertex ids by graph vertices: the identity at the root, and for
-    a child a prefix of its parent's or its parent's composed with the copy
-    embedding mu, checked injective per level. So every phi is injective,
-    the core, cover and strictness conditions depend on the level alone,
-    and per node only the private sides are tested, on adjacency lists.
+    A level-l node has v_l = k + 2^l sigma_k labels. Its first child keeps
+    the labels below v_(l-1); its second keeps the gluing set y_l and
+    numbers the other labels below v_(l-1) on from v_(l-1), in order. So a
+    label of y_l has the same label in both children, any other label lives
+    in one child, and a vertex's path down the tree is fixed by its label:
+    bit l-1 of ``side`` says which child it takes at level l, bit l-1 of
+    ``glue`` whether it lies in y_l. Each level adds v_(l-1) - k labels to
+    a leaf's, so the labels cover the graph iff ``len(side) == n``.
+
+    An edge joins the private sides of a level-l node only if bit l-1 of
+    ``(side[u] ^ side[w]) & ~(glue[u] | glue[w])`` is set. Conversely, at
+    the highest set bit l-1, every level above has an end in its gluing set
+    (so in both children) or both ends in one child, so some level-l node
+    holds both ends on its private sides. The check costs O(n + e).
     """
-    k = e.k
-    nodes = [tuple(range(e.graph.n))]
-    for level in range(e.level, 0, -1):
-        y = e.glue_history[level - 1]
-        v_prev, v = k + (1 << (level - 1)) * e.sigma_k, len(nodes[0])
-        y_set, others = set(y), iter(range(v_prev, 2 * v_prev))
-        rest = [x for x in range(v_prev) if x not in y_set]  # the first copy's private labels
-        # the second copy keeps the labels of y and numbers the rest after the first copy
-        mu = [x if x in y_set else next(others) for x in range(v_prev)]
-        first, second = set(range(v_prev)), set(mu)
-        if not (len(y_set) == k and len(second) == v_prev < v
-                and first | second == set(range(v)) and first & second == y_set):
-            return False
-        copy = itemgetter(*mu)
-        children = []
-        for phi in nodes:
-            private2 = set(phi[v_prev:])  # mu maps the private labels onto range(v_prev, v)
-            if not private2.isdisjoint(chain.from_iterable(map(adj.__getitem__, map(phi.__getitem__, rest)))):
-                return False
-            children += (phi[:v_prev], copy(phi))
-        nodes = children
-    return len(nodes[0]) == e.leaf_size
+    side = [0] * e.leaf_size
+    glue = [0] * e.leaf_size
+    for j, y in enumerate(e.glue_history):
+        bit, y_set = 1 << j, set(y)
+        rest = [x for x in range(len(side)) if x not in y_set]  # the first copy's private labels
+        side += [side[x] | bit for x in rest]
+        glue += [glue[x] for x in rest]
+        for x in y_set:
+            glue[x] |= bit
+    if len(side) != e.graph.n:
+        return False
+    return not any((side[u] ^ side[w]) & ~(glue[u] | glue[w]) for u, w in e.graph.edges)
 
 
 def _extraction_check(e: ExtremalGraph) -> bool:
@@ -255,15 +256,11 @@ def verify_extremal(e: ExtremalGraph) -> ExtremalReport:
     """Re-verify every claimed property of a constructed instance."""
     _validate_structure(e)
     g = e.graph
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
     vertex_ok = g.n - e.k == (1 << e.level) * e.sigma_k
-    partition_ok = _check_partition(e, adj)
+    partition_ok = _check_partition(e)
     bound = _edge_lower_bound(e)
     edge_ok = Fraction(g.edge_count) >= bound
-    certificate_ok = _certificate_check(e, adj)
+    certificate_ok = _certificate_check(e)
     extraction: Optional[bool] = None
     if g.n <= EXTRACTION_VERTEX_CAP:
         extraction = _extraction_check(e)

@@ -285,3 +285,57 @@ class TestCertificateOracle:
             first, second = rng.sample(parts, 2)
             mutated = _with_edge(e, rng.choice(first), rng.choice(second))
             assert not self._agree(mutated).partition_ok
+
+
+def _toggled(e: ExtremalGraph, edge: tuple[int, int]) -> ExtremalGraph:
+    """The instance with one edge added, or deleted if the graph has it."""
+    return replace(e, graph=SimpleGraph(e.graph.n, e.graph.edges ^ {edge}))
+
+
+class TestCertificateMutations:
+    """One-edge additions and deletions, checked against the conftest oracles.
+
+    The graph is the union of its leaves' cliques, so every added edge
+    joins the private sides of some node and must fail the certificate,
+    and every deleted edge must keep it.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _no_extraction(self, monkeypatch):
+        monkeypatch.setattr(hcs.extremal, "EXTRACTION_VERTEX_CAP", -1)
+
+    @staticmethod
+    def _check(e: ExtremalGraph, edges) -> None:
+        for edge in edges:
+            report = TestCertificateOracle._agree(_toggled(e, edge))
+            assert report.certificate_ok == (edge in e.graph.edges), edge
+
+    @pytest.mark.parametrize("k, sigma_k, level", [(2, 2, 4), (3, 3, 3), (1, 3, 4), (2, 4, 3)])
+    def test_every_one_edge_change(self, k, sigma_k, level):
+        e = build_extremal(k, sigma_k, level)
+        n = e.graph.n
+        self._check(e, [(u, w) for u in range(n) for w in range(u + 1, n)])
+
+    @pytest.mark.parametrize("k, sigma_k, level", [(2, 2, 10), (3, 3, 8)])
+    def test_sampled_changes_at_depth(self, k, sigma_k, level):
+        # deep nodes are reached through composed copy maps
+        e = build_extremal(k, sigma_k, level)
+        rng = random.Random(f"mutations {k}/{sigma_k}/{level}")
+        absent: set[tuple[int, int]] = set()
+        while len(absent) < 30:
+            u, w = sorted(rng.sample(range(e.graph.n), 2))
+            if (u, w) not in e.graph.edges:
+                absent.add((u, w))
+        self._check(e, sorted(absent) + rng.sample(sorted(e.graph.edges), 30))
+
+    def test_level_fourteen_as_built(self):
+        report = verify_extremal(build_extremal(2, 2, 14))  # 32,770 vertices
+        assert report.certificate_ok and report.partition_ok
+
+    def test_pool_order_does_not_matter(self):
+        # an edge between two parts is found whatever order the pool is listed in
+        e = build_extremal(2, 2, 3)
+        first, second = [p for p in e.parts if p][:2]
+        mutated = _toggled(e, (first[0], second[0]))
+        mutated = replace(mutated, parts=tuple(p[::-1] for p in reversed(e.parts)))
+        assert not TestCertificateOracle._agree(mutated).partition_ok
