@@ -14,8 +14,10 @@ Exit codes: 0 all passed, 1 a failed verdict, 2 a usage or resource error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -234,8 +236,24 @@ def _cmd_experiment(args) -> int:
     return 0 if ok else 1
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off, then restore its state.
+
+    Loading an instance allocates a list and a tuple per edge, enough to set off
+    dozens of collections; the data is acyclic JSON, so none could free any of it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _cmd_certify(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
+    with open(args.infile, "r", encoding="utf-8") as fh, _collector_paused():
         e = extremal_from_json_dict(json.load(fh))
     report = verify_extremal(e)
     extraction = (

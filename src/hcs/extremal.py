@@ -14,7 +14,14 @@ from itertools import combinations
 from typing import Optional
 
 from .bounds import _alt1_constants
-from .graphs import VERTEX_CAP, SimpleGraph, _is_int, graph_from_json_dict, graph_to_json_dict
+from .graphs import (
+    VERTEX_CAP,
+    SimpleGraph,
+    _is_int,
+    _unchecked_graph,
+    graph_from_json_dict,
+    graph_to_json_dict,
+)
 from .extractor import SEPARABLE, extract, validate_decomposition
 
 # verify_extremal also runs extract on instances up to this size: (2,2) levels 0-6
@@ -101,20 +108,24 @@ def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
         # the gluing set must keep at most a 2^-i share of the complete edge count
         if 2 * e_y * (1 << i) > k * k - k:
             raise RuntimeError(f"gluing set {i} keeps more than a 2^-{i} share of its edges")
-        others = sorted(set(range(n)) - y_set)
-        remap = {v: v for v in y}
-        remap.update({v: n + j for j, v in enumerate(others)})
-        edges |= {
+        # copy two keeps the glue labels and numbers the others on from n, in order
+        others = [v for v in range(n) if v not in y_set]
+        remap = list(range(n))
+        for j, v in enumerate(others, n):
+            remap[v] = j
+        edges.update([
             (remap[u], remap[v]) if remap[u] < remap[v] else (remap[v], remap[u])
             for u, v in edges
-        }
+        ])
+        # most parts are empty at deep levels
         parts = tuple(z_parts) + tuple(
-            tuple(sorted(remap[v] for v in p)) for p in z_parts
+            tuple(sorted([remap[v] for v in p])) if p else p for p in z_parts
         )
         glue.append(y)
         n = 2 * n - k
+    # every edge is normalized and below n by construction
     return ExtremalGraph(
-        SimpleGraph(n, frozenset(edges)), k, sigma_k, level, parts, tuple(glue)
+        _unchecked_graph(n, frozenset(edges)), k, sigma_k, level, parts, tuple(glue)
     )
 
 

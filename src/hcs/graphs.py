@@ -145,9 +145,14 @@ def graph_from_json_dict(data: dict) -> SimpleGraph:
         if u < 0 or v >= n:
             raise ValueError(f"edge ({u}, {v}) out of range or not normalized")
         pairs.add((u, v))
+    return _unchecked_graph(n, frozenset(pairs))
+
+
+def _unchecked_graph(n: int, edges: frozenset[Edge]) -> SimpleGraph:
+    """A graph built without SimpleGraph's range check, for callers that made its edges valid."""
     g = object.__new__(SimpleGraph)
     object.__setattr__(g, "n", n)
-    object.__setattr__(g, "edges", frozenset(pairs))
+    object.__setattr__(g, "edges", edges)
     return g
 
 

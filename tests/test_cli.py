@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -393,3 +395,80 @@ class TestExperiment:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "trial,n,e,d_bar,outcome,h_size,elapsed_ms"
         assert len(lines) == 4
+
+
+class TestPinnedExtremalOutputs:
+    # sha256 of the construct file and of certify's stdout; the builder skips the
+    # graph's range check and certify pauses the collector, and neither may move a byte
+    PINNED = {
+        (2, 2, 10): ("5029c67d7e3716d3c96b597a5ca8936f1ff5b78c3ff3546783b35e2a340600d1",
+                     "7575add7ffe09e4ddf69ff8cc5fcdd9df2c525d48ca1759bff39ade0e71c8f62"),
+        (2, 2, 13): ("710596e51ff67289c4fd565429beaf8c5d380a3981a7071adba77846cd1abc17",
+                     "408f050a69aa6325d1be4c9fbdd83579375853d7eec493d594926b22ea61c4e3"),
+        (3, 3, 8): ("33ae8872d9efa1708ad9e67405b6fe016e961399f34ad4578e2811e5b4647d7c",
+                    "6386185276e08049211fc62129a4fb9c95440ed8dc3fbb9aa7888d3d15b4937b"),
+        (6, 6, 5): ("e720a7dc93d96c3c75adb0f4dd507fea7cfc86a07b8a9f46fbb634992e432453",
+                    "b747d4273a688b065dfe23fdcaae9e297af1979862051240f06e76103dbedea0"),
+    }
+
+    @pytest.mark.parametrize("k, sigma_k, level", sorted(PINNED))
+    def test_construct_and_certify_bytes(self, capsys, tmp_path, k, sigma_k, level):
+        out = tmp_path / "g.json"
+        assert dispatch(["construct", "--k", str(k), "--sigma-k", str(sigma_k),
+                         "--level", str(level), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert dispatch(["certify", "--in", str(out)]) == 0
+        file_digest, stdout_digest = self.PINNED[k, sigma_k, level]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == file_digest
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
+
+class TestCertifyCollectorState:
+    @pytest.fixture
+    def instance(self, capsys, tmp_path):
+        out = tmp_path / "g.json"
+        assert dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "1",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        return out
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def _certify(self, capsys, path) -> int:
+        code = dispatch(["certify", "--in", str(path)])
+        capsys.readouterr()
+        return code
+
+    def test_passing_instance(self, capsys, instance, collector):
+        assert self._certify(capsys, instance) == 0
+        assert gc.isenabled() is collector
+
+    def test_tampered_instance(self, capsys, instance, collector):
+        payload = json.loads(instance.read_text())
+        payload["graph"]["edges"] = payload["graph"]["edges"][:-1]
+        instance.write_text(json.dumps(payload))
+        assert self._certify(capsys, instance) == 1
+        assert gc.isenabled() is collector
+
+    def test_malformed_json(self, capsys, instance, collector):
+        instance.write_text(instance.read_text()[:-10])
+        assert self._certify(capsys, instance) == 2
+        assert gc.isenabled() is collector
+
+    def test_collector_is_off_while_the_instance_loads(self, capsys, monkeypatch, instance,
+                                                       collector):
+        seen = []
+        load = hcs.cli.extremal_from_json_dict
+
+        def spy(data):
+            seen.append(gc.isenabled())
+            return load(data)
+
+        monkeypatch.setattr("hcs.cli.extremal_from_json_dict", spy)
+        assert self._certify(capsys, instance) == 0
+        assert seen == [False] and gc.isenabled() is collector

@@ -339,3 +339,12 @@ class TestCertificateMutations:
         mutated = _toggled(e, (first[0], second[0]))
         mutated = replace(mutated, parts=tuple(p[::-1] for p in reversed(e.parts)))
         assert not TestCertificateOracle._agree(mutated).partition_ok
+
+
+class TestUncheckedBuild:
+    # build_extremal skips SimpleGraph's range check; the checked constructor must accept its output
+    @pytest.mark.parametrize("k, sigma_k", [(1, 1), (2, 2), (3, 3), (2, 4), (6, 6)])
+    def test_checked_constructor_accepts_the_built_graph(self, k, sigma_k):
+        for level in range(7):
+            g = build_extremal(k, sigma_k, level).graph
+            assert SimpleGraph(g.n, g.edges) == g
