@@ -39,63 +39,71 @@ leave; when there are at least ``limit`` of them the flow is not run.
 Every maximum flow leaves the same residual-reachable set, so the
 separator read from it is unchanged.
 
-Once the best cut found is 2, only a 1-vertex cut could lower it, and a
-connected set has one exactly when it has a cut vertex. So the first time
-the best cut reaches 2, one depth-first search (Hopcroft–Tarjan low
-points) decides whether any remaining flow can change the answer; when
-the set has no cut vertex the pair loop stops there, and otherwise it
-runs on unchanged. Either way the answer is the one the full loop gives.
+The kernel answers two questions. ``min_vertex_cut`` asks for the
+connectivity and a minimum separator. ``find_separation`` asks only for
+some cut of at most k vertices: padded to k vertices, any such cut is the
+core of a separation, and only the answer None needs the proof that
+kappa >= k+1 (Even's test of kappa >= k, SIAM J. Comput. 4, 1975, also
+decides with a witness instead of computing kappa). So the search holds a
+stop value, k for a separation, and returns its first cut of at most that
+many vertices, from the minimum degree, the local flow below or a pair of
+the loop. The stop misses no such cut: the loop run to its end returns
+kappa, and a pair is skipped only when its cut is at least best, which is
+then above the stop value.
 
-Extraction asks the question again on each side of a separation, and the
-parent's answer bounds the side's (the argument behind split components,
-Hopcroft–Tarjan 1973). Let W have connectivity at least c and let U be a
-side of a separation of W with core C. For S in U with |S| < c, every
-component of U - S meets C - S: one that missed C would have all its
-neighbours in U, so it would be a component of W - S as well, beside the
-other side's private part, and W would have a cut smaller than c. Hence
-kappa(U) >= c unless some non-adjacent pair x, y of C has
-kappa_U(x, y) < c, and then kappa(U) is the least such value. The floor
-min(c, the flows of the non-adjacent core pairs capped at c) is thus a
-lower bound on kappa(U), exact when it is below c; it takes at most
-C(k, 2) flows, and none for k = 1. A floor of at least 1 shows the set
-connected, and the pair loop stops once its best cut reaches the floor,
-so the cut-vertex search is needed only below a floor of 2. The loop
-replaces its best cut only on a strict drop and no flow returns less
-than the connectivity, so the separator it returns, and every output
-built on it, is the one it returns without the floor.
+A disconnected set needs no walk of its own. Its empty cut is a cut of at
+most k. For k >= 2, a vertex of minimum degree at most k gives a cut at
+once, and otherwise the loop goes on until a flow returns at most k; a
+flow into another component returns 0, with the empty separator and its
+source's component as side A. For k = 1 the cap k+1 is 2, so the best
+cut starts at 2 unless the minimum degree gives a cut at once, and one
+depth-first search (Hopcroft–Tarjan low points) decides whether the set
+has a cut of at most one vertex: a cut vertex, or a vertex the search
+from the lowest vertex never reaches, where a second search would need a
+second root. Without one no flow can return less than 2, and the search
+ends with no cut; with one the loop runs on until it finds such a cut.
+
+The exact question walks the set once: a disconnected set gets the empty
+cut, with the component of its lowest vertex as side A. A connected set
+has no cut below 1, so its search stops at its first cut of at most 1,
+which is then a minimum cut, and the first time the best cut reaches 2
+the same depth-first search decides whether any remaining flow can lower
+it. Either way the answer is the one the full loop gives.
 
 Most of the sets extraction splits peel a small leaf off a large rest,
 and the loop's first flow, from s to its lowest non-neighbour t0, walks
 the whole set. So a local flow is tried first: R is a ball around s,
 grown by breadth-first steps in W - {t0}, and the flow runs from s to the
-sink (W - R) + {t0}, capped at floor + 1, where floor is the lower bound
-on kappa(W) that the loop holds. Let (S, X) be its source-minimal cut, of
-value v <= floor. Then X is the cut the loop returns:
-  - t0 is in the sink, so v >= kappa(s, t0) >= kappa(W) >= floor >= v,
+sink (W - R) + {t0}, capped at the stop value plus 1. Let (S, X) be its
+source-minimal cut, of value v at most the stop value. The sink is not
+empty, so X is a cut of W of at most the stop value, and the search ends
+with it. The searches of the local flow walk S and R only. For the exact
+question, where the stop value 1 is at most kappa(W), X is also the cut
+the loop returns:
+  - t0 is in the sink, so v >= kappa(s, t0) >= kappa(W) >= 1 >= v,
     and v = kappa(s, t0) < best;
   - so t0 is not good, the loop runs its first pair (s, t0), and it stops
-    there, at a value of at most floor;
+    there, at a value of at most 1;
   - that flow's source-minimal side S_g is the intersection of the source
     sides of all minimum s-t0 cuts, and X is one, so S_g is in S;
   - S_g + N(S_g) lies in S + X, which misses the sink, so S_g is the
     source side of a minimum cut between s and the sink, and S is in S_g.
-So S = S_g and X = N(S). The searches of the local flow walk S and R
-only.
+So S = S_g and X = N(S).
 
 Side A of a separation is the component of W - X that holds the cut's
 source: s for the degree cut N(s) and for the local flow, x for the flow
-of a pair (x, y), and the lowest vertex of a disconnected set. The last
-search of a flow reaches exactly that component (see
-``_st_vertex_cut``), so finding it costs no search of its own, and on
-the extremal graphs it is the peeled leaf.
+of a pair (x, y), and, in the exact question, the lowest vertex of a
+disconnected set. The last search of a flow reaches exactly that
+component (see ``_st_vertex_cut``), so finding it costs no search of its
+own, and on the extremal graphs it is the peeled leaf.
 
 The same split fixes the side's degrees. No edge joins the two private
-parts of a separation, so a private vertex of U keeps every neighbour it
-had in W, and only the k core vertices change degree. The degree classes
-of a set (each degree mapped to the bitmask of its vertices) are counted
-in one pass at the root and then carried down: a side's classes are its
-parent's restricted to the side's private part, plus the k core vertices
-counted again. The minimum degree and its lowest-numbered vertex are
+parts of a separation, so a private vertex of a side keeps every
+neighbour it had in the separated set, and only the k core vertices
+change degree. The degree classes of a set (each degree mapped to the
+bitmask of its vertices) are counted in one pass at the root and then
+carried down: a side's classes are its parent's restricted to the side's
+private part, plus the k core vertices counted again. The minimum degree and its lowest-numbered vertex are
 read from the classes, with no pass over the set, and the set is complete
 exactly when its minimum degree is n - 1.
 
@@ -141,17 +149,15 @@ class Separation:
     everything, and no edge joins the private part of one side to the
     private part of the other.
 
-    ``kappa`` is a lower bound on the connectivity of the separated set:
-    its exact connectivity when ``find_separation`` made the separation,
-    and 0, which claims nothing, by default. ``degrees`` maps each degree
-    in the separated set to the bitmask of its vertices of that degree,
-    or is None when unknown or forgotten (``forget_degrees``). Neither is
-    part of equality.
+    The core claims nothing about the connectivity of the separated set:
+    ``find_separation`` pads the first cut of at most k vertices it meets,
+    not a minimum one. ``degrees`` maps each degree in the separated set
+    to the bitmask of its vertices of that degree, or is None when unknown
+    or forgotten (``forget_degrees``); it is not part of equality.
     """
 
     mask_a: int
     mask_b: int
-    kappa: int = field(default=0, compare=False)
     degrees: Optional[dict[int, int]] = field(default=None, compare=False, repr=False)
 
     def forget_degrees(self) -> None:
@@ -222,49 +228,45 @@ def _is_connected(masks: tuple[int, ...], alive: int) -> bool:
     return _component(masks, alive, alive & -alive) == alive
 
 
-def _has_cut_vertex(masks: tuple[int, ...], alive: int) -> bool:
-    """Whether the subgraph on the ``alive`` bitmask has a cut vertex.
+def _has_cut_of_at_most_one(masks: tuple[int, ...], alive: int) -> bool:
+    """Whether the subgraph on the non-empty ``alive`` bitmask has a vertex
+    cut of at most one vertex: whether it is disconnected or has a cut vertex.
 
-    One depth-first search per component, kept on an explicit stack, with
-    Hopcroft–Tarjan low points: a non-root v is a cut vertex when some
-    child w has low(w) >= disc(v), a root when it has two children. The
-    edge back to the parent may lower low(w) to disc(v), which leaves that
-    test unchanged.
+    One depth-first search from the lowest vertex, kept on an explicit
+    stack, with Hopcroft–Tarjan low points: a non-root v is a cut vertex
+    when some child w has low(w) >= disc(v), the root when it has two
+    children. The edge back to the parent may lower low(w) to disc(v),
+    which leaves that test unchanged. A vertex the search never reaches
+    would need a second root: the set is disconnected.
     """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    rem = alive
-    while rem:
-        root = (rem & -rem).bit_length() - 1
-        disc[root] = low[root] = len(disc)
-        seen = 1 << root
-        children = 0
-        stack = [(root, masks[root] & alive)]
-        while stack:
-            v, todo = stack[-1]
-            if todo:
-                bit = todo & -todo
-                stack[-1] = (v, todo ^ bit)
-                w = bit.bit_length() - 1
-                if w in disc:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    disc[w] = low[w] = len(disc)
-                    seen |= bit
-                    stack.append((w, masks[w] & alive))
+    root = (alive & -alive).bit_length() - 1
+    disc = {root: 0}
+    low = {root: 0}
+    children = 0
+    stack = [(root, masks[root] & alive)]
+    while stack:
+        v, todo = stack[-1]
+        if todo:
+            bit = todo & -todo
+            stack[-1] = (v, todo ^ bit)
+            w = bit.bit_length() - 1
+            if w in disc:
+                low[v] = min(low[v], disc[w])
             else:
-                stack.pop()
-                if stack:  # v is done: hand its low point to its parent u
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if u == root:
-                        children += 1
-                        if children > 1:
-                            return True
-                    elif low[v] >= disc[u]:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, masks[w] & alive))
+        else:
+            stack.pop()
+            if stack:  # v is done: hand its low point to its parent u
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if u == root:
+                    children += 1
+                    if children > 1:
                         return True
-        rem &= ~seen
-    return False
+                elif low[v] >= disc[u]:
+                    return True
+    return len(disc) < alive.bit_count()
 
 
 def _members(mask: int, items: Sequence[T]) -> list[T]:
@@ -410,19 +412,6 @@ def _fan_closure(masks: tuple[int, ...], alive: int, good: int, fresh: int, best
     return good
 
 
-def _inherited_floor(masks: tuple[int, ...], alive: int, c: int, core: int) -> int:
-    """min(c, the x-y cut in ``alive`` of each non-adjacent pair of the
-    ``core`` bitmask), each flow capped at the least value so far; 0 stops
-    the search."""
-    floor = c
-    for x, y in combinations(_bits(core), 2):
-        if floor == 0:
-            break
-        if not masks[x] >> y & 1:
-            floor = _st_vertex_cut(masks, x, 1 << y, floor, alive, masks[x] & masks[y] & alive)[0]
-    return floor
-
-
 def _side_degrees(masks: tuple[int, ...], degrees: dict[int, int], core: int, side: int) -> dict[int, int]:
     """The degree classes of ``side``, one side of a separation with the
     ``core`` bitmask, from the classes ``degrees`` of the separated set.
@@ -498,16 +487,20 @@ def _min_cut_capped(
     g: SimpleGraph,
     cap: int,
     alive: Optional[int] = None,
-    inherited: Optional[tuple[int, int]] = None,
     degrees: Optional[dict[int, int]] = None,
+    enough: int = 0,
 ) -> tuple[int, Optional[int], int]:
-    """Minimum vertex cut of g on alive, with work capped: (kappa, separator, side).
+    """Vertex cut of g on alive, with work capped: (value, separator, side).
 
-    kappa is min(true kappa, cap) and the separator a bitmask of kappa
-    vertices, or None when g on alive is complete or kappa equals cap (the
-    true connectivity may then be larger). side is the component of alive
-    less the separator that holds the cut's source (see the module
-    docstring), or 0 when the separator is None; every return sets it.
+    With ``enough`` 0 the cut is a minimum one: value is min(kappa, cap)
+    and the separator a bitmask of value vertices, or None when g on alive
+    is complete or value equals cap (the true connectivity may then be
+    larger). With ``enough`` e of at least 1 and cap e + 1, the cut is the
+    first one of at most e vertices that the search meets, and the value
+    is cap with no separator exactly when kappa > e. side is the component
+    of alive less the separator that holds the cut's source (see the
+    module docstring), or 0 when the separator is None; every return sets
+    it.
 
     ``degrees`` are the degree classes of alive (``_degree_classes``),
     counted here when None. They give the minimum degree and the
@@ -516,23 +509,19 @@ def _min_cut_capped(
     covers a single vertex (degree 0).
 
     The best cut starts at the minimum degree (or cap) and drops only when
-    a flow returns less, so the loop may stop as soon as the best cut
-    reaches a lower bound on the connectivity: the answer is then the one
-    the full loop gives. The bound is 1 for a connected set, and more when
-    ``inherited`` is (c, C): alive is then one side of a separation with
-    the core bitmask C of a set whose connectivity is at least c, and the
-    bound is ``_inherited_floor`` (see the module docstring); a bound of 1
-    or more also makes the connectivity check needless. While the bound is
-    below 2, the first time the best cut is 2, whether from the degree or
-    from a flow, ``_has_cut_vertex`` is asked once: without a cut vertex
-    no flow can return 1.
+    a flow returns less, and the search stops as soon as it is at most
+    ``enough``. With ``enough`` 0 the set is first walked once: a
+    disconnected set returns the empty cut, and a connected one has no cut
+    below 1, so ``enough`` becomes 1 and the answer is the full loop's.
+    While ``enough`` is 1, the first time the best cut is 2, whether from
+    the degree, the cap or a flow, ``_has_cut_of_at_most_one`` is asked
+    once: without such a cut no flow can return less than 2.
 
     Before the pair loop, ``_local_cut`` tries the local flow, capped at
-    the bound plus 1; a flow below that cap gives the loop's answer (see
-    the module docstring). At a bound of 1 it could succeed only at a cut
-    vertex, so there it is tried only once ``_has_cut_vertex`` has found
-    one (best is then 2); a bound of 1 and no cut vertex is the root of
-    every extraction from a 2-connected graph.
+    ``enough`` + 1; a flow below that cap ends the search (see the module
+    docstring). At ``enough`` 1 it could succeed only at a cut of at most
+    one vertex, so there it is tried only once ``_has_cut_of_at_most_one``
+    has found one (best is then 2).
 
     ``good`` holds, for the current source x of the pair loop, vertices z
     with kappa(x, z) >= best: x's neighbours, every y already paired with
@@ -554,22 +543,21 @@ def _min_cut_capped(
     best = min(degrees)
     if best == n - 1:
         return min(best, cap), None, 0
-    floor = 0 if inherited is None else _inherited_floor(masks, alive, *inherited)
-    if floor == 0:
+    if not enough:
         comp = _component(masks, alive, alive & -alive)
         if comp != alive:
             return 0, 0, comp
-        floor = 1
+        enough = 1
     low = degrees[best]
     s = (low & -low).bit_length() - 1
     if best >= cap:
         best, best_sep, best_side = cap, None, 0
     else:
         best_sep, best_side = masks[s] & alive, 1 << s
-    if best <= floor or best == 2 and not _has_cut_vertex(masks, alive):
+    if best <= enough or best == 2 and not _has_cut_of_at_most_one(masks, alive):
         return best, best_sep, best_side
-    if floor >= 2 or best == 2:
-        local = _local_cut(masks, alive, s, floor + 1)
+    if enough >= 2 or best == 2:
+        local = _local_cut(masks, alive, s, enough + 1)
         if local is not None:
             return local
     source = -1
@@ -585,7 +573,7 @@ def _min_cut_capped(
                 value, sep, side = _st_vertex_cut(masks, x, bit, best, alive, masks[x] & masks[y] & alive)
                 if value < best:
                     best, best_sep, best_side = value, sep, side
-                    if best <= floor or best == 2 and not _has_cut_vertex(masks, alive):
+                    if best <= enough or best == 2 and not _has_cut_of_at_most_one(masks, alive):
                         break
                     fresh = good
         fresh |= bit & ~good
@@ -615,28 +603,23 @@ def find_separation(
 ) -> Optional[Separation]:
     """A separation of g on alive whose core has exactly k vertices, if one exists.
 
-    Exists iff the set has at least k+2 vertices and kappa <= k. A minimum
-    separator is padded up to k vertices by repeatedly moving the
-    lowest-indexed vertex of the larger private part into the core (ties
-    go to side A). The move never empties a private part: it happens only
-    while the core has fewer than k vertices, so the private parts of the
-    k+2 or more vertices hold at least 3 between them and the larger holds
-    at least 2. Side A grows from the component, after the separator is
-    removed, that holds the cut's source, which ``_min_cut_capped``
-    returns with the cut: the flow that found the cut reached it already,
-    so no search runs here. The separation's ``kappa`` is the set's
-    exact connectivity, which is below the cap k+1, and its ``degrees``
-    are the set's degree classes.
+    Exists iff the set has at least k+2 vertices and kappa <= k. The first
+    separator of at most k vertices that ``_min_cut_capped`` meets, not
+    necessarily a minimum one, is padded up to k vertices by repeatedly
+    moving the lowest-indexed vertex of the larger private part into the
+    core (ties go to side A). The move never empties a private part: it
+    happens only while the core has fewer than k vertices, so the private
+    parts of the k+2 or more vertices hold at least 3 between them and the
+    larger holds at least 2. Side A grows from the component, after the
+    separator is removed, that holds the cut's source, which
+    ``_min_cut_capped`` returns with the cut: the flow that found the cut
+    reached it already, so no search runs here. The separation's
+    ``degrees`` are the set's degree classes.
 
     ``parent``, when given, must be a separation of which alive is one
-    side (ValueError otherwise). With c its ``kappa`` and C its core, alive
-    is then at least c-connected unless a non-adjacent pair of C is split
-    in alive by fewer than c vertices, and the least such split is its
-    connectivity (see the module docstring). The minimum cut stops once it
-    reaches that bound, and as it only ever keeps the first cut of the
-    least size, the separation is the same as without ``parent``. The
-    parent's ``degrees``, when known, give alive's degree classes by
-    recounting only the core (``_side_degrees``).
+    side (ValueError otherwise). Its ``degrees``, when known, give alive's
+    degree classes by recounting only the core (``_side_degrees``); the
+    separation is the same as without ``parent``.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -646,23 +629,20 @@ def find_separation(
     if alive.bit_count() < k + 2:
         return None
     masks = g.adjacency_masks
-    inherited = degrees = None
-    if parent is not None:
-        inherited = (parent.kappa, parent.mask_a & parent.mask_b)
-        if parent.degrees is not None:
-            degrees = _side_degrees(masks, parent.degrees, inherited[1], alive)
-    if degrees is None:
+    if parent is None or parent.degrees is None:
         degrees = _degree_classes(masks, alive)
-    kappa, core, comp = _min_cut_capped(g, k + 1, alive, inherited, degrees)
-    if kappa > k:
+    else:
+        degrees = _side_degrees(masks, parent.degrees, parent.mask_a & parent.mask_b, alive)
+    value, cut, comp = _min_cut_capped(g, k + 1, alive, degrees, k)
+    if value > k:
         return None
-    if comp | core == alive:
-        raise RuntimeError("minimum separator does not disconnect the vertex set")
-    side_a, side_b = comp | core, alive & ~comp
-    for _ in range(k - kappa):
+    if comp | cut == alive:
+        raise RuntimeError("separator does not disconnect the vertex set")
+    side_a, side_b = comp | cut, alive & ~comp
+    for _ in range(k - value):
         priv_a, priv_b = side_a & ~side_b, side_b & ~side_a
         if priv_a.bit_count() >= priv_b.bit_count():
             side_b |= priv_a & -priv_a
         else:
             side_a |= priv_b & -priv_b
-    return Separation(side_a, side_b, kappa, degrees)
+    return Separation(side_a, side_b, degrees)

@@ -99,14 +99,13 @@ def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
     has at most n - k leaves.
 
     A FOUND set is certified once, by the search itself: ``find_separation``
-    returns None on a set of more than k+1 vertices only when its capped
-    minimum vertex cut reaches k+1, so the set is (k+1)-connected; that is
-    also the test ``is_k1_connected`` makes.
+    returns None on a set of more than k+1 vertices only when it has no
+    vertex cut of at most k vertices, so the set is (k+1)-connected; that
+    is also the test ``is_k1_connected`` makes.
 
-    Each side is searched with its parent separation, whose connectivity
-    and core bound the side's connectivity from below and whose degree
-    classes give the side's (see ``find_separation``); the answers do not
-    depend on it.
+    Each side is searched with its parent separation, whose degree classes
+    give the side's (see ``find_separation``); the answers do not depend
+    on it.
     """
     threshold = size_threshold(k, sigma)
     # sets of at most k+1 vertices cannot host a (k+1)-connected subgraph either

@@ -4,6 +4,8 @@ from itertools import combinations
 import pytest
 
 from hcs import (
+    SEPARABLE,
+    CutWitness,
     Separation,
     SimpleGraph,
     build_extremal,
@@ -17,7 +19,7 @@ from hcs import (
 from hcs.connectivity import (
     _bits,
     _component,
-    _has_cut_vertex,
+    _has_cut_of_at_most_one,
     _is_connected,
     _st_vertex_cut,
 )
@@ -268,21 +270,25 @@ class TestStVertexCut:
 
 
 class TestHasCutVertex:
+    """``_has_cut_of_at_most_one``: a cut vertex, or a disconnected set."""
+
     def test_matches_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(1973)
-        answers = set()
+        answers = []
         for _ in range(300):
             n = rng.randint(1, 30)
             g = random_graph(rng, n, rng.uniform(1, 5) / n)
-            alive = rng.getrandbits(n) | rng.choice([0, (1 << n) - 1])
+            alive = rng.getrandbits(n) | rng.choice([0, (1 << n) - 1]) or 1 << rng.randrange(n)
             h = nx.Graph()
             h.add_nodes_from(v for v in range(n) if alive >> v & 1)
             h.add_edges_from((u, v) for u, v in g.edges if alive >> u & 1 and alive >> v & 1)
-            expected = any(True for _ in nx.articulation_points(h))
-            assert _has_cut_vertex(g.adjacency_masks, alive) == expected, (sorted(g.edges), alive)
-            answers.add(expected)
-        assert answers == {True, False}
+            cut_vertex = any(True for _ in nx.articulation_points(h))
+            expected = cut_vertex or not nx.is_connected(h)
+            assert _has_cut_of_at_most_one(g.adjacency_masks, alive) == expected, (sorted(g.edges), alive)
+            answers.append((cut_vertex, expected))
+        # cut vertices, disconnected sets without one, and neither all occur
+        assert {(True, True), (False, True), (False, False)} <= set(answers)
 
     @pytest.mark.parametrize("edges, expected", [
         ([(0, 1), (1, 2), (2, 3)], True),  # path
@@ -291,30 +297,31 @@ class TestHasCutVertex:
         # two triangles sharing vertex 2, which the search meets as a non-root
         ([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], True),
         ([(0, 1), (0, 2)], True),  # the root 0 has two children
-        ([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], False),  # two triangles apart
+        # two triangles apart: no cut vertex, but the empty cut
+        ([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], True),
     ])
     def test_small_shapes(self, edges, expected):
         g = SimpleGraph.from_edges(1 + max(map(max, edges)), edges)
-        assert _has_cut_vertex(g.adjacency_masks, (1 << g.n) - 1) == expected
+        assert _has_cut_of_at_most_one(g.adjacency_masks, (1 << g.n) - 1) == expected
 
     def test_on_a_vertex_mask(self):
         # the 6-cycle without vertex 0 is the path 1..5
         masks = SimpleGraph.cycle(6).adjacency_masks
-        assert not _has_cut_vertex(masks, 0b111111)
-        assert _has_cut_vertex(masks, 0b111110)
-        assert not _has_cut_vertex(masks, 0b000110)
+        assert not _has_cut_of_at_most_one(masks, 0b111111)
+        assert _has_cut_of_at_most_one(masks, 0b111110)
+        assert not _has_cut_of_at_most_one(masks, 0b000110)
 
     def test_long_cycle(self):
         # the search runs 3000 vertices deep, past the default recursion limit
         masks = SimpleGraph.cycle(3000).adjacency_masks
         full = (1 << 3000) - 1
-        assert not _has_cut_vertex(masks, full)
-        assert _has_cut_vertex(masks, full & ~(1 << 1500))
+        assert not _has_cut_of_at_most_one(masks, full)
+        assert _has_cut_of_at_most_one(masks, full & ~(1 << 1500))
 
 
 class TestFlowCount:
-    """Flows saved by the cut-vertex search, the inherited bound and the
-    skip of decided pairs."""
+    """Flows saved by the cut-vertex search, the stop at the first cut of at
+    most k and the skip of decided pairs."""
 
     @pytest.fixture
     def flows(self, monkeypatch):
@@ -341,12 +348,12 @@ class TestFlowCount:
         sep.validate(g, 2)
         assert len(flows) == 1 < g.n
 
-    def test_inherited_bound(self, flows):
-        # each side starts from its parent's connectivity 3; where its
-        # minimum degree is 3, only the flows of its core pairs run
+    def test_first_cut_ends_the_search(self, flows):
+        # each set stops at its first cut of at most 3 vertices, mostly the
+        # local flow's, not at a minimum cut
         e = build_extremal(3, 3, 5)
         extract(relabelled(e.graph, 5), 3, e.sigma)
-        assert len(flows) <= 260  # 519 without the bound
+        assert len(flows) <= 50  # 123 when each search runs on to a minimum cut
 
     def test_decided_pairs_run_no_flow(self, flows):
         # a pair (x, y) runs no flow when y has at least best neighbours that
@@ -364,6 +371,49 @@ class TestFlowCount:
         flows.clear()
         assert is_k1_connected(g, 3, mask(found)) and len(found) == 49
         assert len(flows) <= 5  # 22 when each y is tested only when the loop reaches it
+
+
+class TestNoWalk:
+    """No set that ``find_separation`` searches is walked for connectivity:
+    a disconnected set's empty cut is found by the degree, a flow or, at
+    k = 1, the depth-first search."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        component = connectivity._component
+
+        def counted(masks, alive, start):
+            calls.append(alive)
+            return component(masks, alive, start)
+
+        monkeypatch.setattr(connectivity, "_component", counted)
+        return calls
+
+    def test_path_at_k1(self, walks):
+        assert extract(SimpleGraph.path(1200), 1, 1).outcome == SEPARABLE
+        assert walks == []
+
+    def test_extremal_relabelled(self, walks):
+        e = build_extremal(2, 2, 9)
+        assert extract(relabelled(e.graph, 9), 2, e.sigma).outcome == SEPARABLE
+        assert walks == []
+
+    @pytest.mark.parametrize("k, side_a", [(1, {0, 1, 2, 3}), (2, {0, 1, 2, 3, 4})])
+    def test_disjoint_k4s(self, walks, k, side_a):
+        # minimum degree 3 > k: at k = 1 the search finds no cut vertex but
+        # a second root; a flow from 0 into the other K4 returns the empty
+        # cut, padded with 0 and, at k = 2, with 4
+        edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        g = SimpleGraph.from_edges(8, edges + [(a + 4, b + 4) for a, b in edges])
+        sep = find_separation(g, k)
+        sep.validate(g, k)
+        assert (sep.side_a, sep.side_b) == (side_a, {0, 4, 5, 6, 7})
+        assert not is_k1_connected(g, k)
+        assert walks == []
+        # the exact question walks the set once
+        assert min_vertex_cut(g) == CutWitness(0, frozenset())
+        assert len(walks) == 1
 
 
 class TestIsK1Connected:
@@ -390,13 +440,15 @@ class TestFindSeparation:
         sep.validate(glued_k4s, 2)
 
     def test_glued_padded(self, glued_k4s):
+        # at k = 3 the degree cut N(0) = {1, 2, 3} comes first, before the
+        # minimum cut {2, 3}; it needs no padding
         sep = find_separation(glued_k4s, 3)
         assert sep.side_a == {0, 1, 2, 3}
-        assert sep.side_b == {0, 2, 3, 4, 5}
-        assert sep.core == {0, 2, 3}
+        assert sep.side_b == {1, 2, 3, 4, 5}
+        assert sep.core == {1, 2, 3}
         sep.validate(glued_k4s, 3)
-        # no edges between the private sides {1} and {4, 5}
-        assert (1, 4) not in glued_k4s.edges and (1, 5) not in glued_k4s.edges
+        # no edges between the private sides {0} and {4, 5}
+        assert (0, 4) not in glued_k4s.edges and (0, 5) not in glued_k4s.edges
 
     def test_absent_for_highly_connected(self):
         assert find_separation(SimpleGraph.complete(4), 2) is None
@@ -439,13 +491,16 @@ class TestFindSeparation:
         sep = find_separation(g, 2)
         sep.validate(g, 2)
 
-    def test_kappa_is_the_connectivity(self):
+    def test_present_iff_brute_force_cut_at_most_k(self):
+        # the separation pads the first cut of at most k, which need not be a
+        # minimum one; it exists exactly when the least cut has at most k
         rng = random.Random(37)
         for _ in range(100):
             g = random_graph(rng, rng.randint(4, 10), rng.random())
             sep = find_separation(g, 3)
+            assert (sep is not None) == (g.n >= 5 and brute_force_min_cut(g).kappa <= 3), sorted(g.edges)
             if sep is not None:
-                assert sep.kappa == brute_force_min_cut(g).kappa, sorted(g.edges)
+                sep.validate(g, 3)
 
     def test_absent_iff_connected_or_tiny(self):
         rng = random.Random(31)

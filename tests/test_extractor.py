@@ -16,6 +16,7 @@ from hcs import (
     SimpleGraph,
     average_degree,
     build_extremal,
+    connectivity,
     density_threshold,
     extract,
     get_alternative,
@@ -252,6 +253,17 @@ class TestExtract:
         assert res.outcome == SEPARABLE
         assert brute_force_hcs(petersen, 3, Fraction(1, 5)) is None
 
+    @pytest.mark.parametrize("params", [(3, 3, 9), (6, 6, 7)], ids=lambda p: "-".join(map(str, p)))
+    def test_extremal_at_scale(self, params):
+        # k >= 3 on 1539 and 774 vertices, relabelled: the root's search
+        # stops at its first cut of at most k instead of proving kappa = k
+        k, sigma_k, level = params
+        e = build_extremal(k, sigma_k, level)
+        g = relabelled(e.graph, level)
+        res = extract(g, k, e.sigma)
+        assert res.outcome == SEPARABLE
+        validate_decomposition(g, k, e.sigma, res.tree)
+
     def test_complete_bipartite(self):
         k33 = SimpleGraph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
         assert extract(k33, 2, Fraction(1, 5)).outcome == FOUND
@@ -259,20 +271,26 @@ class TestExtract:
 
 
 class TestInheritedBound:
-    def test_disconnected_child(self):
-        # The root has connectivity 1: vertex 2 cuts the triangle {0, 1, 2}
-        # off, and the core {2} is padded with 3 and 4. On the child
-        # {0, 1, 2, 3, 4} the core pair 2, 3 is split by nothing, so the child
-        # is disconnected although its parent was connected: the child's core
-        # must be {0, 1, 3}, padded from the empty cut, not one padded from
-        # the cut {4} at the degree-1 vertex 3.
-        g = SimpleGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 5), (2, 6), (3, 4), (3, 5), (4, 6), (5, 6)])
-        data = result_to_json_dict(extract(g, 3, Fraction(1, 5)))
-        assert data["tree"]["separation"]["core"] == [2, 3, 4]
-        child = data["tree"]["children"][0]
-        assert child["vertices"] == [0, 1, 2, 3, 4]
-        assert child["separation"]["core"] == [0, 1, 3]
-        assert digest(data) == "bbe2473cbc984ca2e195792b3a5feff64430f2439387b810296834bdc1557efd"
+    def test_disconnected_child(self, monkeypatch):
+        # Vertex 0 has degree 2, so the root's core is its neighbourhood
+        # {1, 2}. The child {1..10} is then two K4's, one with vertex 1 and
+        # one with vertex 2 joined to three of its vertices: disconnected, of
+        # minimum degree 3 > k. No walk finds that; the flow from 1 to 2
+        # returns the empty cut, and the child's core {1, 2} is padded from it.
+        edges = [(0, 1), (0, 2)] + [(1, v) for v in (3, 4, 5)] + [(2, v) for v in (7, 8, 9)]
+        edges += [(a, b) for a in range(3, 7) for b in range(a + 1, 7)]
+        edges += [(a, b) for a in range(7, 11) for b in range(a + 1, 11)]
+        g = SimpleGraph.from_edges(11, edges)
+        monkeypatch.setattr(connectivity, "_component", None)  # a walk would raise
+        res = extract(g, 2, 2)
+        validate_decomposition(g, 2, 2, res.tree)
+        data = result_to_json_dict(res)
+        assert data["tree"]["separation"]["core"] == [1, 2]
+        child = data["tree"]["children"][1]
+        assert child["vertices"] == list(range(1, 11))
+        assert child["separation"]["side_a"] == [1, 2, 3, 4, 5, 6]
+        assert child["separation"]["side_b"] == [1, 2, 7, 8, 9, 10]
+        assert digest(data) == "b6ebd057fd339d37fe2d0eee6b860bee9d952c83b5cb8473f3a648d30de95cf2"
 
     @pytest.mark.parametrize("g, k", [
         (relabelled(build_extremal(2, 2, 6).graph, 6), 2),

@@ -63,7 +63,7 @@ EXPERIMENT = {
         "ccd6df37a5e9133c09606739fdb44ad41375b23b33789d10439beda26f0f5496",
 }
 
-RANDOM_EXTRACTIONS = "e543fc06e70b2193143f934a67b92ef072a6f5c4c4c5005eaf4e6ee5d6a26b56"
+RANDOM_EXTRACTIONS = "cd24cb9e709aaeaa53c04976bf7cb693ec937569a86f249d8143272f07e36755"
 BOUND_TABLE = "ad747c5c1d761ca4ed387c0796fc815890bf48e56814b68a63761fe9c37da084"
 
 

@@ -17,7 +17,7 @@ from test_golden import relabelled
 # (k, sigma_k, level): every non-edge is added on the first two, a sample
 # of SAMPLE non-edges on the others
 EVERY_NON_EDGE = [(2, 2, 3), (3, 3, 3)]
-SAMPLED = [(2, 2, 4), (2, 2, 5), (3, 3, 4)]
+SAMPLED = [(2, 2, 4), (2, 2, 5), (3, 3, 4), (2, 4, 4), (4, 4, 4), (6, 6, 3)]
 SAMPLE = 30
 
 

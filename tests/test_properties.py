@@ -31,6 +31,7 @@ from hcs.connectivity import (
     _bits,
     _dominating_pairs,
     _min_cut_capped,
+    _near,
     _side_degrees,
     _st_vertex_cut,
 )
@@ -140,10 +141,14 @@ def min_cut_every_pair(g: SimpleGraph, cap: int, alive: int) -> tuple[int, Optio
 @given(st.one_of(graph_and_mask(), split_at_a_low_vertex(), threshold_density()), st.integers(1, 15))
 def test_skipped_flows_change_nothing(case, cap):
     """Skipping the flows whose pair is already decided gives the cut of the
-    loop that runs them all."""
+    loop that runs them all, and its source side is the component of the
+    set less the separator that holds the cut's source."""
     g, alive = case
     if alive:
-        assert _min_cut_capped(g, cap, alive)[:2] == min_cut_every_pair(g, cap, alive)[:2]
+        kappa, sep, side = _min_cut_capped(g, cap, alive)
+        ref_kappa, ref_sep, source = min_cut_every_pair(g, cap, alive)
+        assert (kappa, sep) == (ref_kappa, ref_sep)
+        assert side == (0 if sep is None else component_by_search(g, alive & ~sep, source))
 
 
 @st.composite
@@ -179,8 +184,8 @@ def test_extract_answers_check_out(g, k, sigma):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(glued_graph(), st.integers(1, 3))
 def test_inherited_bound_changes_nothing(g, k):
-    """Down the whole separation tree, each side gets the same separation,
-    of the same connectivity, with its parent's bound as without it."""
+    """Down the whole separation tree, each side gets the same separation
+    with its parent as without it."""
     todo = [((1 << g.n) - 1, None)]
     while todo:
         alive, parent = todo.pop()
@@ -188,7 +193,6 @@ def test_inherited_bound_changes_nothing(g, k):
         if parent is not None:
             ref = find_separation(g, k, alive)
             assert sep == ref, (sorted(g.edges), k, alive)
-            assert sep is None or sep.kappa == ref.kappa
         if sep is not None:
             sep.validate(g, k, alive)
             for side in (sep.side_a, sep.side_b):
@@ -229,6 +233,30 @@ def test_inherited_degrees_match_a_fresh_count(g, k):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.one_of(graph_and_mask(), split_at_a_low_vertex()), st.integers(1, 3))
+def test_separation_matches_networkx(case, k):
+    """``find_separation`` gives a separation exactly when the set has at
+    least k+2 vertices and networkx finds its connectivity at most k; the
+    separation is valid, and each of its sides gets the same separation
+    with it as its parent as without."""
+    nx = pytest.importorskip("networkx")
+    g, alive = case
+    sep = find_separation(g, k, alive)
+    live = _bits(alive)
+    if len(live) < k + 2:
+        assert sep is None
+        return
+    h = nx.Graph()
+    h.add_nodes_from(live)
+    h.add_edges_from((u, v) for u, v in g.edges if alive >> u & 1 and alive >> v & 1)
+    assert (sep is None) == (nx.node_connectivity(h) > k), (sorted(g.edges), k, alive)
+    if sep is not None:
+        sep.validate(g, k, alive)
+        for side in (sep.mask_a, sep.mask_b):
+            assert find_separation(g, k, side, parent=sep) == find_separation(g, k, side)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(graph_and_mask(), split_at_a_low_vertex()), st.integers(1, 3))
 def test_is_k1_connected_matches_removal(case, k):
     """``is_k1_connected``, which answers through ``find_separation``, agrees
     with brute-force removal on sets of at most 12 vertices."""
@@ -240,22 +268,33 @@ def test_is_k1_connected_matches_removal(case, k):
 
 def check_cuts_down_the_tree(g: SimpleGraph, k: int, alive: int) -> None:
     """At every node of the separation tree from alive, searched with its
-    parent's bound and degree classes as ``extract`` searches it,
-    ``_min_cut_capped`` gives the separator of the loop over every pair,
-    and its source side is the component of the set less the separator
-    that holds the cut's source."""
+    parent's degree classes as ``extract`` searches it, ``_min_cut_capped``
+    stopping at k gives a cut of at most k exactly when the loop over every
+    pair finds one, never below that loop's minimum, and the degree cut
+    when the minimum degree is at most k; its source side is a component of
+    the set less the separator, and not the only one. Complete sets and
+    sets of no cut below k+1 give the loop's value with no separator."""
     masks = g.adjacency_masks
     todo = [(alive, None)]
     while todo:
         alive, parent = todo.pop()
-        inherited = degrees = None
+        degrees = None
         if parent is not None:
-            inherited = (parent.kappa, parent.mask_a & parent.mask_b)
-            degrees = _side_degrees(masks, parent.degrees, inherited[1], alive)
-        kappa, sep, side = _min_cut_capped(g, k + 1, alive, inherited, degrees)
-        ref_kappa, ref_sep, source = min_cut_every_pair(g, k + 1, alive)
-        assert (kappa, sep) == (ref_kappa, ref_sep), (sorted(g.edges), k, alive)
-        assert side == (0 if sep is None else component_by_search(g, alive & ~sep, source))
+            degrees = _side_degrees(masks, parent.degrees, parent.mask_a & parent.mask_b, alive)
+        value, sep, side = _min_cut_capped(g, k + 1, alive, degrees, k)
+        ref_kappa, ref_sep, _ = min_cut_every_pair(g, k + 1, alive)
+        case = (sorted(g.edges), k, alive)
+        if ref_sep is None:  # complete, or no cut below k+1
+            assert (value, sep, side) == (ref_kappa, None, 0), case
+        else:
+            assert ref_kappa <= value == sep.bit_count() <= k, case
+            classes = fresh_degrees(g, alive)
+            least = min(classes)
+            if least <= k:  # the degree cut of the lowest vertex of least degree
+                s = classes[least] & -classes[least]
+                assert (value, sep, side) == (least, _near(masks, s) & alive, s), case
+            assert side == component_by_search(g, alive & ~sep, (side & -side).bit_length() - 1), case
+            assert alive & ~sep & ~side, case
         split = find_separation(g, k, alive, parent=parent)
         if split is not None:
             todo += [(split.mask_a, split), (split.mask_b, split)]
