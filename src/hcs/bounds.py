@@ -10,6 +10,7 @@ endpoints, and the vertex of a convex quadratic.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -85,6 +86,7 @@ def alternative_3() -> ParameterAlternative:
     )
 
 
+@functools.cache  # the alternatives are frozen, so each id is built once per process
 def get_alternative(alt_id: int) -> ParameterAlternative:
     builders = {1: alternative_1, 2: alternative_2, 3: alternative_3}
     if alt_id not in builders:
@@ -308,8 +310,13 @@ def _identity_report(oid: str, params: dict, lhs_poly: Poly, rhs_poly: Poly) -> 
 
 # --- obligation tables ---------------------------------------------------------------
 
+def _basic_delta(sigma):
+    """The basic bound's threshold at sigma: delta = 2 + sigma + 1/(2 sigma)."""
+    return 2 + sigma + 1 / (2 * sigma)
+
+
 def _basic_obligations_for(s, label: str) -> list[BoundReport]:
-    delta = 2 + s + 1 / (2 * s)
+    delta = _basic_delta(s)
     b1 = delta - 2  # sigma + 1/(2 sigma)
     return [
         # basic_edge_bound, 2g + 1 + s^2 + (g-s)^2 <= delta*g on [s + 1/(2s), 2s]

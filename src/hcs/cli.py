@@ -19,6 +19,7 @@ import csv
 import functools
 import gc
 import io
+import itertools
 import json
 import math
 import random
@@ -48,6 +49,7 @@ from .extremal import (
 from .graphs import (
     VERTEX_CAP,
     SimpleGraph,
+    _unchecked_graph,
     average_degree,
     graph_from_json_dict,
     graph_to_dot,
@@ -107,6 +109,28 @@ def _threshold_edge_count(n: int, threshold) -> int:
     return math.ceil(n * threshold / 2)
 
 
+def _shuffle(items: list, rng: random.Random) -> None:
+    """Shuffle items in place with exactly the draws ``rng.shuffle(items)`` makes.
+
+    Fisher-Yates (Durstenfeld, CACM 7(7), 1964, Algorithm 235): for i from
+    len - 1 down to 1, swap items[i] with items[j] for j uniform in 0..i,
+    drawn as getrandbits((i + 1).bit_length()) until it is at most i. The
+    bit width is fixed over each block of i whose i + 1 shares a bit
+    length, so it is computed once per block.
+    """
+    getrandbits = rng.getrandbits
+    top = len(items) - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        bottom = max((1 << (bits - 1)) - 1, 1)  # least i with (i + 1).bit_length() == bits
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
+        top = bottom - 1
+
+
 def run_trial(t: int, cfg: ExperimentConfig, alt: ParameterAlternative) -> TrialRow:
     rng = random.Random(cfg.seed + t)
     n = rng.randint(*cfg.n_range)
@@ -117,9 +141,9 @@ def run_trial(t: int, cfg: ExperimentConfig, alt: ParameterAlternative) -> Trial
     if target_e > max_e:
         elapsed = int((time.perf_counter() - start) * 1000)
         return TrialRow(t, n, 0, Fraction(0), NOT_APPLICABLE_SATURATED, None, elapsed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(pairs)
-    g = SimpleGraph(n, frozenset(pairs[:target_e]))
+    pairs = list(itertools.combinations(range(n), 2))  # (u, v) with u < v, lexicographic
+    _shuffle(pairs, rng)
+    g = _unchecked_graph(n, frozenset(pairs[:target_e]))
     result = extract(g, cfg.k, alt.sigma)
     h_size = len(result.subgraph) if result.outcome == FOUND else None
     elapsed = int((time.perf_counter() - start) * 1000)

@@ -90,6 +90,13 @@ class TestParameterAlternatives:
         with pytest.raises(ValueError):
             get_alternative(4)
 
+    def test_each_alternative_built_once(self):
+        for alt_id in (1, 2, 3):
+            assert get_alternative(alt_id) is get_alternative(alt_id)
+        for _ in range(2):  # a failed id is not cached
+            with pytest.raises(ValueError):
+                get_alternative(4)
+
     def test_density_threshold(self):
         assert density_threshold(get_alternative(3), 2) == Fraction(5218, 1000)
         # alternative 1: 2(2 + 2 sqrt(2/3)) - 1, exactly

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,8 +22,8 @@ from hcs import (
     graph_to_json_dict,
     run_experiment,
 )
-from hcs.bounds import reports_to_json, verify_all_bounds
-from hcs.cli import NOT_APPLICABLE_SATURATED, build_parser, rows_to_csv
+from hcs.bounds import get_alternative, reports_to_json, verify_all_bounds
+from hcs.cli import NOT_APPLICABLE_SATURATED, _shuffle, build_parser, rows_to_csv, run_trial
 from hcs.extractor import result_to_json_dict
 from hcs.graphs import VERTEX_CAP
 from test_golden import relabelled
@@ -395,6 +396,60 @@ class TestExperiment:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "trial,n,e,d_bar,outcome,h_size,elapsed_ms"
         assert len(lines) == 4
+
+
+class TestShuffle:
+    # the seed -> graph contract of experiment: _shuffle must draw exactly as random.shuffle
+    # does, at every length and across the power-of-two edges of the draw width
+    BOUNDARIES = sorted({m for j in range(1, 12) for m in (2**j - 1, 2**j, 2**j + 1)} | {1225})
+
+    @staticmethod
+    def check(length):
+        for seed in range(50):
+            ours, ref = random.Random(seed), random.Random(seed)
+            items, expected = list(range(length)), list(range(length))
+            _shuffle(items, ours)
+            ref.shuffle(expected)
+            assert items == expected, (length, seed)
+            assert ours.getstate() == ref.getstate(), (length, seed)  # the same number of draws
+
+    def test_every_short_length(self):
+        for length in range(301):
+            self.check(length)
+
+    @pytest.mark.parametrize("length", BOUNDARIES)
+    def test_power_of_two_boundaries(self, length):
+        self.check(length)
+
+
+class TestUncheckedTrialGraph:
+    # run_trial builds its graph without SimpleGraph's range check; the checked constructor
+    # must accept it, and it must be the graph random.shuffle over the listed pairs draws
+    @pytest.mark.parametrize("alt_id", [1, 2, 3])
+    def test_trial_graph(self, monkeypatch, alt_id):
+        alt = get_alternative(alt_id)
+        captured = []
+
+        def capture(g, k, sigma, **kwargs):
+            captured.append(g)
+            return extract(g, k, sigma, **kwargs)
+
+        monkeypatch.setattr("hcs.cli.extract", capture)
+        checked = 0
+        for n in range(2, 61):
+            cfg = ExperimentConfig(trials=1, k=1, n_range=(n, n), alternative_id=alt_id, seed=n)
+            row = run_trial(1, cfg, alt)
+            if row.outcome == NOT_APPLICABLE_SATURATED:
+                continue
+            g = captured.pop()
+            assert SimpleGraph(n, g.edges) == g
+            rng = random.Random(cfg.seed + 1)
+            rng.randint(n, n)  # run_trial draws n first
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            rng.shuffle(pairs)
+            assert g == SimpleGraph(n, frozenset(pairs[:row.e]))
+            checked += 1
+        assert not captured and checked >= 55  # saturated only below n = 4 at k = 1
 
 
 class TestPinnedExtremalOutputs:

@@ -51,7 +51,8 @@ EXTREMAL = {
         "4b21d48856245f22383a4d2631bd6cc1d34208a7b966c2efb6cfc22a85ff56db",
 }
 
-# acceptance configurations (k, alternative, seed) -> digest of 12 trials
+# acceptance configurations (k, alternative, seed) over n in 15..50, and the
+# benchmark's largest size (k, alternative, seed, n_min, n_max) -> digest of 12 trials
 EXPERIMENT = {
     (2, 3, 1001):
         "243499c157ba8d8bfb8253cda960d296784c8ea1f4a74483b6dd7a6850d90aa3",
@@ -61,6 +62,8 @@ EXPERIMENT = {
         "56d6d672cd168cbbf5e5b6f41b937d5411b2cbe0fcb98974ffd36a39ea5e7b3c",
     (2, 2, 1004):
         "ccd6df37a5e9133c09606739fdb44ad41375b23b33789d10439beda26f0f5496",
+    (3, 3, 1005, 50, 50):
+        "1474828513a04f48c14900509827760cd6a7441a7e79813e06b5bee55ef10b36",
 }
 
 RANDOM_EXTRACTIONS = "cd24cb9e709aaeaa53c04976bf7cb693ec937569a86f249d8143272f07e36755"
@@ -88,8 +91,8 @@ def test_random_extractions():
 
 @pytest.mark.parametrize(("params", "expected"), sorted(EXPERIMENT.items()), ids=case_ids(EXPERIMENT))
 def test_experiment_csv(params, expected):
-    k, alt_id, seed = params
-    cfg = ExperimentConfig(trials=12, k=k, n_range=(15, 50), alternative_id=alt_id, seed=seed)
+    k, alt_id, seed, *n_range = params
+    cfg = ExperimentConfig(trials=12, k=k, n_range=tuple(n_range) or (15, 50), alternative_id=alt_id, seed=seed)
     rows, ok = run_experiment(cfg)
     assert ok
     text = "\n".join(line.rsplit(",", 1)[0] for line in rows_to_csv(rows).splitlines())
