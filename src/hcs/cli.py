@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import gc
-import io
 import itertools
 import json
 import math
@@ -159,12 +157,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRow], bool]:
 
 
 def rows_to_csv(rows: Sequence[TrialRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "n", "e", "d_bar", "outcome", "h_size", "elapsed_ms"])
-    for r in rows:
-        writer.writerow(r.csv_fields())
-    return buf.getvalue()
+    """The rows as CSV text; no field needs quoting: each is an integer, a
+    fraction p/q, an outcome name or empty."""
+    lines = ["trial,n,e,d_bar,outcome,h_size,elapsed_ms", *(",".join(r.csv_fields()) for r in rows)]
+    return "\n".join(lines) + "\n"
 
 
 # --- subcommand handlers ---------------------------------------------------------
@@ -262,7 +258,8 @@ def _cmd_experiment(args) -> int:
 
 @contextlib.contextmanager
 def _collector_paused():
-    """Run the block with the cyclic garbage collector off, then restore its state.
+    """Run the block, or the decorated call, with the cyclic garbage collector
+    off, then restore its state.
 
     Loading an instance allocates a list and a tuple per edge, enough to set off
     dozens of collections; the data is acyclic JSON, so none could free any of it.
@@ -276,8 +273,9 @@ def _collector_paused():
             gc.enable()
 
 
+@_collector_paused()  # until the handler's frame, which holds the instance, is freed
 def _cmd_certify(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh, _collector_paused():
+    with open(args.infile, "r", encoding="utf-8") as fh:
         e = extremal_from_json_dict(json.load(fh))
     report = verify_extremal(e)
     extraction = (

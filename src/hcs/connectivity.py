@@ -39,36 +39,34 @@ leave; when there are at least ``limit`` of them the flow is not run.
 Every maximum flow leaves the same residual-reachable set, so the
 separator read from it is unchanged.
 
-The kernel answers two questions. ``min_vertex_cut`` asks for the
-connectivity and a minimum separator. ``find_separation`` asks only for
-some cut of at most k vertices: padded to k vertices, any such cut is the
-core of a separation, and only the answer None needs the proof that
-kappa >= k+1 (Even's test of kappa >= k, SIAM J. Comput. 4, 1975, also
-decides with a witness instead of computing kappa). So the search holds a
-stop value, k for a separation, and returns its first cut of at most that
-many vertices, from the minimum degree, the local flow below or a pair of
-the loop. The stop misses no such cut: the loop run to its end returns
-kappa, and a pair is skipped only when its cut is at least best, which is
-then above the stop value.
+The kernel answers two questions, both through ``_min_cut_capped``,
+which takes the second's stop value as ``enough``. ``min_vertex_cut``
+asks for the connectivity and a minimum separator (``enough`` 0).
+``find_separation`` asks only for some cut of at most k vertices
+(``enough`` k): padded to k vertices, any such cut is the core of a
+separation, and only the answer None needs the proof that kappa >= k+1
+(Even's test of kappa >= k, SIAM J. Comput. 4, 1975, also decides with a
+witness instead of computing kappa). So that search returns its first cut
+of at most k vertices, from the minimum degree, the local flow below or a
+pair of the loop, and otherwise k+1 with no cut. It misses no such cut:
+the loop run to its end returns kappa, and a pair is skipped only when its
+cut is at least best, which is then above k.
 
-A disconnected set needs no walk of its own. Its empty cut is a cut of at
-most k. For k >= 2, a vertex of minimum degree at most k gives a cut at
-once, and otherwise the loop goes on until a flow returns at most k; a
-flow into another component returns 0, with the empty separator and its
-source's component as side A. For k = 1 the cap k+1 is 2, so the best
-cut starts at 2 unless the minimum degree gives a cut at once, and one
+A disconnected set needs no walk of its own when k >= 2: a vertex of
+minimum degree at most k gives a cut at once, and otherwise a flow into
+another component returns 0, with the empty separator and its source's
+component as side A. The exact question walks the set once: a
+disconnected set gets the empty cut, with the component of its lowest
+vertex as side A, and a connected one has no cut below 1, so its search
+stops at its first cut of at most 1, which is then a minimum cut. With a
+stop value of 1 (k = 1, or a connected set in the exact question), the
+first time the best cut is 2, from the minimum degree, k+1 or a flow, one
 depth-first search (Hopcroft–Tarjan low points) decides whether the set
-has a cut of at most one vertex: a cut vertex, or a vertex the search
-from the lowest vertex never reaches, where a second search would need a
-second root. Without one no flow can return less than 2, and the search
-ends with no cut; with one the loop runs on until it finds such a cut.
-
-The exact question walks the set once: a disconnected set gets the empty
-cut, with the component of its lowest vertex as side A. A connected set
-has no cut below 1, so its search stops at its first cut of at most 1,
-which is then a minimum cut, and the first time the best cut reaches 2
-the same depth-first search decides whether any remaining flow can lower
-it. Either way the answer is the one the full loop gives.
+has a cut of at most one vertex: a cut vertex, or a vertex the search from
+the lowest vertex never reaches, where a second search would need a second
+root. Without one no flow can return less than 2, and the search ends
+there, with the answer the full loop gives; with one the loop runs on
+until it finds such a cut.
 
 Most of the sets extraction splits peel a small leaf off a large rest,
 and the loop's first flow, from s to its lowest non-neighbour t0, walks
@@ -222,10 +220,6 @@ def _component(masks: tuple[int, ...], alive: int, start: int) -> int:
         frontier = _near(masks, frontier) & alive & ~comp
         comp |= frontier
     return comp
-
-
-def _is_connected(masks: tuple[int, ...], alive: int) -> bool:
-    return _component(masks, alive, alive & -alive) == alive
 
 
 def _has_cut_of_at_most_one(masks: tuple[int, ...], alive: int) -> bool:
@@ -484,38 +478,31 @@ def _local_cut(masks: tuple[int, ...], alive: int, s: int, limit: int) -> Option
 
 
 def _min_cut_capped(
-    g: SimpleGraph,
-    cap: int,
-    alive: Optional[int] = None,
-    degrees: Optional[dict[int, int]] = None,
-    enough: int = 0,
+    g: SimpleGraph, alive: int, degrees: dict[int, int], enough: int
 ) -> tuple[int, Optional[int], int]:
-    """Vertex cut of g on alive, with work capped: (value, separator, side).
+    """A vertex cut of g on the non-empty set alive: (value, separator, side).
 
-    With ``enough`` 0 the cut is a minimum one: value is min(kappa, cap)
-    and the separator a bitmask of value vertices, or None when g on alive
-    is complete or value equals cap (the true connectivity may then be
-    larger). With ``enough`` e of at least 1 and cap e + 1, the cut is the
-    first one of at most e vertices that the search meets, and the value
-    is cap with no separator exactly when kappa > e. side is the component
-    of alive less the separator that holds the cut's source (see the
-    module docstring), or 0 when the separator is None; every return sets
-    it.
+    It answers one of two questions. With ``enough`` 0, a minimum cut:
+    value is kappa and the separator a bitmask of kappa vertices, or None
+    when the set is complete. With ``enough`` e >= 1, the first cut of at
+    most e vertices that the search meets, or (e + 1, None) when there is
+    none; a complete set of at most e + 1 vertices gives n - 1 instead.
+    side is the component of alive less the separator that holds the cut's
+    source (see the module docstring), or 0 when the separator is None.
 
-    ``degrees`` are the degree classes of alive (``_degree_classes``),
-    counted here when None. They give the minimum degree and the
-    lowest-numbered vertex s of that degree without a pass over the set;
-    the set is complete exactly when the minimum degree is n - 1, which
-    covers a single vertex (degree 0).
+    ``degrees`` are the degree classes of alive (``_degree_classes``).
+    They give the minimum degree and the lowest-numbered vertex s of that
+    degree without a pass over the set; the set is complete exactly when
+    the minimum degree is n - 1, which covers a single vertex (degree 0).
 
-    The best cut starts at the minimum degree (or cap) and drops only when
-    a flow returns less, and the search stops as soon as it is at most
-    ``enough``. With ``enough`` 0 the set is first walked once: a
-    disconnected set returns the empty cut, and a connected one has no cut
-    below 1, so ``enough`` becomes 1 and the answer is the full loop's.
-    While ``enough`` is 1, the first time the best cut is 2, whether from
-    the degree, the cap or a flow, ``_has_cut_of_at_most_one`` is asked
-    once: without such a cut no flow can return less than 2.
+    The best cut starts at the minimum degree, or at e + 1 when that is
+    larger, drops only when a flow returns less, and the search stops as
+    soon as it is at most ``enough``. With ``enough`` 0 the set is first
+    walked once: a disconnected set returns the empty cut, and a connected
+    one has no cut below 1, so ``enough`` becomes 1 and the answer is the
+    full loop's. While ``enough`` is 1, the first time the best cut is 2,
+    whether from the degree, e + 1 or a flow, ``_has_cut_of_at_most_one``
+    is asked once: without such a cut no flow can return less than 2.
 
     Before the pair loop, ``_local_cut`` tries the local flow, capped at
     ``enough`` + 1; a flow below that cap ends the search (see the module
@@ -533,13 +520,9 @@ def _min_cut_capped(
     ``good`` starts afresh with each source: a cut between x and z bounds
     nothing for another source.
     """
-    alive = _vertex_mask(g, alive)
     n = alive.bit_count()
-    if n == 0:
-        raise ValueError("connectivity of the empty graph is undefined")
+    cap = enough + 1 if enough else n
     masks = g.adjacency_masks
-    if degrees is None:
-        degrees = _degree_classes(masks, alive)
     best = min(degrees)
     if best == n - 1:
         return min(best, cap), None, 0
@@ -585,7 +568,10 @@ def _min_cut_capped(
 
 def min_vertex_cut(g: SimpleGraph) -> CutWitness:
     """Exact vertex connectivity with a minimum-separator witness."""
-    kappa, sep, _ = _min_cut_capped(g, g.n)
+    if g.n == 0:
+        raise ValueError("connectivity of the empty graph is undefined")
+    alive = (1 << g.n) - 1
+    kappa, sep, _ = _min_cut_capped(g, alive, _degree_classes(g.adjacency_masks, alive), 0)
     return CutWitness(kappa, None if sep is None else frozenset(_bits(sep)))
 
 
@@ -633,7 +619,7 @@ def find_separation(
         degrees = _degree_classes(masks, alive)
     else:
         degrees = _side_degrees(masks, parent.degrees, parent.mask_a & parent.mask_b, alive)
-    value, cut, comp = _min_cut_capped(g, k + 1, alive, degrees, k)
+    value, cut, comp = _min_cut_capped(g, alive, degrees, k)
     if value > k:
         return None
     if comp | cut == alive:

@@ -110,9 +110,9 @@ def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
     threshold = size_threshold(k, sigma)
     # sets of at most k+1 vertices cannot host a (k+1)-connected subgraph either
     small_cap = max(threshold, k + 1)
-    # each open SEPARATED node: its separation, whose sides cover its vertex
-    # set, and the children finished so far
-    path: list[tuple[Separation, list[DecompositionNode]]] = []
+    # each open SEPARATED node: its vertex set, its separation and the
+    # children finished so far
+    path: list[tuple[int, Separation, list[DecompositionNode]]] = []
     w, parent = (1 << g.n) - 1, None
     while True:
         large = w.bit_count() > small_cap
@@ -120,21 +120,20 @@ def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
         if parent is not None and w == parent.mask_b:
             parent.forget_degrees()  # both of its sides have been searched
         if sep is not None:
-            path.append((sep, []))
+            path.append((w, sep, []))
             w, parent = sep.mask_a, sep
             continue
         if large:
             return ExtractionResult(FOUND, frozenset(_bits(w)), None)
         node = DecompositionNode(w, LEAF_SMALL, None, ())
         while path:  # hand the finished node to the open nodes above it
-            sep, children = path[-1]
+            mask, sep, children = path[-1]
             children.append(node)
             if len(children) == 1:
                 w, parent = sep.mask_b, sep
                 break
             path.pop()
-            w = sep.mask_a | sep.mask_b
-            node = DecompositionNode(w, SEPARATED, sep, tuple(children))
+            node = DecompositionNode(mask, SEPARATED, sep, tuple(children))
         else:
             return ExtractionResult(SEPARABLE, None, node)
 

@@ -91,6 +91,8 @@ def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
         raise ValueError("needs sigma_k >= k (sigma >= 1)")
     if level < 0:
         raise ValueError("level must be non-negative")
+    if level >= VERTEX_CAP.bit_length():  # 2^level alone is above the cap
+        raise ValueError(f"level {level} would need more than {VERTEX_CAP} vertices, the cap")
     final_n = k + (1 << level) * sigma_k
     if final_n > VERTEX_CAP:
         raise ValueError(
@@ -165,6 +167,8 @@ def _validate_structure(e: ExtremalGraph) -> None:
     n = e.graph.n
     if e.k < 1 or e.sigma_k < e.k or e.level < 0:
         raise ValueError("malformed parameters")
+    if e.level >= n.bit_length():  # n = k + 2^level sigma_k needs 2^level < n
+        raise ValueError(f"level {e.level} is above {n.bit_length() - 1}, the deepest for {n} vertices")
     if len(e.parts) != (1 << e.level):
         raise ValueError(f"expected {1 << e.level} pool parts, got {len(e.parts)}")
     seen: set[int] = set()

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
@@ -241,6 +242,32 @@ class TestDispatch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(VERTEX_CAP) in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("level", [1000, 1_000_000])
+    def test_construct_at_a_huge_level_exits_2(self, capsys, tmp_path, level):
+        # the level is bounded before 2^level, hundreds of thousands of digits, is computed
+        out = tmp_path / "g.json"
+        args = ["construct", "--k", "2", "--sigma-k", "2", "--level", str(level), "--out", str(out)]
+        start = time.perf_counter()
+        assert dispatch(args) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: level {level} ") and str(VERTEX_CAP) in err[0]
+        assert len(err[0]) < 100 and not out.exists()
+
+    @pytest.mark.parametrize("level", [1000, 1_000_000])
+    def test_certify_at_a_huge_level_exits_2(self, capsys, tmp_path, level):
+        out = tmp_path / "g.json"
+        dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "1", "--out", str(out)])
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        payload["metadata"]["level"] = level
+        out.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        assert dispatch(["certify", "--in", str(out)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: level {level} ") and err[0].endswith("the deepest for 6 vertices")
 
     def test_extract_above_the_vertex_cap_exits_2(self, capsys, tmp_path):
         # the cap is checked before any per-vertex structure is allocated

@@ -20,7 +20,6 @@ from hcs.connectivity import (
     _bits,
     _component,
     _has_cut_of_at_most_one,
-    _is_connected,
     _st_vertex_cut,
 )
 from conftest import brute_force_min_cut, random_graph, threshold_graph
@@ -31,7 +30,7 @@ def removing_disconnects(g: SimpleGraph, separator) -> bool:
     alive = (1 << g.n) - 1
     for v in separator:
         alive &= ~(1 << v)
-    return alive.bit_count() >= 2 and not _is_connected(g.adjacency_masks, alive)
+    return alive.bit_count() >= 2 and _component(g.adjacency_masks, alive, alive & -alive) != alive
 
 
 class TestMinVertexCut:

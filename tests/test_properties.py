@@ -24,6 +24,7 @@ from hcs import (
     extract,
     find_separation,
     is_k1_connected,
+    min_vertex_cut,
     size_threshold,
     validate_decomposition,
 )
@@ -68,10 +69,10 @@ def test_mask_matches_induced_subgraph(case, k):
         sep.validate(g, k, alive)
 
     if alive:
-        kappa, cut, _ = _min_cut_capped(g, ind.graph.n, alive)
-        ref_kappa, ref_cut, _ = _min_cut_capped(ind.graph, ind.graph.n)
-        assert kappa == ref_kappa
-        assert (None if cut is None else frozenset(_bits(cut))) == (None if ref_cut is None else back(_bits(ref_cut)))
+        kappa, cut, _ = _min_cut_capped(g, alive, fresh_degrees(g, alive), 0)
+        ref = min_vertex_cut(ind.graph)
+        assert kappa == ref.kappa
+        assert (None if cut is None else frozenset(_bits(cut))) == (None if ref.separator is None else back(ref.separator))
 
 
 @st.composite
@@ -138,17 +139,20 @@ def min_cut_every_pair(g: SimpleGraph, cap: int, alive: int) -> tuple[int, Optio
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(st.one_of(graph_and_mask(), split_at_a_low_vertex(), threshold_density()), st.integers(1, 15))
-def test_skipped_flows_change_nothing(case, cap):
-    """Skipping the flows whose pair is already decided gives the cut of the
-    loop that runs them all, and its source side is the component of the
-    set less the separator that holds the cut's source."""
+@given(st.one_of(graph_and_mask(), split_at_a_low_vertex(), threshold_density()), st.integers(1, 3))
+def test_skipped_flows_change_nothing(case, k):
+    """Skipping the flows whose pair is already decided gives the minimum cut
+    of the loop that runs them all, and its source side is the component of
+    the set less the separator that holds the cut's source. The search that
+    stops at k agrees with that loop down the separation tree
+    (``check_cuts_down_the_tree``)."""
     g, alive = case
     if alive:
-        kappa, sep, side = _min_cut_capped(g, cap, alive)
-        ref_kappa, ref_sep, source = min_cut_every_pair(g, cap, alive)
+        kappa, sep, side = _min_cut_capped(g, alive, fresh_degrees(g, alive), 0)
+        ref_kappa, ref_sep, source = min_cut_every_pair(g, alive.bit_count(), alive)
         assert (kappa, sep) == (ref_kappa, ref_sep)
         assert side == (0 if sep is None else component_by_search(g, alive & ~sep, source))
+        check_cuts_down_the_tree(g, k, alive)
 
 
 @st.composite
@@ -278,10 +282,11 @@ def check_cuts_down_the_tree(g: SimpleGraph, k: int, alive: int) -> None:
     todo = [(alive, None)]
     while todo:
         alive, parent = todo.pop()
-        degrees = None
-        if parent is not None:
+        if parent is None:
+            degrees = fresh_degrees(g, alive)
+        else:
             degrees = _side_degrees(masks, parent.degrees, parent.mask_a & parent.mask_b, alive)
-        value, sep, side = _min_cut_capped(g, k + 1, alive, degrees, k)
+        value, sep, side = _min_cut_capped(g, alive, degrees, k)
         ref_kappa, ref_sep, _ = min_cut_every_pair(g, k + 1, alive)
         case = (sorted(g.edges), k, alive)
         if ref_sep is None:  # complete, or no cut below k+1
