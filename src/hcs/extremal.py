@@ -99,26 +99,36 @@ def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
             f"level {level} would need {final_n} vertices, above the cap {VERTEX_CAP}"
         )
     n = k + sigma_k
-    edges = {(u, v) for u in range(n) for v in range(u + 1, n)}
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     parts: tuple[tuple[int, ...], ...] = (tuple(range(2 * k)),)
     glue: list[tuple[int, ...]] = []
     for i in range(level):
         y_parts, z_parts = _split_parts(parts, k)
         y = tuple(sorted(v for p in y_parts for v in p))
         y_set = set(y)
-        e_y = sum(p in edges for p in combinations(y, 2))
-        # the gluing set must keep at most a 2^-i share of the complete edge count
-        if 2 * e_y * (1 << i) > k * k - k:
-            raise RuntimeError(f"gluing set {i} keeps more than a 2^-{i} share of its edges")
         # copy two keeps the glue labels and numbers the others on from n, in order
         others = [v for v in range(n) if v not in y_set]
         remap = list(range(n))
         for j, v in enumerate(others, n):
             remap[v] = j
-        edges.update([
-            (remap[u], remap[v]) if remap[u] < remap[v] else (remap[v], remap[u])
+        # an edge inside the gluing set is its own image
+        images = [
+            (a, b) if a < b else (b, a)
             for u, v in edges
-        ])
+            if v not in y_set or u not in y_set
+            for a, b in ((remap[u], remap[v]),)
+        ]
+        e_y = len(edges) - len(images)
+        # the gluing set must keep at most a 2^-i share of the complete edge count
+        if 2 * e_y * (1 << i) > k * k - k:
+            raise RuntimeError(f"gluing set {i} keeps more than a 2^-{i} share of its edges")
+        # edges stays ascending. remap keeps the order of two labels unless a
+        # private label lies below a glue label, and an image with a glue end
+        # falls below the all-private images, so the images are ascending runs
+        # broken only at edges with a glue end: the sort merges these with the
+        # old list, itself one run, instead of sorting from scratch
+        edges += images
+        edges.sort()
         # most parts are empty at deep levels
         parts = tuple(z_parts) + tuple(
             tuple(sorted([remap[v] for v in p])) if p else p for p in z_parts
@@ -126,9 +136,8 @@ def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
         glue.append(y)
         n = 2 * n - k
     # every edge is normalized and below n by construction
-    return ExtremalGraph(
-        _unchecked_graph(n, frozenset(edges)), k, sigma_k, level, parts, tuple(glue)
-    )
+    graph = _unchecked_graph(n, frozenset(edges), tuple(edges))
+    return ExtremalGraph(graph, k, sigma_k, level, parts, tuple(glue))
 
 
 @dataclass(frozen=True)

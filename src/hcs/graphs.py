@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 Edge = tuple[int, int]
 
@@ -78,6 +78,12 @@ class SimpleGraph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @cached_property
+    def sorted_edges(self) -> tuple[Edge, ...]:
+        """The edges in ascending order, as the writers emit them: sorted on
+        first use, unless the graph was built with them in order."""
+        return tuple(sorted(self.edges))
+
 
 def average_degree(g: SimpleGraph) -> Fraction:
     """Exact average degree 2e/v."""
@@ -112,7 +118,7 @@ EMPTY_PROFILE = AnticliqueProfile(())
 # --- serialization -----------------------------------------------------------
 
 def graph_to_json_dict(g: SimpleGraph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+    return {"n": g.n, "edges": [list(e) for e in g.sorted_edges]}
 
 
 def graph_from_json_dict(data: dict) -> SimpleGraph:
@@ -148,11 +154,16 @@ def graph_from_json_dict(data: dict) -> SimpleGraph:
     return _unchecked_graph(n, frozenset(pairs))
 
 
-def _unchecked_graph(n: int, edges: frozenset[Edge]) -> SimpleGraph:
-    """A graph built without SimpleGraph's range check, for callers that made its edges valid."""
+def _unchecked_graph(
+    n: int, edges: frozenset[Edge], sorted_edges: Optional[tuple[Edge, ...]] = None
+) -> SimpleGraph:
+    """A graph built without SimpleGraph's range check, for callers that made its
+    edges valid; a caller that holds them in ascending order passes that too."""
     g = object.__new__(SimpleGraph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "edges", edges)
+    if sorted_edges is not None:
+        g.__dict__["sorted_edges"] = sorted_edges
     return g
 
 
@@ -165,7 +176,7 @@ def graph_to_dot(g: SimpleGraph) -> str:
     lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f"  {v};")
-    for u, v in sorted(g.edges):
+    for u, v in g.sorted_edges:
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,6 +8,8 @@ import pytest
 
 from hcs import CutWitness, OptimizationInstance, SimpleGraph, density_threshold, get_alternative, size_threshold
 from hcs.cli import _threshold_edge_count
+from hcs.extremal import _split_parts
+from hcs.graphs import VERTEX_CAP
 
 
 def pytest_runtest_logreport(report):
@@ -249,6 +251,55 @@ def partition_check_oracle(e) -> bool:
     part_masks = [sum(1 << v for v in p) for p in e.parts]
     pool = sum(part_masks)
     return not any(masks[v] & pool & ~own for p, own in zip(e.parts, part_masks) for v in p)
+
+
+# --- extremal builder oracle ------------------------------------------------------
+# The set-based loop that build_extremal ran before it kept its edges as one
+# ascending list: each level adds the copy-two images to a set, and the gluing
+# set's edge share is counted by probing every pair of its vertices.
+
+def build_extremal_oracle(k: int, sigma_k: int, level: int, split=_split_parts):
+    """(n, edges, parts, glue_history) of the level-``level`` instance, or the
+    error build_extremal raises for these parameters; ``split`` stands in for
+    the pool splitter."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if sigma_k < k:
+        raise ValueError("needs sigma_k >= k (sigma >= 1)")
+    if level < 0:
+        raise ValueError("level must be non-negative")
+    if level >= VERTEX_CAP.bit_length():
+        raise ValueError(f"level {level} would need more than {VERTEX_CAP} vertices, the cap")
+    final_n = k + (1 << level) * sigma_k
+    if final_n > VERTEX_CAP:
+        raise ValueError(
+            f"level {level} would need {final_n} vertices, above the cap {VERTEX_CAP}"
+        )
+    n = k + sigma_k
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)}
+    parts = (tuple(range(2 * k)),)
+    glue = []
+    for i in range(level):
+        y_parts, z_parts = split(parts, k)
+        y = tuple(sorted(v for p in y_parts for v in p))
+        y_set = set(y)
+        e_y = sum(p in edges for p in combinations(y, 2))
+        if 2 * e_y * (1 << i) > k * k - k:
+            raise RuntimeError(f"gluing set {i} keeps more than a 2^-{i} share of its edges")
+        others = [v for v in range(n) if v not in y_set]
+        remap = list(range(n))
+        for j, v in enumerate(others, n):
+            remap[v] = j
+        edges.update([
+            (remap[u], remap[v]) if remap[u] < remap[v] else (remap[v], remap[u])
+            for u, v in edges
+        ])
+        parts = tuple(z_parts) + tuple(
+            tuple(sorted([remap[v] for v in p])) if p else p for p in z_parts
+        )
+        glue.append(y)
+        n = 2 * n - k
+    return n, edges, parts, tuple(glue)
 
 
 # --- relabelled induced subgraphs ------------------------------------------------

@@ -491,6 +491,10 @@ class TestPinnedExtremalOutputs:
                     "6386185276e08049211fc62129a4fb9c95440ed8dc3fbb9aa7888d3d15b4937b"),
         (6, 6, 5): ("e720a7dc93d96c3c75adb0f4dd507fea7cfc86a07b8a9f46fbb634992e432453",
                     "b747d4273a688b065dfe23fdcaae9e297af1979862051240f06e76103dbedea0"),
+        (1, 1, 12): ("f6fe64a0de372d154890ddeadad0e965721353187a2d621e631eb8c051495d21",
+                     "79cb08068f0ded7fc4d28d86227fc9d7652b299a41bff61eb7fccc5326b1b2bb"),
+        (2, 4, 9): ("856d1b92b25a007cb5e685098a5481317f1e55d80c367265c07fa3426b06c6c5",
+                    "d6c5232243a83b653d5c606f6466decfca342348bf7c1e098dcd451891f66927"),
     }
 
     @pytest.mark.parametrize("k, sigma_k, level", sorted(PINNED))

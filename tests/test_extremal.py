@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,7 +23,12 @@ import hcs.extremal
 from hcs.bounds import _alt1_constants
 from hcs.extremal import ExtremalGraph, _split_parts
 from hcs.connectivity import _component
-from conftest import certificate_check_oracle, induced_subgraph, partition_check_oracle
+from conftest import (
+    build_extremal_oracle,
+    certificate_check_oracle,
+    induced_subgraph,
+    partition_check_oracle,
+)
 
 
 class TestBuild:
@@ -348,3 +354,55 @@ class TestUncheckedBuild:
         for level in range(7):
             g = build_extremal(k, sigma_k, level).graph
             assert SimpleGraph(g.n, g.edges) == g
+
+
+def _same_outcome(build, oracle) -> None:
+    """build and oracle either raise the same error or make the same instance,
+    and the instance holds its edges in ascending order."""
+    try:
+        n, edges, parts, glue = oracle()
+    except (ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            build()
+        return
+    e = build()
+    assert (e.graph.n, e.graph.edges, e.parts, e.glue_history) == (n, edges, parts, glue)
+    assert vars(e.graph)["sorted_edges"] == tuple(sorted(edges))
+
+
+class TestOrderedBuild:
+    # build_extremal keeps its edges as one ascending list; the set-based loop it
+    # replaced is the oracle
+    @pytest.mark.parametrize(
+        "k, sigma_k", [(k, sigma_k) for k in range(1, 5) for sigma_k in range(k, 2 * k + 2)]
+    )
+    def test_matches_the_set_based_builder(self, k, sigma_k):
+        for level in range(9):
+            _same_outcome(lambda: build_extremal(k, sigma_k, level),
+                          lambda: build_extremal_oracle(k, sigma_k, level))
+
+    @pytest.mark.parametrize("k, sigma_k, level", [
+        (0, 1, 0), (2, 1, 0), (2, 2, -1), (2, 2, 16), (2, 2, 17), (1, 1, 1000), (7, 7, 14),
+    ])
+    def test_refuses_as_the_set_based_builder(self, k, sigma_k, level):
+        with pytest.raises(ValueError):
+            build_extremal_oracle(k, sigma_k, level)
+        _same_outcome(lambda: build_extremal(k, sigma_k, level),
+                      lambda: build_extremal_oracle(k, sigma_k, level))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_counts_the_edges_a_gluing_set_keeps(self, monkeypatch, k):
+        # a splitter that glues along the pool's first k vertices, which share
+        # edges, trips the share check at level 1
+        def clumped(parts, k):
+            pool = sorted(v for p in parts for v in p)
+            rest = [()] * (len(parts) - 1)
+            return [tuple(pool[:k]), *rest], [tuple(pool[k:]), *rest]
+
+        with pytest.raises(RuntimeError, match="gluing set 1 keeps more"):
+            build_extremal_oracle(k, k, 3, split=clumped)
+        monkeypatch.setattr(hcs.extremal, "_split_parts", clumped)
+        _same_outcome(lambda: build_extremal(k, k, 3),
+                      lambda: build_extremal_oracle(k, k, 3, split=clumped))
+        _same_outcome(lambda: build_extremal(k, k, 1),
+                      lambda: build_extremal_oracle(k, k, 1, split=clumped))

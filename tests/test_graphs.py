@@ -137,6 +137,15 @@ class TestSerialization:
             with pytest.raises(ValueError, match=message):
                 graph_from_json_dict(data)
 
+    @pytest.mark.parametrize("g", [
+        SimpleGraph.from_edges(6, [(5, 0), (2, 1), (3, 4), (0, 1), (1, 5)]),
+        SimpleGraph.cycle(12),
+        SimpleGraph.path(12),
+    ], ids=["from_edges", "cycle", "path"])
+    def test_json_lists_the_edges_in_order(self, g):
+        assert graph_to_json_dict(g) == {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+        assert g.sorted_edges == tuple(sorted(g.edges))
+
     def test_dot_output(self):
         text = graph_to_dot(SimpleGraph.path(3))
         assert "0 -- 1;" in text and "1 -- 2;" in text
