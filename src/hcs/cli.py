@@ -38,9 +38,9 @@ from .bounds import (
 )
 from .extractor import FOUND, extract, write_result_json
 from .extremal import (
+    _extremal_payload,
     build_extremal,
     extremal_from_json_dict,
-    extremal_to_json_dict,
     sharpness_rate,
     verify_extremal,
 )
@@ -165,6 +165,24 @@ def rows_to_csv(rows: Sequence[TrialRow]) -> str:
 
 # --- subcommand handlers ---------------------------------------------------------
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block, or the decorated call, with the cyclic garbage collector
+    off, then restore its state.
+
+    Building or loading an instance allocates a tuple per edge, and loading a
+    list per edge too, enough to set off dozens of collections; the data is
+    acyclic, so none could free any of it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_graph(path: str) -> SimpleGraph:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -173,9 +191,10 @@ def _load_graph(path: str) -> SimpleGraph:
     return graph_from_json_dict(data)
 
 
+@_collector_paused()  # the builder makes no cycles, so a collection could free nothing
 def _cmd_construct(args) -> int:
     e = build_extremal(args.k, args.sigma_k, args.level)
-    payload = extremal_to_json_dict(e)
+    payload = _extremal_payload(e)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, separators=(",", ":")))  # json.dump never uses the C encoder
         fh.write("\n")
@@ -254,23 +273,6 @@ def _cmd_experiment(args) -> int:
     print(f"{found} found, {saturated} saturated, {len(rows)} trials: "
           f"{'OK' if ok else 'FAILED'}")
     return 0 if ok else 1
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Run the block, or the decorated call, with the cyclic garbage collector
-    off, then restore its state.
-
-    Loading an instance allocates a list and a tuple per edge, enough to set off
-    dozens of collections; the data is acyclic JSON, so none could free any of it.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @_collector_paused()  # until the handler's frame, which holds the instance, is freed

@@ -17,6 +17,7 @@ from .bounds import _alt1_constants
 from .graphs import (
     VERTEX_CAP,
     SimpleGraph,
+    _graph_payload,
     _is_int,
     _unchecked_graph,
     graph_from_json_dict,
@@ -100,10 +101,13 @@ def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
         )
     n = k + sigma_k
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    parts: tuple[tuple[int, ...], ...] = (tuple(range(2 * k)),)
+    # the non-empty pool parts by index, ascending: at most 2k of the 2^level.
+    # _split_parts gives an empty part two empty halves and no flip, so it
+    # splits the others as it would among all the parts
+    pool: dict[int, tuple[int, ...]] = {0: tuple(range(2 * k))}
     glue: list[tuple[int, ...]] = []
     for i in range(level):
-        y_parts, z_parts = _split_parts(parts, k)
+        y_parts, z_parts = _split_parts(tuple(pool.values()), k)
         y = tuple(sorted(v for p in y_parts for v in p))
         y_set = set(y)
         # copy two keeps the glue labels and numbers the others on from n, in order
@@ -129,15 +133,19 @@ def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
         # old list, itself one run, instead of sorting from scratch
         edges += images
         edges.sort()
-        # most parts are empty at deep levels
-        parts = tuple(z_parts) + tuple(
-            tuple(sorted([remap[v] for v in p])) if p else p for p in z_parts
-        )
+        # part j keeps its copy-one half and part j + 2^i, above every j, takes
+        # its copy-two image, so the keys stay ascending
+        kept = [(j, z) for j, z in zip(pool, z_parts) if z]
+        pool = dict(kept)
+        pool.update((j + (1 << i), tuple(sorted([remap[v] for v in z]))) for j, z in kept)
         glue.append(y)
         n = 2 * n - k
+    parts: list[tuple[int, ...]] = [()] * (1 << level)
+    for j, p in pool.items():
+        parts[j] = p
     # every edge is normalized and below n by construction
     graph = _unchecked_graph(n, frozenset(edges), tuple(edges))
-    return ExtremalGraph(graph, k, sigma_k, level, parts, tuple(glue))
+    return ExtremalGraph(graph, k, sigma_k, level, tuple(parts), tuple(glue))
 
 
 @dataclass(frozen=True)
@@ -315,17 +323,28 @@ def sharpness_rate(e: ExtremalGraph) -> tuple[Fraction, Fraction]:
 
 # --- serialization --------------------------------------------------------------
 
-def extremal_to_json_dict(e: ExtremalGraph) -> dict:
+def _extremal_payload(e: ExtremalGraph) -> dict:
+    """The instance's JSON data as construct writes it, with tuples where
+    extremal_to_json_dict has lists (see _graph_payload)."""
     return {
-        "graph": graph_to_json_dict(e.graph),
+        "graph": _graph_payload(e.graph),
         "metadata": {
             "k": e.k,
             "sigma_k": e.sigma_k,
             "level": e.level,
-            "parts": [list(p) for p in e.parts],
-            "glue_history": [list(y) for y in e.glue_history],
+            "parts": e.parts,
+            "glue_history": e.glue_history,
         },
     }
+
+
+def extremal_to_json_dict(e: ExtremalGraph) -> dict:
+    data = _extremal_payload(e)
+    data["graph"] = graph_to_json_dict(e.graph)
+    meta = data["metadata"]
+    meta["parts"] = [list(p) for p in e.parts]
+    meta["glue_history"] = [list(y) for y in e.glue_history]
+    return data
 
 
 def extremal_from_json_dict(data: dict) -> ExtremalGraph:

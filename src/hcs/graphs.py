@@ -117,8 +117,17 @@ EMPTY_PROFILE = AnticliqueProfile(())
 
 # --- serialization -----------------------------------------------------------
 
+def _graph_payload(g: SimpleGraph) -> dict:
+    """The graph's JSON data with its ordered edge tuples for the edge lists:
+    json encodes a tuple as it encodes a list, so writing this allocates no
+    list per edge."""
+    return {"n": g.n, "edges": g.sorted_edges}
+
+
 def graph_to_json_dict(g: SimpleGraph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.sorted_edges]}
+    data = _graph_payload(g)
+    data["edges"] = [list(e) for e in data["edges"]]
+    return data
 
 
 def graph_from_json_dict(data: dict) -> SimpleGraph:

@@ -509,6 +509,15 @@ class TestPinnedExtremalOutputs:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
 
 
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The collector's state for the test, enabled or disabled; restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
 class TestCertifyCollectorState:
     @pytest.fixture
     def instance(self, capsys, tmp_path):
@@ -517,13 +526,6 @@ class TestCertifyCollectorState:
                          "--out", str(out)]) == 0
         capsys.readouterr()
         return out
-
-    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
-    def collector(self, request):
-        was = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
-        yield request.param
-        (gc.enable if was else gc.disable)()
 
     def _certify(self, capsys, path) -> int:
         code = dispatch(["certify", "--in", str(path)])
@@ -557,4 +559,39 @@ class TestCertifyCollectorState:
 
         monkeypatch.setattr("hcs.cli.extremal_from_json_dict", spy)
         assert self._certify(capsys, instance) == 0
+        assert seen == [False] and gc.isenabled() is collector
+
+
+class TestConstructCollectorState:
+    # construct pauses the collector while it builds and writes, and leaves it
+    # as it found it however the command ends
+    def _construct(self, capsys, out, level="3") -> int:
+        code = dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", level,
+                         "--out", str(out)])
+        capsys.readouterr()
+        return code
+
+    def test_written_instance(self, capsys, tmp_path, collector):
+        assert self._construct(capsys, tmp_path / "g.json") == 0
+        assert gc.isenabled() is collector
+
+    def test_refused_level(self, capsys, tmp_path, collector):
+        assert self._construct(capsys, tmp_path / "g.json", level="1000") == 2
+        assert gc.isenabled() is collector
+
+    def test_output_in_a_missing_directory(self, capsys, tmp_path, collector):
+        assert self._construct(capsys, tmp_path / "missing" / "g.json") == 2
+        assert gc.isenabled() is collector
+
+    def test_collector_is_off_while_the_instance_builds(self, capsys, monkeypatch, tmp_path,
+                                                        collector):
+        seen = []
+        build = hcs.cli.build_extremal
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return build(*args)
+
+        monkeypatch.setattr("hcs.cli.build_extremal", spy)
+        assert self._construct(capsys, tmp_path / "g.json") == 0
         assert seen == [False] and gc.isenabled() is collector

@@ -406,3 +406,30 @@ class TestOrderedBuild:
                       lambda: build_extremal_oracle(k, k, 3, split=clumped))
         _same_outcome(lambda: build_extremal(k, k, 1),
                       lambda: build_extremal_oracle(k, k, 1, split=clumped))
+
+
+class TestSparsePool:
+    # build_extremal splits only the non-empty pool parts, at most 2k of the 2^level
+    @pytest.mark.parametrize("k, sigma_k, level", [(2, 2, 13), (3, 3, 10)])
+    def test_splits_only_non_empty_parts(self, monkeypatch, k, sigma_k, level):
+        calls = []
+
+        def spy(parts, k):
+            calls.append(parts)
+            return _split_parts(parts, k)
+
+        monkeypatch.setattr(hcs.extremal, "_split_parts", spy)
+        e = build_extremal(k, sigma_k, level)
+        assert len(calls) == level and len(e.parts) == 1 << level
+        for parts in calls:
+            assert all(parts) and len(parts) <= 2 * k
+
+    @pytest.mark.parametrize("k, sigma_k, level", [
+        *((1, 1, level) for level in range(14, 17)),
+        *((2, 2, level) for level in range(9, 14)),
+        (3, 3, 10),
+        (4, 5, 11),
+    ])
+    def test_matches_the_set_based_builder_deep(self, k, sigma_k, level):
+        _same_outcome(lambda: build_extremal(k, sigma_k, level),
+                      lambda: build_extremal_oracle(k, sigma_k, level))
