@@ -9,7 +9,6 @@ from .graphs import (
     average_degree,
     graph_from_json_dict,
     graph_to_dot,
-    graph_to_json_dict,
 )
 from .connectivity import (
     CutWitness,
@@ -35,7 +34,6 @@ from .extremal import (
     ExtremalReport,
     build_extremal,
     extremal_from_json_dict,
-    extremal_to_json_dict,
     sharpness_rate,
     verify_extremal,
 )

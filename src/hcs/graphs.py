@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
+from operator import lt
 from typing import Iterable, Optional
 
 Edge = tuple[int, int]
@@ -73,7 +75,10 @@ class SimpleGraph:
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbourhood of each vertex as a bitmask over vertex ids."""
         masks = [0] * self.n
-        for u, v in self.edges:
+        # ascending edges, when the graph holds them, read the masks nearly in
+        # order; the others keep hash order, as a graph built without an order
+        # (an experiment trial's) should not pay for a sort here
+        for u, v in self.__dict__.get("sorted_edges", self.edges):
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
@@ -117,19 +122,6 @@ EMPTY_PROFILE = AnticliqueProfile(())
 
 # --- serialization -----------------------------------------------------------
 
-def _graph_payload(g: SimpleGraph) -> dict:
-    """The graph's JSON data with its ordered edge tuples for the edge lists:
-    json encodes a tuple as it encodes a list, so writing this allocates no
-    list per edge."""
-    return {"n": g.n, "edges": g.sorted_edges}
-
-
-def graph_to_json_dict(g: SimpleGraph) -> dict:
-    data = _graph_payload(g)
-    data["edges"] = [list(e) for e in data["edges"]]
-    return data
-
-
 def graph_from_json_dict(data: dict) -> SimpleGraph:
     try:
         n = data["n"]
@@ -146,7 +138,7 @@ def graph_from_json_dict(data: dict) -> SimpleGraph:
         raise ValueError(f"graph has {n} vertices, above the cap {VERTEX_CAP}")
     # one pass checks, normalizes and range-checks each edge, so the graph is
     # built without SimpleGraph's own check
-    pairs = set()
+    pairs: list[Edge] = []
     for e in edges:
         if type(e) not in (list, tuple) or len(e) != 2:
             raise ValueError(f"malformed edge entry: {e!r}")
@@ -159,8 +151,11 @@ def graph_from_json_dict(data: dict) -> SimpleGraph:
             raise ValueError(f"loop at vertex {u} is not allowed")
         if u < 0 or v >= n:
             raise ValueError(f"edge ({u}, {v}) out of range or not normalized")
-        pairs.add((u, v))
-    return _unchecked_graph(n, frozenset(pairs))
+        pairs.append((u, v))
+    # construct writes the edges strictly ascending: kept, that order spares
+    # sorted_edges its sort, and a strictly ascending list repeats no edge
+    ordered = tuple(pairs) if all(map(lt, pairs, islice(pairs, 1, None))) else None
+    return _unchecked_graph(n, frozenset(pairs), ordered)
 
 
 def _unchecked_graph(

@@ -302,6 +302,29 @@ def build_extremal_oracle(k: int, sigma_k: int, level: int, split=_split_parts):
     return n, edges, parts, tuple(glue)
 
 
+# --- JSON oracles ----------------------------------------------------------------
+# The instance data construct writes, built as plain lists from each object's
+# own fields, so the expected values do not come from the package's writer.
+
+def graph_to_json_dict(g: SimpleGraph) -> dict:
+    """``{"n": n, "edges": [[u, v], ...]}`` with the edges ascending."""
+    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+
+
+def extremal_to_json_dict(e) -> dict:
+    """The graph and the metadata block of an extremal instance, as lists."""
+    return {
+        "graph": graph_to_json_dict(e.graph),
+        "metadata": {
+            "k": e.k,
+            "sigma_k": e.sigma_k,
+            "level": e.level,
+            "parts": [list(p) for p in e.parts],
+            "glue_history": [list(y) for y in e.glue_history],
+        },
+    }
+
+
 # --- relabelled induced subgraphs ------------------------------------------------
 # The kernel and the extractor work on one graph and a vertex bitmask; the
 # property tests compare them with the same questions asked of a relabelled

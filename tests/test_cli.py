@@ -1,3 +1,4 @@
+import bisect
 import gc
 import hashlib
 import json
@@ -19,14 +20,13 @@ from hcs import (
     build_extremal,
     dispatch,
     extract,
-    extremal_to_json_dict,
-    graph_to_json_dict,
     run_experiment,
 )
 from hcs.bounds import get_alternative, reports_to_json, verify_all_bounds
 from hcs.cli import NOT_APPLICABLE_SATURATED, _shuffle, build_parser, rows_to_csv, run_trial
 from hcs.extractor import result_to_json_dict
-from hcs.graphs import VERTEX_CAP
+from hcs.graphs import VERTEX_CAP, graph_from_json_dict
+from conftest import extremal_to_json_dict, graph_to_json_dict
 from test_golden import relabelled
 
 
@@ -507,6 +507,56 @@ class TestPinnedExtremalOutputs:
         file_digest, stdout_digest = self.PINNED[k, sigma_k, level]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == file_digest
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
+
+class TestCertifyAnyEdgeOrder:
+    # certify keeps the file's edge order when it is strictly ascending and
+    # sorts the edges otherwise; its report and exit code are the same either way
+    # (the digests were taken while certify still walked the edges in hash order)
+    PASS_STDOUT = "e9bf4c2103e8cd308bc0a51819f0e1282fd71cdf63a33dba80ccfb6e87faa821"
+    FAIL_STDOUT = "f499f54ba4ecd0857e6e31282518c0a54a81a0a4d8ea5a794a63cca0bb22d5fa"
+
+    @pytest.fixture
+    def payload(self, capsys, tmp_path):
+        out = tmp_path / "g.json"
+        assert dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "9",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        return json.loads(out.read_text())
+
+    @staticmethod
+    def _certify(capsys, tmp_path, payload, edges) -> tuple[int, str]:
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps({**payload, "graph": {**payload["graph"], "edges": edges}}))
+        code = dispatch(["certify", "--in", str(path)])
+        return code, capsys.readouterr().out
+
+    def test_shuffled_or_repeated_edges(self, capsys, tmp_path, payload):
+        edges = payload["graph"]["edges"]
+        code, text = self._certify(capsys, tmp_path, payload, edges)
+        assert code == 0 and hashlib.sha256(text.encode()).hexdigest() == self.PASS_STDOUT
+        shuffled = edges[:]
+        random.Random(9).shuffle(shuffled)
+        repeated = edges[:]
+        repeated.insert(100, edges[100])
+        for variant in (shuffled, repeated):
+            assert self._certify(capsys, tmp_path, payload, variant) == (code, text)
+
+    def test_cross_private_edge_in_order(self, capsys, tmp_path, payload):
+        # an edge between the two copies' private labels at the top gluing
+        n, meta = payload["graph"]["n"], payload["metadata"]
+        v_prev = (n + meta["k"]) // 2  # the first copy's labels
+        spare = set(meta["glue_history"][-1]).union(*meta["parts"])
+        u = min(v for v in range(v_prev) if v not in spare)
+        w = max(v for v in range(v_prev, n) if v not in spare)
+        edges = payload["graph"]["edges"]
+        edges.insert(bisect.bisect(edges, [u, w]), [u, w])
+        assert "sorted_edges" in vars(graph_from_json_dict({"n": n, "edges": edges}))
+        code, text = self._certify(capsys, tmp_path, payload, edges)
+        assert code == 1 and "(certificate=FAIL extract=skipped)" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FAIL_STDOUT
+        random.Random(9).shuffle(edges)
+        assert self._certify(capsys, tmp_path, payload, edges) == (code, text)
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])

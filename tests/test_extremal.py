@@ -13,7 +13,6 @@ from hcs import (
     SimpleGraph,
     build_extremal,
     extremal_from_json_dict,
-    extremal_to_json_dict,
     average_degree,
     find_separation,
     sharpness_rate,
@@ -26,6 +25,7 @@ from hcs.connectivity import _component
 from conftest import (
     build_extremal_oracle,
     certificate_check_oracle,
+    extremal_to_json_dict,
     induced_subgraph,
     partition_check_oracle,
 )

@@ -9,9 +9,8 @@ from hcs import (
     average_degree,
     graph_from_json_dict,
     graph_to_dot,
-    graph_to_json_dict,
 )
-from conftest import induced_subgraph, random_graph
+from conftest import graph_to_json_dict, induced_subgraph, random_graph
 
 
 class TestSimpleGraph:
@@ -136,6 +135,29 @@ class TestSerialization:
         ):
             with pytest.raises(ValueError, match=message):
                 graph_from_json_dict(data)
+
+    @pytest.mark.parametrize("edges", [
+        [],
+        [[0, 1], [0, 5], [1, 2], [2, 4], [3, 4]],
+        [[1, 0], [2, 1], [4, 3]],  # flipped, but ascending once normalized
+    ], ids=["empty", "ascending", "flipped-ascending"])
+    def test_json_keeps_a_strictly_ascending_edge_order(self, edges):
+        g = graph_from_json_dict({"n": 6, "edges": edges})
+        assert vars(g)["sorted_edges"] == tuple(sorted(g.edges))
+        assert g == SimpleGraph.from_edges(6, edges)
+        assert g.adjacency_masks == SimpleGraph.from_edges(6, edges).adjacency_masks
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 1], [2, 1], [0, 5]],
+        [[1, 2], [0, 1], [3, 4]],
+        [[0, 1], [1, 2], [1, 2], [3, 4]],
+    ], ids=["flipped", "unordered", "repeated"])
+    def test_json_out_of_order_sorts_on_first_use(self, edges):
+        g = graph_from_json_dict({"n": 6, "edges": edges})
+        assert g.adjacency_masks == SimpleGraph.from_edges(6, edges).adjacency_masks
+        assert "sorted_edges" not in vars(g)  # neither the load nor the masks sorted
+        assert g.sorted_edges == tuple(sorted(g.edges))
+        assert g == SimpleGraph.from_edges(6, edges)
 
     @pytest.mark.parametrize("g", [
         SimpleGraph.from_edges(6, [(5, 0), (2, 1), (3, 4), (0, 1), (1, 5)]),
