@@ -254,9 +254,10 @@ def _certificate_check(e: ExtremalGraph) -> bool:
 
     The walk visits the edges in ascending order: ``construct`` writes them
     so and ``graph_from_json_dict`` keeps that order, so a loaded instance
-    sorts nothing. Ascending pairs read ``side`` and ``glue`` nearly in
-    order; the edge set's hash order scatters the reads and took three to
-    five times as long at (2,2) level 13.
+    sorts nothing; one loaded in any other order is sorted here first.
+    Ascending pairs read ``side`` and ``glue`` nearly in order; the edge
+    set's hash order scatters the reads and took three to five times as
+    long at (2,2) level 13.
     """
     side = [0] * e.leaf_size
     glue = [0] * e.leaf_size

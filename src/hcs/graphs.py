@@ -75,10 +75,7 @@ class SimpleGraph:
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbourhood of each vertex as a bitmask over vertex ids."""
         masks = [0] * self.n
-        # ascending edges, when the graph holds them, read the masks nearly in
-        # order; the others keep hash order, as a graph built without an order
-        # (an experiment trial's) should not pay for a sort here
-        for u, v in self.__dict__.get("sorted_edges", self.edges):
+        for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
