@@ -220,13 +220,9 @@ def _cmd_extract(args) -> int:
     else:
         sigma = _parse_sigma(args.sigma)
     result = extract(g, args.k, sigma)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_result_json(result, fh)
-            fh.write("\n")
-    else:
-        write_result_json(result, sys.stdout)
-        sys.stdout.write("\n")
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        write_result_json(result, fh)
+        fh.write("\n")
     return 0
 
 
@@ -365,7 +361,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as exc:

@@ -75,18 +75,8 @@ grown by breadth-first steps in W - {t0}, and the flow runs from s to the
 sink (W - R) + {t0}, capped at the stop value plus 1. Let (S, X) be its
 source-minimal cut, of value v at most the stop value. The sink is not
 empty, so X is a cut of W of at most the stop value, and the search ends
-with it. The searches of the local flow walk S and R only. For the exact
-question, where the stop value 1 is at most kappa(W), X is also the cut
-the loop returns:
-  - t0 is in the sink, so v >= kappa(s, t0) >= kappa(W) >= 1 >= v,
-    and v = kappa(s, t0) < best;
-  - so t0 is not good, the loop runs its first pair (s, t0), and it stops
-    there, at a value of at most 1;
-  - that flow's source-minimal side S_g is the intersection of the source
-    sides of all minimum s-t0 cuts, and X is one, so S_g is in S;
-  - S_g + N(S_g) lies in S + X, which misses the sink, so S_g is the
-    source side of a minimum cut between s and the sink, and S is in S_g.
-So S = S_g and X = N(S).
+with it. The searches of the local flow walk S and R only. It runs only
+at a stop value of at least 2; at 1 the pair loop alone finds the cut.
 
 Side A of a separation is the component of W - X that holds the cut's
 source: s for the degree cut N(s) and for the local flow, x for the flow
@@ -505,10 +495,8 @@ def _min_cut_capped(
     is asked once: without such a cut no flow can return less than 2.
 
     Before the pair loop, ``_local_cut`` tries the local flow, capped at
-    ``enough`` + 1; a flow below that cap ends the search (see the module
-    docstring). At ``enough`` 1 it could succeed only at a cut of at most
-    one vertex, so there it is tried only once ``_has_cut_of_at_most_one``
-    has found one (best is then 2).
+    ``enough`` + 1, when ``enough`` is at least 2; a flow below that cap
+    ends the search (see the module docstring).
 
     ``good`` holds, for the current source x of the pair loop, vertices z
     with kappa(x, z) >= best: x's neighbours, every y already paired with
@@ -539,7 +527,7 @@ def _min_cut_capped(
         best_sep, best_side = masks[s] & alive, 1 << s
     if best <= enough or best == 2 and not _has_cut_of_at_most_one(masks, alive):
         return best, best_sep, best_side
-    if enough >= 2 or best == 2:
+    if enough >= 2:
         local = _local_cut(masks, alive, s, enough + 1)
         if local is not None:
             return local

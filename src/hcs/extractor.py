@@ -9,7 +9,7 @@ decomposition tree certifies that no induced subgraph on more than
 
 Trees of unbalanced separations, such as those of long paths and of the
 extremal graphs, are about as deep as the graph has vertices. So the
-search, the tree check and both JSON writers walk the tree on explicit
+search, the tree check and the JSON writer walk the tree on explicit
 stacks, never by recursion, and vertex sets become frozensets or sorted
 lists only at the public API and in JSON. The nested JSON of such a tree
 holds about n^2 ids, so the streaming writer cuts a large side's list out
@@ -19,7 +19,6 @@ Python work follows the peeled parts, not the output's size.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,27 +169,6 @@ def validate_decomposition(
 
 # --- serialization ----------------------------------------------------------------
 
-def result_to_json_dict(result: ExtractionResult) -> dict:
-    if result.outcome == FOUND:
-        return {"outcome": FOUND, "subgraph": sorted(result.subgraph)}
-    root: dict = {}
-    stack = [(result.tree, root)]
-    while stack:
-        node, data = stack.pop()
-        data["vertices"] = _bits(node.mask)
-        data["kind"] = node.kind
-        sep = node.separation
-        if sep is not None:
-            data["separation"] = {
-                "side_a": _bits(sep.mask_a),
-                "side_b": _bits(sep.mask_b),
-                "core": _bits(sep.mask_a & sep.mask_b),
-            }
-            data["children"] = [{}, {}]
-            stack.extend(zip(node.children, data["children"]))
-    return {"outcome": SEPARABLE, "tree": root}
-
-
 def _json_list(mask: int, names: list[str]) -> str:
     """The JSON list of the vertex ids in mask; ``names[v]`` is ``str(v)``."""
     return "[" + ",".join(_members(mask, names)) + "]"
@@ -238,14 +216,15 @@ def _side_text(side: int, other: int, parent_text: str, names: list[str]) -> str
 
 
 def write_result_json(result: ExtractionResult, fh: TextIO) -> None:
-    """Write ``result_to_json_dict(result)`` to fh as compact JSON.
+    """Write result to fh as compact JSON: ``{"outcome":"FOUND","subgraph":[...]}``
+    with the vertex ids ascending, or ``{"outcome":"SEPARABLE","tree":...}``.
 
     The text is written piece by piece, so the whole document is never
     held in memory, and a node's vertex list is built once: a child's
     ``vertices`` is the side of its parent's separation that it holds.
     """
     if result.outcome == FOUND:
-        fh.write(json.dumps(result_to_json_dict(result), separators=(",", ":")))
+        fh.writelines(('{"outcome":"FOUND","subgraph":[', ",".join(map(str, sorted(result.subgraph))), "]}"))
         return
     root = result.tree
     names = list(map(str, range(root.mask.bit_length())))

@@ -316,7 +316,9 @@ def sharpness_rate(e: ExtremalGraph) -> tuple[Fraction, Fraction]:
     """The rate 2e/(v - k) against its guaranteed floor delta*k - 1 - 1/(3 sigma).
 
     Raises if the guarantee is violated, which would mean the
-    construction lost edges somewhere.
+    construction lost edges somewhere. The floor times (v - k)/2 is
+    ``_edge_lower_bound(e)`` less (2/3) 2^-level C(k, 2), so the rate can
+    fall below its floor only when the edge count is below that bound.
     """
     lhs = Fraction(2 * e.graph.edge_count, e.graph.n - e.k)
     gamma, delta = _alt1_constants(e.sigma)

@@ -8,6 +8,8 @@ import pytest
 
 from hcs import CutWitness, OptimizationInstance, SimpleGraph, density_threshold, get_alternative, size_threshold
 from hcs.cli import _threshold_edge_count
+from hcs.connectivity import _bits
+from hcs.extractor import FOUND, SEPARABLE, ExtractionResult
 from hcs.extremal import _split_parts
 from hcs.graphs import VERTEX_CAP
 
@@ -303,8 +305,9 @@ def build_extremal_oracle(k: int, sigma_k: int, level: int, split=_split_parts):
 
 
 # --- JSON oracles ----------------------------------------------------------------
-# The instance data construct writes, built as plain lists from each object's
-# own fields, so the expected values do not come from the package's writer.
+# The instance data construct writes and the extraction data extract writes,
+# built as plain lists from each object's own fields, so the expected values
+# do not come from the package's writers.
 
 def graph_to_json_dict(g: SimpleGraph) -> dict:
     """``{"n": n, "edges": [[u, v], ...]}`` with the edges ascending."""
@@ -323,6 +326,27 @@ def extremal_to_json_dict(e) -> dict:
             "glue_history": [list(y) for y in e.glue_history],
         },
     }
+
+
+def result_to_json_dict(result: ExtractionResult) -> dict:
+    if result.outcome == FOUND:
+        return {"outcome": FOUND, "subgraph": sorted(result.subgraph)}
+    root: dict = {}
+    stack = [(result.tree, root)]
+    while stack:
+        node, data = stack.pop()
+        data["vertices"] = _bits(node.mask)
+        data["kind"] = node.kind
+        sep = node.separation
+        if sep is not None:
+            data["separation"] = {
+                "side_a": _bits(sep.mask_a),
+                "side_b": _bits(sep.mask_b),
+                "core": _bits(sep.mask_a & sep.mask_b),
+            }
+            data["children"] = [{}, {}]
+            stack.extend(zip(node.children, data["children"]))
+    return {"outcome": SEPARABLE, "tree": root}
 
 
 # --- relabelled induced subgraphs ------------------------------------------------

@@ -24,10 +24,12 @@ from hcs import (
 )
 from hcs.bounds import get_alternative, reports_to_json, verify_all_bounds
 from hcs.cli import NOT_APPLICABLE_SATURATED, _shuffle, build_parser, rows_to_csv, run_trial
-from hcs.extractor import result_to_json_dict
 from hcs.graphs import VERTEX_CAP, graph_from_json_dict
-from conftest import extremal_to_json_dict, graph_to_json_dict
+from conftest import extremal_to_json_dict, graph_to_json_dict, result_to_json_dict
 from test_golden import relabelled
+
+
+INTEGERS = "'k', 'sigma_k' and 'level' must be integers"
 
 
 def strip_elapsed(csv_text: str) -> str:
@@ -226,6 +228,7 @@ class TestDispatch:
         '{"n": true, "edges": []}',
         '{"n": 3, "edges": [[0.9, 2.2]]}',
         '5',
+        '{"n": 3,',  # not JSON at all
     ])
     def test_malformed_graph_json_exits_2(self, capsys, tmp_path, payload):
         source = tmp_path / "g.json"
@@ -291,20 +294,27 @@ class TestDispatch:
         assert len(err) == 1 and err[0].startswith("error: ") and str(VERTEX_CAP) in err[0]
         assert captured.out == ""
 
-    @pytest.mark.parametrize("key, edit", [
-        pytest.param("level", lambda meta: meta["level"] + 0.9, id="level-float"),
-        pytest.param("sigma_k", lambda meta: str(meta["sigma_k"]), id="sigma_k-string"),
-        pytest.param("level", lambda meta: True, id="level-bool"),
+    @pytest.mark.parametrize("key, edit, message", [
+        pytest.param("level", lambda meta: meta["level"] + 0.9, INTEGERS, id="level-float"),
+        pytest.param("sigma_k", lambda meta: str(meta["sigma_k"]), INTEGERS, id="sigma_k-string"),
+        pytest.param("level", lambda meta: True, INTEGERS, id="level-bool"),
         pytest.param("parts", lambda meta: [[v + 0.7 for v in meta["parts"][0]]] + meta["parts"][1:],
-                     id="pool-vertex-float"),
+                     "'parts' must be a list of lists of integers", id="pool-vertex-float"),
         pytest.param("glue_history", lambda meta: [[float(v) for v in y] for y in meta["glue_history"]],
-                     id="glue-vertex-float"),
+                     "'glue_history' must be a list of lists of integers", id="glue-vertex-float"),
         pytest.param("glue_history", lambda meta: ["".join(map(str, y)) for y in meta["glue_history"]],
-                     id="glue-set-string"),
-        pytest.param("parts", lambda meta: None, id="parts-null"),
+                     "'glue_history' must be a list of lists of integers", id="glue-set-string"),
+        pytest.param("parts", lambda meta: None, "'parts' must be a list of lists of integers", id="parts-null"),
+        pytest.param("sigma_k", lambda meta: 1, "malformed parameters", id="sigma_k-below-k"),
+        pytest.param("parts", lambda meta: [[1, 3, 4, 5]], "expected 2 pool parts, got 1", id="part-count"),
+        pytest.param("parts", lambda meta: [[1, 3], [4, 6]], "pool vertex 6 out of range", id="pool-vertex-range"),
+        pytest.param("parts", lambda meta: [[1, 3], [4]], "pool covers 3 vertices, expected 4", id="pool-cover"),
+        pytest.param("glue_history", lambda meta: [], "one gluing set per level is required", id="glue-count"),
+        pytest.param("glue_history", lambda meta: [[0, 5]], "gluing set 0 out of its level range",
+                     id="glue-range"),
     ])
-    def test_malformed_extremal_metadata_exits_2(self, capsys, tmp_path, key, edit):
-        # all but the last edit used to load, truncated or iterated, as a valid instance
+    def test_malformed_extremal_metadata_exits_2(self, capsys, tmp_path, key, edit, message):
+        # level 1 at k = 2, sigma_k = 2: six vertices, parts [[1, 3], [4, 5]], glue [[0, 2]]
         out = tmp_path / "g.json"
         dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "1", "--out", str(out)])
         capsys.readouterr()
@@ -312,8 +322,30 @@ class TestDispatch:
         payload["metadata"][key] = edit(payload["metadata"])
         out.write_text(json.dumps(payload))
         assert dispatch(["certify", "--in", str(out)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"] and captured.out == ""
+
+    def test_unbalanced_pool_parts_fail_the_partition(self, capsys, tmp_path):
+        out = tmp_path / "g.json"
+        dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "1", "--out", str(out)])
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        payload["metadata"]["parts"] = [[1, 3, 4], [5]]  # the same four pool vertices, 3 against 1
+        out.write_text(json.dumps(payload))
+        assert dispatch(["certify", "--in", str(out)]) == 1
+        assert "pool-partition: FAIL" in capsys.readouterr().out.splitlines()
+
+    def test_unparsable_sigma_exits_2(self, capsys, tmp_path):
+        source = tmp_path / "g.json"
+        source.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+        assert dispatch(["extract", "--in", str(source), "--k", "1", "--sigma", "abc"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: cannot parse sigma 'abc'"]
+
+    def test_experiment_seed_above_64_bits_exits_2(self, capsys):
+        args = ["experiment", "--trials", "1", "--k", "2", "--alt", "3", "--seed", str(2**64)]
+        assert dispatch(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: seed must fit in 64 bits"] and captured.out == ""
 
     def test_grid_step_flag_is_gone(self, capsys):
         assert dispatch(["verify-bounds", "--alt", "3", "--grid-step", "1/100"]) == 2
@@ -412,17 +444,20 @@ class TestExperiment:
 
     def test_cli_experiment(self, capsys, tmp_path):
         csv_path = tmp_path / "rows.csv"
-        code = dispatch([
-            "experiment", "--trials", "3", "--k", "2", "--alt", "3",
-            "--seed", "11", "--csv", str(csv_path),
-            "--n-min", "15", "--n-max", "20",
-        ])
+        args = ["experiment", "--trials", "3", "--k", "2", "--alt", "3", "--seed", "11",
+                "--n-min", "15", "--n-max", "20"]
+        code = dispatch(args + ["--csv", str(csv_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "3 found, 0 saturated, 3 trials: OK" in out
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "trial,n,e,d_bar,outcome,h_size,elapsed_ms"
         assert len(lines) == 4
+        # without --csv the same CSV goes to stdout, before the summary line
+        assert dispatch(args) == 0
+        *rows, summary = capsys.readouterr().out.splitlines()
+        assert strip_elapsed("\n".join(rows)) == strip_elapsed("\n".join(lines))
+        assert summary == "3 found, 0 saturated, 3 trials: OK"
 
 
 class TestShuffle:
@@ -595,7 +630,9 @@ class TestCertifyCollectorState:
 
     def test_malformed_json(self, capsys, instance, collector):
         instance.write_text(instance.read_text()[:-10])
-        assert self._certify(capsys, instance) == 2
+        assert dispatch(["certify", "--in", str(instance)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
         assert gc.isenabled() is collector
 
     def test_collector_is_off_while_the_instance_loads(self, capsys, monkeypatch, instance,

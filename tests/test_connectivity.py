@@ -23,6 +23,7 @@ from hcs.connectivity import (
     _st_vertex_cut,
 )
 from conftest import brute_force_min_cut, random_graph, threshold_graph
+from test_extractor import triangle_chain
 from test_golden import relabelled
 
 
@@ -372,6 +373,38 @@ class TestFlowCount:
         assert len(flows) <= 5  # 22 when each y is tested only when the loop reaches it
 
 
+class TestLocalFlow:
+    """The local flow runs only at a stop value of at least 2: at 1 the pair
+    loop alone finds the cut."""
+
+    @pytest.fixture
+    def local_flows(self, monkeypatch):
+        calls = []
+        local_cut = connectivity._local_cut
+
+        def counted(masks, alive, s, limit):
+            calls.append(limit)
+            return local_cut(masks, alive, s, limit)
+
+        monkeypatch.setattr(connectivity, "_local_cut", counted)
+        return calls
+
+    def test_exact_question_at_a_cut_vertex(self, local_flows):
+        # bowtie: two triangles sharing the cut vertex 2
+        bowtie = SimpleGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+        assert min_vertex_cut(bowtie) == CutWitness(1, frozenset({2}))
+        assert local_flows == []
+
+    def test_k1_extraction(self, local_flows):
+        assert extract(triangle_chain(60), 1, 3).outcome == SEPARABLE
+        assert local_flows == []
+
+    def test_k2_separation(self, local_flows):
+        g = relabelled(build_extremal(2, 2, 6).graph, 6)
+        find_separation(g, 2).validate(g, 2)
+        assert local_flows and set(local_flows) == {3}
+
+
 class TestNoWalk:
     """No set that ``find_separation`` searches is walked for connectivity:
     a disconnected set's empty cut is found by the degree, a flow or, at
@@ -454,6 +487,10 @@ class TestFindSeparation:
 
     def test_absent_for_tiny(self):
         assert find_separation(SimpleGraph.complete(3), 2) is None
+
+    def test_k_must_be_positive(self, glued_k4s):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            find_separation(glued_k4s, 0)
 
     def test_on_a_vertex_mask(self, glued_k4s):
         # without vertex 0 the set {1..5} is separated by {2, 3} alone

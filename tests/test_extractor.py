@@ -24,9 +24,9 @@ from hcs import (
     size_threshold,
     validate_decomposition,
 )
-from hcs.extractor import result_to_json_dict, write_result_json
+from hcs.extractor import write_result_json
 from hcs.field import Surd, sqrt
-from conftest import brute_force_hcs, induced_subgraph, k1_connected_by_removal, random_graph
+from conftest import brute_force_hcs, induced_subgraph, k1_connected_by_removal, random_graph, result_to_json_dict
 from test_golden import EXTREMAL, case_ids, digest, relabelled
 
 

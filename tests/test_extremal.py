@@ -20,7 +20,7 @@ from hcs import (
 )
 import hcs.extremal
 from hcs.bounds import _alt1_constants
-from hcs.extremal import ExtremalGraph, _split_parts
+from hcs.extremal import ExtremalGraph, _edge_lower_bound, _split_parts
 from hcs.connectivity import _component
 from conftest import (
     build_extremal_oracle,
@@ -187,6 +187,19 @@ class TestSharpnessRate:
         mutated = replace(e, graph=SimpleGraph.empty(2))
         with pytest.raises(ArithmeticError):
             sharpness_rate(mutated)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_floor_sits_below_the_edge_bound(self, k):
+        # certify's edge bound exceeds the rate's floor, as an edge count, by
+        # (2/3) 2^-level C(k, 2) >= 0, so the rate line can fail only when
+        # edge-bound fails; both depend on the parameters only, not the edges
+        for sigma_k in range(k, 2 * k + 2):
+            gamma, delta = _alt1_constants(Fraction(sigma_k, k))
+            for level in range(9):
+                v = k + (1 << level) * sigma_k
+                e = ExtremalGraph(SimpleGraph.empty(v), k, sigma_k, level, (), ())
+                floor_edges = (delta * k - 1 - gamma) * (v - k) / 2
+                assert _edge_lower_bound(e) - floor_edges == Fraction(2, 3) / (1 << level) * (k * (k - 1) // 2)
 
 
 class TestDegreeTarget:

@@ -16,8 +16,7 @@ import pytest
 from hcs import ExperimentConfig, SimpleGraph, build_extremal, extract, run_experiment, verify_all_bounds
 from hcs.bounds import reports_to_json
 from hcs.cli import rows_to_csv
-from hcs.extractor import result_to_json_dict
-from conftest import random_graph
+from conftest import random_graph, result_to_json_dict
 
 
 def digest(payload) -> str:
