@@ -187,6 +187,13 @@ class TestStVertexCut:
         assert pair_cut(g.adjacency_masks, 0, 5, 3, 0b111111) == (3, None)
         assert pair_cut(g.adjacency_masks, 0, 5, 5, 0b111111) == (4, mask({1, 2, 3, 4}))
 
+    def test_source_next_to_the_sink_reports_the_cap(self):
+        # no vertex set cuts s from a sink it touches
+        masks, full = SimpleGraph.path(4).adjacency_masks, 0b1111
+        for limit in (1, 3):
+            assert _st_vertex_cut(masks, 0, 0b0010, limit, full, 0) == (limit, None, 0)
+            assert _st_vertex_cut(masks, 1, 0b1100, limit, full, 0) == (limit, None, 0)
+
     def test_on_a_vertex_mask(self):
         # K6 less the edge 05, without vertices 2 and 3: the cut is {1, 4}
         g = SimpleGraph.from_edges(6, [e for e in SimpleGraph.complete(6).edges if e != (0, 5)])

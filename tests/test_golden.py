@@ -32,6 +32,13 @@ def relabelled(g: SimpleGraph, seed: int) -> SimpleGraph:
     return SimpleGraph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
+def experiment_digest(cfg: ExperimentConfig) -> str:
+    """The digest of an experiment's CSV without its timing column; every trial must pass."""
+    rows, ok = run_experiment(cfg)
+    assert ok
+    return digest("\n".join(line.rsplit(",", 1)[0] for line in rows_to_csv(rows).splitlines()))
+
+
 def case_ids(table: dict) -> list[str]:
     return ["-".join(map(str, params)) for params in sorted(table)]
 
@@ -65,6 +72,19 @@ EXPERIMENT = {
         "1474828513a04f48c14900509827760cd6a7441a7e79813e06b5bee55ef10b36",
 }
 
+# acceptance configurations (k, alternative, seed) at n in 100..200 -> digest
+# of 5 trials, whose FOUND sets the pair loop's flows certify
+EXPERIMENT_LARGE = {
+    (2, 3, 1001):
+        "50ac61c91d293552d92656d297c395b6c64f1514a78789916e445e3977054f9e",
+    (3, 3, 1002):
+        "287ac82ea68a1205184a4abc306af95ca64e9cd0f7cac98fe9ec83a66c026516",
+    (2, 1, 1003):
+        "9573fdf47d208b3a08752f64678b5cd99d31a2523f03ba8a74b3931efd53c479",
+    (2, 2, 1004):
+        "1d20c33b986d5c8ee00d67b902a28c4f915493d72d39b9efcac371d130739742",
+}
+
 RANDOM_EXTRACTIONS = "cd24cb9e709aaeaa53c04976bf7cb693ec937569a86f249d8143272f07e36755"
 BOUND_TABLE = "ad747c5c1d761ca4ed387c0796fc815890bf48e56814b68a63761fe9c37da084"
 
@@ -92,10 +112,14 @@ def test_random_extractions():
 def test_experiment_csv(params, expected):
     k, alt_id, seed, *n_range = params
     cfg = ExperimentConfig(trials=12, k=k, n_range=tuple(n_range) or (15, 50), alternative_id=alt_id, seed=seed)
-    rows, ok = run_experiment(cfg)
-    assert ok
-    text = "\n".join(line.rsplit(",", 1)[0] for line in rows_to_csv(rows).splitlines())
-    assert digest(text) == expected
+    assert experiment_digest(cfg) == expected
+
+
+@pytest.mark.parametrize(("params", "expected"), sorted(EXPERIMENT_LARGE.items()), ids=case_ids(EXPERIMENT_LARGE))
+def test_experiment_csv_large(params, expected):
+    k, alt_id, seed = params
+    cfg = ExperimentConfig(trials=5, k=k, n_range=(100, 200), alternative_id=alt_id, seed=seed)
+    assert experiment_digest(cfg) == expected
 
 
 def test_bound_table():
