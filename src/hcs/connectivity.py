@@ -33,11 +33,19 @@ already. A skipped pair could not have lowered the best cut, and the loop
 replaces it only on a strict drop, so the pair order, the first minimum
 cut and every output are those of the full loop.
 
-Each flow starts from the paths s-w-t through the common neighbours w of
-s and t, one unit each, which is the flow those augmenting paths would
-leave; when there are at least ``limit`` of them the flow is not run.
-Every maximum flow leaves the same residual-reachable set, so the
-separator read from it is unchanged.
+Each flow does less work than a plain augmenting-path search in two ways.
+It starts from a feasible flow instead of from zero: one unit on each
+path s-w-t through a common neighbour w of s and t, the flow those
+augmenting paths would leave, and then, when the sink is t alone (the
+flows of the pair loop), one unit on each of the paths s-a-b-t that a
+greedy pass routes over vertices no unit uses yet. Its value is the
+number of these paths, and when they reach ``limit`` no
+search runs. Augmenting from any feasible flow reaches a maximum flow
+(Edmonds-Karp, J. ACM 19, 1972), and every maximum flow leaves the same
+residual-reachable set, so the separator and the side read from it are
+unchanged. And each breadth-first search stops when it first reaches a
+vertex next to the sink, not when it takes that vertex from its queue:
+the queue is first in, first out, so the path it augments is the same.
 
 The kernel answers two questions, both through ``_min_cut_capped``,
 which takes the second's stop value as ``enough``. ``min_vertex_cut``
@@ -290,9 +298,10 @@ def _st_vertex_cut(
     masks: tuple[int, ...], s: int, sink: int, limit: int, alive: int, seed: int
 ) -> tuple[int, Optional[int], int]:
     """Minimum vertex cut in the set ``alive`` between s and the bitmask
-    ``sink``, capped at ``limit``; s has no neighbour in the sink.
+    ``sink``, capped at ``limit``.
 
-    Returns (limit, None, 0) when the cut is at least ``limit``; otherwise
+    Returns (limit, None, 0) when the cut is at least ``limit``, as it is
+    when s has a neighbour in the sink; otherwise
     the exact value, a witness separator X (a bitmask over the graph's own
     ids, of no sink vertex) and the source side: the component of alive - X
     that holds s.
@@ -316,25 +325,51 @@ def _st_vertex_cut(
     s outside X, through the free vertex it was reached by or along its
     own flow path, which crosses X exactly once, after it.
 
+    A search stops as soon as it reaches the out-node of a vertex next to
+    the sink, not when it takes that vertex from its queue: the queue is
+    first in, first out, so it is the vertex the search would have taken
+    first, and the path, the moved units and the next search are the same.
+    The source's own out-node is never reached that way, so s is tested
+    once, before the first search.
+
     ``seed`` names neighbours w of s that are each adjacent to the sink;
     the flow starts with one unit on each path s-w-sink, as a search along
     it would leave it (the pair loop passes the common neighbours of s and
-    t for the sink ``1 << t``). Every maximum flow has the same residual
-    reachable set, so neither the separator nor the side depends on where
-    the flow started.
+    t for the sink ``1 << t``). When the sink is one vertex t, units are
+    then routed greedily on paths s-a-b-t over vertices no unit uses: for
+    each neighbour a of s not next to t, in ascending order, the lowest
+    unused neighbour b of both a and t. A later search may send such a
+    unit back. The flow value counts units, one a path, and the flow
+    stops at ``limit`` with no search when these paths reach it. Any
+    feasible flow augments to a maximum flow (Edmonds-Karp), and every
+    maximum flow has the same residual reachable set, so neither the
+    separator nor the side depends on where the flow started.
     """
-    if seed.bit_count() >= limit:
+    if seed.bit_count() >= limit or masks[s] & sink:
         return limit, None, 0
     into = dict.fromkeys(_bits(seed), s)  # the flow of the paths s-w-sink
-    for value in range(len(into), limit):
+    units = len(into)
+    if not sink & (sink - 1):  # the sink is one vertex t: route paths s-a-b-t
+        near_t = masks[sink.bit_length() - 1] & alive
+        firsts = masks[s] & alive & ~near_t  # a: not next to t, so not in seed
+        lasts = near_t & ~masks[s]  # b: not next to s, so never an a
+        while firsts and units < limit:
+            a = (firsts & -firsts).bit_length() - 1
+            firsts &= firsts - 1
+            hop = masks[a] & lasts
+            if hop:
+                b = hop & -hop
+                lasts ^= b
+                into[a] = s
+                into[b.bit_length() - 1] = a
+                units += 1
+    for value in range(units, limit):
         reach_in, reach_out = 0, 1 << s
         came: dict[int, int] = {}  # in(w) was reached from out(came[w])
         went: dict[int, int] = {}  # out(x) was reached from in(went[x])
         queue = [s]
         for v in queue:  # the list grows while it is walked: a FIFO queue
             new = masks[v] & alive & ~reach_in
-            if new & sink:
-                break
             if v in into and not reach_in >> v & 1:
                 new |= 1 << v  # back along v's own full unit arc
             reach_in |= new
@@ -346,13 +381,18 @@ def _st_vertex_cut(
                 if not reach_out >> x & 1:
                     reach_out |= 1 << x
                     went[x] = w
+                    if masks[x] & sink:
+                        break
                     queue.append(x)
+            else:
+                continue
+            break  # out(x) reaches the sink
         else:
             sep = reach_in & ~reach_out
             if sep.bit_count() != value:
                 raise RuntimeError("residual cut does not match the flow value")
             return value, sep, reach_out
-        u = v  # out(v) reached the sink; walk the path back, moving each unit it crosses
+        u = x  # walk the path back from out(x), moving each unit it crosses
         while u != s:
             w = went[u]
             u = came[w]

@@ -20,6 +20,7 @@ from hcs.connectivity import (
     _bits,
     _component,
     _has_cut_of_at_most_one,
+    _near,
     _st_vertex_cut,
 )
 from conftest import brute_force_min_cut, random_graph, threshold_graph
@@ -162,6 +163,33 @@ def mask(vertices) -> int:
     return sum(1 << v for v in vertices)
 
 
+def networkx_cut(nx, g: SimpleGraph, alive: int, s: int, sink: int):
+    """networkx's maximum flow on the vertex-split network of g on alive,
+    from out(s) to the in-nodes of the sink: (value, X, S), with X the
+    vertices whose in-node but not out-node the residual network reaches
+    from out(s), and S those whose out-node it reaches."""
+    d = nx.DiGraph()
+    for v in _bits(alive):
+        d.add_edge((v, "in"), (v, "out"), capacity=1)
+    for u, v in g.edges:
+        if alive >> u & 1 and alive >> v & 1:
+            d.add_edge((u, "out"), (v, "in"))  # no capacity: unbounded
+            d.add_edge((v, "out"), (u, "in"))
+    for t in _bits(sink):
+        d.add_edge((t, "in"), "sink")
+    residual = nx.flow.edmonds_karp(d, (s, "out"), "sink")
+    ahead = {(s, "out")}
+    todo = [(s, "out")]
+    while todo:
+        x = todo.pop()
+        for y, arc in residual[x].items():
+            if arc["flow"] < arc["capacity"] and y not in ahead:
+                ahead.add(y)
+                todo.append(y)
+    x_in = {v for v in _bits(alive) if (v, "in") in ahead and (v, "out") not in ahead}
+    return residual.graph["flow_value"], x_in, {v for v in _bits(alive) if (v, "out") in ahead}
+
+
 def pair_cut(masks, s: int, t: int, limit: int, alive: int):
     """The flow of the pair (s, t) as the pair loop runs it: to the sink
     {t}, seeded with the common neighbours; (value, separator)."""
@@ -223,12 +251,16 @@ class TestStVertexCut:
         assert pair_cut(g.adjacency_masks, 6, 9, 3, full) == (3, None)
 
     def test_matches_networkx_on_the_split_network(self):
-        # each flow starts from the paths through common neighbours; the value
-        # must be min(kappa, limit) and the separator the vertices whose in-node
-        # but not out-node the source reaches in the residual network
+        # each flow starts from the paths through common neighbours and, to
+        # one sink vertex, from greedily routed paths s-a-b-t; the value must
+        # be min(kappa, limit), the separator the vertices whose in-node but
+        # not out-node the source reaches in the residual network, and the
+        # side the vertices whose out-node it reaches: s's component of
+        # alive - X. Pairs run to the sink {t}, local flows to the
+        # complement of a ball around s that misses s's lowest non-neighbour
         nx = pytest.importorskip("networkx")
         rng = random.Random(2020)
-        compared = seeded = 0
+        compared = seeded = routed = 0
         for _ in range(240):
             n = rng.randint(5, 40)
             g = random_graph(rng, n, rng.uniform(0.05, 0.9))
@@ -240,32 +272,42 @@ class TestStVertexCut:
                 continue
             s, t = rng.choice(pairs)
             limit = rng.randint(1, len(live))
-            d = nx.DiGraph()
-            for v in live:
-                d.add_edge((v, "in"), (v, "out"), capacity=1)
-            for u, v in g.edges:
-                if alive >> u & 1 and alive >> v & 1:
-                    d.add_edge((u, "out"), (v, "in"))  # no capacity: unbounded
-                    d.add_edge((v, "out"), (u, "in"))
-            residual = nx.flow.edmonds_karp(d, (s, "out"), (t, "in"))
-            kappa = residual.graph["flow_value"]
-            value, sep = pair_cut(masks, s, t, limit, alive)
-            assert value == min(kappa, limit), (sorted(g.edges), alive, s, t, limit)
-            compared += 1
-            seeded += 0 < (masks[s] & masks[t] & alive).bit_count() < limit
-            if kappa >= limit:
-                assert sep is None
-                continue
-            ahead = {(s, "out")}
-            todo = [(s, "out")]
-            while todo:
-                x = todo.pop()
-                for y, arc in residual[x].items():
-                    if arc["flow"] < arc["capacity"] and y not in ahead:
-                        ahead.add(y)
-                        todo.append(y)
-            assert set(_bits(sep)) == {v for v in live if (v, "in") in ahead and (v, "out") not in ahead}
-        assert compared >= 200 and seeded >= 50
+            rest = alive & ~masks[s] & ~(1 << s)
+            t0 = (rest & -rest).bit_length() - 1
+            ball, layer = 1 << s, masks[s] & alive
+            for _ in range(rng.randint(1, 3)):
+                ball |= layer
+                layer = _near(masks, layer) & alive & ~(1 << t0) & ~ball
+            for sink, seed in ((1 << t, masks[s] & masks[t] & alive), (alive & ~ball, masks[s] & masks[t0] & alive)):
+                kappa, x_in, x_out = networkx_cut(nx, g, alive, s, sink)
+                value, sep, side = _st_vertex_cut(masks, s, sink, limit, alive, seed)
+                assert value == min(kappa, limit), (sorted(g.edges), alive, s, sink, limit)
+                compared += 1
+                if sink == 1 << t:
+                    seeded += 0 < seed.bit_count() < limit
+                if kappa >= limit:
+                    assert (sep, side) == (None, 0)
+                    continue
+                assert set(_bits(sep)) == x_in and set(_bits(side)) == x_out
+                assert side == _component(masks, alive & ~sep, 1 << s)
+                if sink == 1 << t:
+                    routed += seed.bit_count() < limit and any(
+                        masks[a] & masks[t] & ~masks[s] for a in _bits(masks[s] & alive & ~masks[t]))
+        assert compared >= 400 and seeded >= 50 and routed >= 20
+
+    def test_routed_unit_sent_back(self):
+        # 0 reaches 5 through 1 or 2, then 3 or 4; 2 only through 3. The paths
+        # are routed greedily, so 1 takes 3 and the flow starts with one unit
+        # on 0-1-3-5; the search must send it back from 3 to reach 0-2-3-5 and
+        # 0-1-4-5. 6 hangs off 0 and 1, on the source side of the cut {1, 2}
+        nx = pytest.importorskip("networkx")
+        g = SimpleGraph.from_edges(7, [(0, 1), (0, 2), (0, 6), (1, 3), (1, 4), (1, 6), (2, 3), (3, 5), (4, 5)])
+        full = (1 << 7) - 1
+        expected = (2, mask({1, 2}), mask({0, 6}))
+        assert _st_vertex_cut(g.adjacency_masks, 0, 1 << 5, 3, full, 0) == expected
+        kappa, x_in, x_out = networkx_cut(nx, g, full, 0, 1 << 5)
+        assert (kappa, mask(x_in), mask(x_out)) == expected
+        assert _st_vertex_cut(g.adjacency_masks, 0, 1 << 5, 2, full, 0) == (2, None, 0)
 
     def test_common_neighbours_reach_the_limit(self):
         # K(2,5): 0 and 1 share five neighbours, so five disjoint paths
