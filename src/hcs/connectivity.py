@@ -39,9 +39,9 @@ path s-w-t through a common neighbour w of s and t, the flow those
 augmenting paths would leave, and then, when the sink is t alone (the
 flows of the pair loop), one unit on each of the paths s-a-b-t that a
 greedy pass routes over vertices no unit uses yet. Its value is the
-number of these paths, and when they reach ``limit`` no
-search runs. Augmenting from any feasible flow reaches a maximum flow
-(Edmonds-Karp, J. ACM 19, 1972), and every maximum flow leaves the same
+number of these paths, and when they reach ``limit`` no search runs.
+Augmenting from any feasible flow reaches a maximum flow (Edmonds-Karp,
+J. ACM 19, 1972), and every maximum flow leaves the same
 residual-reachable set, so the separator and the side read from it are
 unchanged. And each breadth-first search stops when it first reaches a
 vertex next to the sink, not when it takes that vertex from its queue:
@@ -358,10 +358,10 @@ def _st_vertex_cut(
             firsts &= firsts - 1
             hop = masks[a] & lasts
             if hop:
-                b = hop & -hop
-                lasts ^= b
+                bit = hop & -hop  # b
+                lasts ^= bit
                 into[a] = s
-                into[b.bit_length() - 1] = a
+                into[bit.bit_length() - 1] = a
                 units += 1
     for value in range(units, limit):
         reach_in, reach_out = 0, 1 << s
