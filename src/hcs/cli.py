@@ -38,7 +38,7 @@ from .bounds import (
 )
 from .extractor import FOUND, extract, write_result_json
 from .extremal import (
-    _extremal_payload,
+    _write_extremal_json,
     build_extremal,
     extremal_from_json_dict,
     sharpness_rate,
@@ -194,10 +194,8 @@ def _load_graph(path: str) -> SimpleGraph:
 @_collector_paused()  # the builder makes no cycles, so a collection could free nothing
 def _cmd_construct(args) -> int:
     e = build_extremal(args.k, args.sigma_k, args.level)
-    payload = _extremal_payload(e)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, separators=(",", ":")))  # json.dump never uses the C encoder
-        fh.write("\n")
+        _write_extremal_json(e, fh)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graph_to_dot(e.graph))

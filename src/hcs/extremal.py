@@ -8,10 +8,11 @@ subgraph remains confined to a single complete leaf of the gluing tree.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional
+from itertools import chain, combinations, repeat
+from typing import Optional, TextIO
 
 from .bounds import _alt1_constants
 from .graphs import (
@@ -142,7 +143,7 @@ def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
     for j, p in pool.items():
         parts[j] = p
     # every edge is normalized and below n by construction
-    graph = _unchecked_graph(n, frozenset(edges), tuple(edges))
+    graph = _unchecked_graph(n, tuple(edges))
     return ExtremalGraph(graph, k, sigma_k, level, tuple(parts), tuple(glue))
 
 
@@ -211,10 +212,10 @@ def _check_partition(e: ExtremalGraph) -> bool:
     if max(sizes) - min(sizes) > 1:
         return False
     part_of = {v: i for i, p in enumerate(e.parts) for v in p}  # disjoint, as _validate_structure checked
-    edges = e.graph.edges
+    has_edge = e.graph.has_edge
     # the 2k pool vertices, ascending, so every pair is a normalized edge
     return not any(
-        part_of[u] != part_of[w] and (u, w) in edges for u, w in combinations(sorted(part_of), 2)
+        part_of[u] != part_of[w] and has_edge(u, w) for u, w in combinations(sorted(part_of), 2)
     )
 
 
@@ -252,12 +253,13 @@ def _certificate_check(e: ExtremalGraph) -> bool:
     (so in both children) or both ends in one child, so some level-l node
     holds both ends on its private sides. The check costs O(n + e).
 
-    The walk visits the edges in ascending order: ``construct`` writes them
-    so and ``graph_from_json_dict`` keeps that order, so a loaded instance
-    sorts nothing; one loaded in any other order is sorted here first.
-    Ascending pairs read ``side`` and ``glue`` nearly in order; the edge
-    set's hash order scatters the reads and took three to five times as
-    long at (2,2) level 13.
+    The walk visits the edges in the form the graph holds them
+    (``held_edges``): in ascending order for a built instance and for a
+    file ``construct`` wrote, which ``graph_from_json_dict`` keeps, and in
+    the edge set's hash order for a file in any other order, which is not
+    sorted here. Ascending pairs read ``side`` and ``glue`` nearly in order;
+    hash order scatters the reads and took three to five times as long at
+    (2,2) level 13, but sorting first costs more than it saves.
     """
     side = [0] * e.leaf_size
     glue = [0] * e.leaf_size
@@ -270,7 +272,7 @@ def _certificate_check(e: ExtremalGraph) -> bool:
             glue[x] |= bit
     if len(side) != e.graph.n:
         return False
-    return not any((side[u] ^ side[w]) & ~(glue[u] | glue[w]) for u, w in e.graph.sorted_edges)
+    return not any((side[u] ^ side[w]) & ~(glue[u] | glue[w]) for u, w in e.graph.held_edges)
 
 
 def _extraction_check(e: ExtremalGraph) -> bool:
@@ -330,20 +332,25 @@ def sharpness_rate(e: ExtremalGraph) -> tuple[Fraction, Fraction]:
 
 # --- serialization --------------------------------------------------------------
 
-def _extremal_payload(e: ExtremalGraph) -> dict:
-    """The instance's JSON data as construct writes it: the edges ascending,
-    and tuples for every list, which json encodes as it encodes a list, so
-    writing this allocates no list per edge."""
-    return {
-        "graph": {"n": e.graph.n, "edges": e.graph.sorted_edges},
-        "metadata": {
-            "k": e.k,
-            "sigma_k": e.sigma_k,
-            "level": e.level,
-            "parts": e.parts,
-            "glue_history": e.glue_history,
-        },
+def _write_extremal_json(e: ExtremalGraph, fh: TextIO) -> None:
+    """Write the instance's JSON as construct does, on one line with no spaces
+    and the edges ascending. The edge list is written as text joined from the
+    ids, a block of edges at a time, where json would encode every id with a
+    call of its own; json writes only the small metadata block."""
+    meta = {
+        "k": e.k,
+        "sigma_k": e.sigma_k,
+        "level": e.level,
+        "parts": e.parts,
+        "glue_history": e.glue_history,
     }
+    edges = e.graph.sorted_edges
+    fh.write(f'{{"graph":{{"n":{e.graph.n},"edges":[')
+    for i in range(0, len(edges), 4096):  # a block at a time keeps the text small
+        if i:
+            fh.write(",")
+        fh.write(",".join([f"[{u},{v}]" for u, v in edges[i:i + 4096]]))
+    fh.write(f']}},"metadata":{json.dumps(meta, separators=(",", ":"))}}}\n')
 
 
 def extremal_from_json_dict(data: dict) -> ExtremalGraph:
@@ -358,7 +365,13 @@ def extremal_from_json_dict(data: dict) -> ExtremalGraph:
     if not all(map(_is_int, (k, sigma_k, level))):
         raise ValueError("'k', 'sigma_k' and 'level' must be integers")
     for name, sets in (("parts", parts), ("glue_history", glue_history)):
-        if not (isinstance(sets, list) and all(isinstance(y, list) and all(map(_is_int, y)) for y in sets)):
+        # one C-level pass over the sets, one over their members: at level 13
+        # parts holds 8,192 lists, most of them empty
+        if not (
+            isinstance(sets, list)
+            and all(map(isinstance, sets, repeat(list)))
+            and all(map(_is_int, chain.from_iterable(sets)))
+        ):
             raise ValueError(f"'{name}' must be a list of lists of integers")
     e = ExtremalGraph(
         graph=graph,

@@ -8,12 +8,13 @@ floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from operator import lt
-from typing import Iterable, Optional
+from typing import Collection, Iterable
 
 Edge = tuple[int, int]
 
@@ -27,23 +28,42 @@ def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph on vertices 0..n-1.
+    """Undirected simple graph on vertices 0..n-1, immutable and safe to share
+    between tasks.
 
-    Edges are stored as a frozenset of pairs (u, v) with u < v; the
-    instance is immutable and safe to share between tasks.
+    Its edges are pairs (u, v) with u < v, held in one of two forms: the
+    frozenset ``edges`` or the ascending tuple ``sorted_edges``. The graph
+    is built with one of them and derives the other only on first use, so a
+    caller that reads only one form never pays for the other. ``held_edges``
+    and ``has_edge`` read whichever form the graph holds.
     """
 
-    n: int
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset[Edge]) -> None:
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
+        for u, v in edges:
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range or not normalized")
+        object.__setattr__(self, "n", n)
+        vars(self)["edges"] = edges
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph(n={self.n!r}, edges={self.edges!r})"
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
@@ -67,24 +87,47 @@ class SimpleGraph:
     def path(n: int) -> "SimpleGraph":
         return SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as a set, built on first use from ``sorted_edges``."""
+        return frozenset(vars(self)["sorted_edges"])
+
+    @cached_property
+    def sorted_edges(self) -> tuple[Edge, ...]:
+        """The edges in ascending order, as the writers emit them: sorted on
+        first use from ``edges``, unless the graph was built with them in order."""
+        return tuple(sorted(vars(self)["edges"]))
+
+    @property
+    def held_edges(self) -> Collection[Edge]:
+        """The edges in a form the graph already holds, for walks whose result
+        does not depend on the order: the ascending tuple when there is one,
+        which reads vertex data nearly in order, else the set in hash order."""
+        held = vars(self)
+        return held["sorted_edges"] if "sorted_edges" in held else held["edges"]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether the normalized pair (u, v) is an edge: a set lookup, or a
+        bisect in the ascending tuple when the graph holds no set."""
+        held = vars(self)
+        if "edges" in held:
+            return (u, v) in held["edges"]
+        ordered = held["sorted_edges"]
+        i = bisect_left(ordered, (u, v))
+        return i < len(ordered) and ordered[i] == (u, v)
+
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.held_edges)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbourhood of each vertex as a bitmask over vertex ids."""
         masks = [0] * self.n
-        for u, v in self.edges:
+        for u, v in self.held_edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    @cached_property
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        """The edges in ascending order, as the writers emit them: sorted on
-        first use, unless the graph was built with them in order."""
-        return tuple(sorted(self.edges))
 
 
 def average_degree(g: SimpleGraph) -> Fraction:
@@ -149,22 +192,21 @@ def graph_from_json_dict(data: dict) -> SimpleGraph:
         if u < 0 or v >= n:
             raise ValueError(f"edge ({u}, {v}) out of range or not normalized")
         pairs.append((u, v))
-    # construct writes the edges strictly ascending: kept, that order spares
-    # sorted_edges its sort, and a strictly ascending list repeats no edge
-    ordered = tuple(pairs) if all(map(lt, pairs, islice(pairs, 1, None))) else None
-    return _unchecked_graph(n, frozenset(pairs), ordered)
+    # construct writes the edges strictly ascending: kept as the graph's only
+    # form, that order spares sorted_edges its sort and the graph its edge set,
+    # and a strictly ascending list repeats no edge
+    if all(map(lt, pairs, islice(pairs, 1, None))):
+        return _unchecked_graph(n, tuple(pairs))
+    return _unchecked_graph(n, frozenset(pairs))
 
 
-def _unchecked_graph(
-    n: int, edges: frozenset[Edge], sorted_edges: Optional[tuple[Edge, ...]] = None
-) -> SimpleGraph:
+def _unchecked_graph(n: int, edges: frozenset[Edge] | tuple[Edge, ...]) -> SimpleGraph:
     """A graph built without SimpleGraph's range check, for callers that made its
-    edges valid; a caller that holds them in ascending order passes that too."""
+    edges valid. It holds them in the form given: a frozenset as ``edges``, or
+    a strictly ascending tuple as ``sorted_edges``."""
     g = object.__new__(SimpleGraph)
     object.__setattr__(g, "n", n)
-    object.__setattr__(g, "edges", edges)
-    if sorted_edges is not None:
-        g.__dict__["sorted_edges"] = sorted_edges
+    vars(g)["sorted_edges" if type(edges) is tuple else "edges"] = edges
     return g
 
 

@@ -545,9 +545,9 @@ class TestPinnedExtremalOutputs:
 
 
 class TestCertifyAnyEdgeOrder:
-    # certify keeps the file's edge order when it is strictly ascending and
-    # sorts the edges otherwise; its report and exit code are the same either way
-    # (the digests were taken while certify still walked the edges in hash order)
+    # certify keeps the file's edges as the ascending tuple when they are
+    # strictly ascending, and as a set walked in hash order otherwise; its report
+    # and exit code are the same either way
     PASS_STDOUT = "e9bf4c2103e8cd308bc0a51819f0e1282fd71cdf63a33dba80ccfb6e87faa821"
     FAIL_STDOUT = "f499f54ba4ecd0857e6e31282518c0a54a81a0a4d8ea5a794a63cca0bb22d5fa"
 
@@ -576,6 +576,23 @@ class TestCertifyAnyEdgeOrder:
         repeated.insert(100, edges[100])
         for variant in (shuffled, repeated):
             assert self._certify(capsys, tmp_path, payload, variant) == (code, text)
+
+    def test_load_keeps_the_edges_in_one_form(self, capsys, monkeypatch, tmp_path, payload):
+        seen = []
+        verify = hcs.cli.verify_extremal
+
+        def spy(e):
+            seen.append(e)
+            return verify(e)
+
+        monkeypatch.setattr("hcs.cli.verify_extremal", spy)
+        edges = payload["graph"]["edges"]
+        assert self._certify(capsys, tmp_path, payload, edges)[0] == 0
+        random.Random(9).shuffle(edges)
+        assert self._certify(capsys, tmp_path, payload, edges)[0] == 0
+        ordered, shuffled = (vars(e.graph) for e in seen)
+        assert "edges" not in ordered and "sorted_edges" in ordered
+        assert "sorted_edges" not in shuffled and "edges" in shuffled
 
     def test_cross_private_edge_in_order(self, capsys, tmp_path, payload):
         # an edge between the two copies' private labels at the top gluing

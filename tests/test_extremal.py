@@ -369,6 +369,27 @@ class TestUncheckedBuild:
             assert SimpleGraph(g.n, g.edges) == g
 
 
+class TestOneEdgeForm:
+    # the builder and a loaded file keep one form of the edges, and the checks
+    # read that form without building the other
+    @pytest.mark.parametrize("k, sigma_k, level", [(2, 2, 10), (1, 1, 12), (3, 3, 8)])
+    def test_built_instance_never_builds_its_edge_set(self, k, sigma_k, level):
+        e = build_extremal(k, sigma_k, level)
+        assert verify_extremal(e).passed
+        sharpness_rate(e)
+        assert "edges" not in vars(e.graph)
+
+    @pytest.mark.parametrize("k, sigma_k, level", [(2, 2, 10), (2, 4, 7)])
+    def test_shuffled_instance_is_never_sorted(self, k, sigma_k, level):
+        data = extremal_to_json_dict(build_extremal(k, sigma_k, level))
+        random.Random(level).shuffle(data["graph"]["edges"])
+        e = extremal_from_json_dict(data)
+        report = verify_extremal(e)
+        sharpness_rate(e)
+        assert "sorted_edges" not in vars(e.graph)
+        assert report == verify_extremal(build_extremal(k, sigma_k, level))
+
+
 def _same_outcome(build, oracle) -> None:
     """build and oracle either raise the same error or make the same instance,
     and the instance holds its edges in ascending order."""

@@ -1,5 +1,7 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +9,7 @@ from hcs import (
     AnticliqueProfile,
     SimpleGraph,
     average_degree,
+    build_extremal,
     graph_from_json_dict,
     graph_to_dot,
 )
@@ -172,6 +175,63 @@ class TestSerialization:
         text = graph_to_dot(SimpleGraph.path(3))
         assert "0 -- 1;" in text and "1 -- 2;" in text
         assert text.startswith("graph G {")
+
+
+def _edge_form_pairs():
+    """(n, edges) for seeded random graphs and extremal graphs, edgeless ones included."""
+    rng = random.Random(29)
+    cases = [pytest.param(n, set(), id=f"edgeless-{n}") for n in (0, 1, 5)]
+    cases += [pytest.param(n, random_graph(rng, n, p).edges, id=f"random-{n}-{p}")
+              for n in (2, 7, 16, 31) for p in (0.1, 0.5, 0.9)]
+    cases += [pytest.param(e.graph.n, e.graph.edges, id=f"extremal-{e.k}-{e.sigma_k}-{e.level}")
+              for e in (build_extremal(1, 1, 6), build_extremal(2, 2, 5),
+                        build_extremal(3, 4, 3), build_extremal(6, 6, 2))]
+    return cases
+
+
+class TestEdgeForms:
+    # a graph holds its edges as a frozenset or as the ascending tuple and builds
+    # the other form only on first use; both must answer every question alike
+    @pytest.mark.parametrize("n, edges", _edge_form_pairs())
+    def test_tuple_and_set_forms_agree(self, n, edges):
+        ordered = graph_from_json_dict({"n": n, "edges": [list(e) for e in sorted(edges)]})
+        unordered = SimpleGraph(n, frozenset(edges))
+        assert "edges" not in vars(ordered) and "sorted_edges" not in vars(unordered)
+        for u, v in combinations(range(n), 2):
+            assert ordered.has_edge(u, v) == unordered.has_edge(u, v) == ((u, v) in edges)
+        assert ordered.edge_count == unordered.edge_count == len(edges)
+        assert sorted(ordered.held_edges) == sorted(unordered.held_edges)
+        assert ordered.adjacency_masks == unordered.adjacency_masks
+        # nothing above built the form a graph lacks
+        assert "edges" not in vars(ordered) and "sorted_edges" not in vars(unordered)
+        assert ordered == unordered and unordered == ordered
+        assert hash(ordered) == hash(unordered)
+        assert ordered.sorted_edges == unordered.sorted_edges == tuple(sorted(edges))
+        assert ordered.edges == unordered.edges == frozenset(edges)
+        assert ordered == unordered and hash(ordered) == hash(unordered)
+
+    def test_graphs_that_differ_are_unequal_in_either_form(self):
+        g = SimpleGraph.path(6)
+        ordered = graph_from_json_dict({"n": 6, "edges": [list(e) for e in g.sorted_edges]})
+        for other in (SimpleGraph.cycle(6), SimpleGraph.path(7), SimpleGraph.empty(6)):
+            twin = graph_from_json_dict({"n": other.n, "edges": [list(e) for e in other.sorted_edges]})
+            for a, b in ((ordered, other), (ordered, twin), (g, twin)):
+                assert a != b and b != a
+
+    @pytest.mark.parametrize("form", ["tuple", "set"])
+    def test_setting_or_deleting_an_attribute_raises(self, form):
+        if form == "tuple":
+            g = graph_from_json_dict({"n": 3, "edges": [[0, 1], [1, 2]]})
+        else:
+            g = SimpleGraph.path(3)
+        for name, value in (("n", 4), ("edges", frozenset()), ("sorted_edges", ()),
+                            ("adjacency_masks", ()), ("other", 1)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(g, name, value)
+        for name in ("n", "edges", "sorted_edges"):
+            with pytest.raises(FrozenInstanceError):
+                delattr(g, name)
+        assert g == SimpleGraph.path(3)
 
 
 class TestAnticliqueProfile:
