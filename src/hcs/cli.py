@@ -363,7 +363,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print("error:", type(exc).__name__ + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

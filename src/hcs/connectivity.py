@@ -34,12 +34,13 @@ replaces it only on a strict drop, so the pair order, the first minimum
 cut and every output are those of the full loop.
 
 Each flow does less work than a plain augmenting-path search in two ways.
-It starts from a feasible flow instead of from zero: one unit on each
-path s-w-t through a common neighbour w of s and t, the flow those
-augmenting paths would leave, and then, when the sink is t alone (the
-flows of the pair loop), one unit on each of the paths s-a-b-t that a
-greedy pass routes over vertices no unit uses yet. Its value is the
-number of these paths, and when they reach ``limit`` no search runs.
+It starts from a feasible flow instead of from zero, built in one pass
+over the neighbours a of s in ascending order: when a is next to the
+sink, one unit on s-a-sink, as an augmenting path along it would leave
+it; otherwise, when the sink is one vertex t (the flows of the pair
+loop), one unit on s-a-b-t, with b the lowest vertex next to a and t but
+not to s that no unit uses yet. Its value is the number of these paths,
+and when they reach ``limit`` the pass stops and no search runs.
 Augmenting from any feasible flow reaches a maximum flow (Edmonds-Karp,
 J. ACM 19, 1972), and every maximum flow leaves the same
 residual-reachable set, so the separator and the side read from it are
@@ -295,7 +296,7 @@ def _vertex_mask(g: SimpleGraph, alive: Optional[int]) -> int:
 # --- unit augmenting paths on the implicit vertex-split network ---------------
 
 def _st_vertex_cut(
-    masks: tuple[int, ...], s: int, sink: int, limit: int, alive: int, seed: int
+    masks: tuple[int, ...], s: int, sink: int, limit: int, alive: int
 ) -> tuple[int, Optional[int], int]:
     """Minimum vertex cut in the set ``alive`` between s and the bitmask
     ``sink``, capped at ``limit``.
@@ -332,37 +333,35 @@ def _st_vertex_cut(
     The source's own out-node is never reached that way, so s is tested
     once, before the first search.
 
-    ``seed`` names neighbours w of s that are each adjacent to the sink;
-    the flow starts with one unit on each path s-w-sink, as a search along
-    it would leave it (the pair loop passes the common neighbours of s and
-    t for the sink ``1 << t``). When the sink is one vertex t, units are
-    then routed greedily on paths s-a-b-t over vertices no unit uses: for
-    each neighbour a of s not next to t, in ascending order, the lowest
-    unused neighbour b of both a and t. A later search may send such a
-    unit back. The flow value counts units, one a path, and the flow
-    stops at ``limit`` with no search when these paths reach it. Any
-    feasible flow augments to a maximum flow (Edmonds-Karp), and every
-    maximum flow has the same residual reachable set, so neither the
-    separator nor the side depends on where the flow started.
+    The flow starts with one unit on s-a-sink or, to one sink vertex t, on
+    s-a-b-t for each neighbour a of s that the module docstring's one pass
+    routes. A later search may send such a unit back. The flow value
+    counts units, one a path, and the flow stops at ``limit`` with no
+    search when these paths reach it. Any feasible flow augments to a
+    maximum flow (Edmonds-Karp), and every maximum flow has the same
+    residual reachable set, so neither the separator nor the side depends
+    on where the flow started.
     """
-    if seed.bit_count() >= limit or masks[s] & sink:
+    if masks[s] & sink:
         return limit, None, 0
-    into = dict.fromkeys(_bits(seed), s)  # the flow of the paths s-w-sink
-    units = len(into)
-    if not sink & (sink - 1):  # the sink is one vertex t: route paths s-a-b-t
-        near_t = masks[sink.bit_length() - 1] & alive
-        firsts = masks[s] & alive & ~near_t  # a: not next to t, so not in seed
-        lasts = near_t & ~masks[s]  # b: not next to s, so never an a
-        while firsts and units < limit:
-            a = (firsts & -firsts).bit_length() - 1
-            firsts &= firsts - 1
-            hop = masks[a] & lasts
-            if hop:
-                bit = hop & -hop  # b
-                lasts ^= bit
-                into[a] = s
-                into[bit.bit_length() - 1] = a
-                units += 1
+    into: dict[int, int] = {}
+    units = 0
+    # b of s-a-b-t: next to t but not to s, so never an a; none unless the sink is t alone
+    lasts = 0 if sink & (sink - 1) else masks[sink.bit_length() - 1] & alive & ~masks[s]
+    firsts = masks[s] & alive
+    while firsts and units < limit:
+        a = (firsts & -firsts).bit_length() - 1
+        firsts &= firsts - 1
+        hop = masks[a] & lasts
+        if masks[a] & sink:  # s-a-sink
+            into[a] = s
+            units += 1
+        elif hop:  # s-a-b-t
+            bit = hop & -hop
+            lasts ^= bit
+            into[a] = s
+            into[bit.bit_length() - 1] = a
+            units += 1
     for value in range(units, limit):
         reach_in, reach_out = 0, 1 << s
         came: dict[int, int] = {}  # in(w) was reached from out(came[w])
@@ -490,7 +489,6 @@ def _local_cut(masks: tuple[int, ...], alive: int, s: int, limit: int) -> Option
     t = (rest & -rest).bit_length() - 1
     most = alive.bit_count() // _LOCAL_SHARE
     avail = alive & ~(1 << t)
-    seed = masks[s] & masks[t] & alive  # a neighbour of s has every neighbour but t in the ball
     layer = masks[s] & alive
     ball = 1 << s
     for _ in range(_LOCAL_ROUNDS):
@@ -499,7 +497,7 @@ def _local_cut(masks: tuple[int, ...], alive: int, s: int, limit: int) -> Option
             layer = _near(masks, layer) & avail & ~ball
         if ball.bit_count() > most:
             return None
-        value, sep, side = _st_vertex_cut(masks, s, alive & ~ball, limit, alive, seed)
+        value, sep, side = _st_vertex_cut(masks, s, alive & ~ball, limit, alive)
         if value < limit:
             return value, sep, side
         if not layer:
@@ -581,7 +579,7 @@ def _min_cut_capped(
             good = _fan_closure(masks, alive, good, fresh, best)
             fresh = 0
             if not good & bit:
-                value, sep, side = _st_vertex_cut(masks, x, bit, best, alive, masks[x] & masks[y] & alive)
+                value, sep, side = _st_vertex_cut(masks, x, bit, best, alive)
                 if value < best:
                     best, best_sep, best_side = value, sep, side
                     if best <= enough or best == 2 and not _has_cut_of_at_most_one(masks, alive):

@@ -192,8 +192,8 @@ def networkx_cut(nx, g: SimpleGraph, alive: int, s: int, sink: int):
 
 def pair_cut(masks, s: int, t: int, limit: int, alive: int):
     """The flow of the pair (s, t) as the pair loop runs it: to the sink
-    {t}, seeded with the common neighbours; (value, separator)."""
-    return _st_vertex_cut(masks, s, 1 << t, limit, alive, masks[s] & masks[t] & alive)[:2]
+    {t}; (value, separator)."""
+    return _st_vertex_cut(masks, s, 1 << t, limit, alive)[:2]
 
 
 class TestStVertexCut:
@@ -219,8 +219,8 @@ class TestStVertexCut:
         # no vertex set cuts s from a sink it touches
         masks, full = SimpleGraph.path(4).adjacency_masks, 0b1111
         for limit in (1, 3):
-            assert _st_vertex_cut(masks, 0, 0b0010, limit, full, 0) == (limit, None, 0)
-            assert _st_vertex_cut(masks, 1, 0b1100, limit, full, 0) == (limit, None, 0)
+            assert _st_vertex_cut(masks, 0, 0b0010, limit, full) == (limit, None, 0)
+            assert _st_vertex_cut(masks, 1, 0b1100, limit, full) == (limit, None, 0)
 
     def test_on_a_vertex_mask(self):
         # K6 less the edge 05, without vertices 2 and 3: the cut is {1, 4}
@@ -251,16 +251,17 @@ class TestStVertexCut:
         assert pair_cut(g.adjacency_masks, 6, 9, 3, full) == (3, None)
 
     def test_matches_networkx_on_the_split_network(self):
-        # each flow starts from the paths through common neighbours and, to
-        # one sink vertex, from greedily routed paths s-a-b-t; the value must
-        # be min(kappa, limit), the separator the vertices whose in-node but
-        # not out-node the source reaches in the residual network, and the
-        # side the vertices whose out-node it reaches: s's component of
-        # alive - X. Pairs run to the sink {t}, local flows to the
-        # complement of a ball around s that misses s's lowest non-neighbour
+        # each flow starts with one unit on s-a-sink for each neighbour a of s
+        # next to the sink and, to one sink vertex t, on a greedily routed
+        # s-a-b-t for each other a; the value must be min(kappa, limit), the
+        # separator the vertices whose in-node but not out-node the source
+        # reaches in the residual network, and the side the vertices whose
+        # out-node it reaches: s's component of alive - X. Pairs run to the
+        # sink {t}, local flows to the complement of a ball around s that
+        # misses s's lowest non-neighbour t0
         nx = pytest.importorskip("networkx")
         rng = random.Random(2020)
-        compared = seeded = routed = 0
+        compared = seeded = routed = off_t0 = 0
         for _ in range(240):
             n = rng.randint(5, 40)
             g = random_graph(rng, n, rng.uniform(0.05, 0.9))
@@ -278,22 +279,25 @@ class TestStVertexCut:
             for _ in range(rng.randint(1, 3)):
                 ball |= layer
                 layer = _near(masks, layer) & alive & ~(1 << t0) & ~ball
-            for sink, seed in ((1 << t, masks[s] & masks[t] & alive), (alive & ~ball, masks[s] & masks[t0] & alive)):
+            for sink in (1 << t, alive & ~ball):
                 kappa, x_in, x_out = networkx_cut(nx, g, alive, s, sink)
-                value, sep, side = _st_vertex_cut(masks, s, sink, limit, alive, seed)
+                value, sep, side = _st_vertex_cut(masks, s, sink, limit, alive)
                 assert value == min(kappa, limit), (sorted(g.edges), alive, s, sink, limit)
                 compared += 1
+                direct = masks[s] & alive & _near(masks, sink)  # the units on s-a-sink
                 if sink == 1 << t:
-                    seeded += 0 < seed.bit_count() < limit
+                    seeded += 0 < direct.bit_count() < limit
+                else:  # in a 1-step ball some a may touch the sink besides t0
+                    off_t0 += direct != masks[s] & masks[t0] & alive
                 if kappa >= limit:
                     assert (sep, side) == (None, 0)
                     continue
                 assert set(_bits(sep)) == x_in and set(_bits(side)) == x_out
                 assert side == _component(masks, alive & ~sep, 1 << s)
                 if sink == 1 << t:
-                    routed += seed.bit_count() < limit and any(
+                    routed += direct.bit_count() < limit and any(
                         masks[a] & masks[t] & ~masks[s] for a in _bits(masks[s] & alive & ~masks[t]))
-        assert compared >= 400 and seeded >= 50 and routed >= 20
+        assert compared >= 400 and seeded >= 50 and routed >= 20 and off_t0 >= 40
 
     def test_routed_unit_sent_back(self):
         # 0 reaches 5 through 1 or 2, then 3 or 4; 2 only through 3. The paths
@@ -304,10 +308,10 @@ class TestStVertexCut:
         g = SimpleGraph.from_edges(7, [(0, 1), (0, 2), (0, 6), (1, 3), (1, 4), (1, 6), (2, 3), (3, 5), (4, 5)])
         full = (1 << 7) - 1
         expected = (2, mask({1, 2}), mask({0, 6}))
-        assert _st_vertex_cut(g.adjacency_masks, 0, 1 << 5, 3, full, 0) == expected
+        assert _st_vertex_cut(g.adjacency_masks, 0, 1 << 5, 3, full) == expected
         kappa, x_in, x_out = networkx_cut(nx, g, full, 0, 1 << 5)
         assert (kappa, mask(x_in), mask(x_out)) == expected
-        assert _st_vertex_cut(g.adjacency_masks, 0, 1 << 5, 2, full, 0) == (2, None, 0)
+        assert _st_vertex_cut(g.adjacency_masks, 0, 1 << 5, 2, full) == (2, None, 0)
 
     def test_common_neighbours_reach_the_limit(self):
         # K(2,5): 0 and 1 share five neighbours, so five disjoint paths
@@ -377,9 +381,9 @@ class TestFlowCount:
         pairs = []
         st_vertex_cut = connectivity._st_vertex_cut
 
-        def counted(masks, s, sink, limit, alive, seed):
+        def counted(masks, s, sink, limit, alive):
             pairs.append((s, sink))
-            return st_vertex_cut(masks, s, sink, limit, alive, seed)
+            return st_vertex_cut(masks, s, sink, limit, alive)
 
         monkeypatch.setattr(connectivity, "_st_vertex_cut", counted)
         return pairs

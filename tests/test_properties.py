@@ -130,7 +130,7 @@ def min_cut_every_pair(g: SimpleGraph, cap: int, alive: int) -> tuple[int, Optio
     if best >= cap:
         best, best_sep = cap, None
     for x, y in _dominating_pairs(masks, alive, s):
-        value, sep, _ = _st_vertex_cut(masks, x, 1 << y, best, alive, masks[x] & masks[y] & alive)
+        value, sep, _ = _st_vertex_cut(masks, x, 1 << y, best, alive)
         if value < best:
             best, best_sep, source = value, sep, x
     if component_by_search(g, alive, live[0]) != alive:
