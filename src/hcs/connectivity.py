@@ -80,12 +80,16 @@ until it finds such a cut.
 Most of the sets extraction splits peel a small leaf off a large rest,
 and the loop's first flow, from s to its lowest non-neighbour t0, walks
 the whole set. So a local flow is tried first: R is a ball around s,
-grown by breadth-first steps in W - {t0}, and the flow runs from s to the
-sink (W - R) + {t0}, capped at the stop value plus 1. Let (S, X) be its
-source-minimal cut, of value v at most the stop value. The sink is not
-empty, so X is a cut of W of at most the stop value, and the search ends
-with it. The searches of the local flow walk S and R only. It runs only
-at a stop value of at least 2; at 1 the pair loop alone finds the cut.
+grown by breadth-first steps in W, and the flow runs from s to the sink
+W - R, capped at the stop value plus 1. Let (S, X) be its source-minimal
+cut, of value v at most the stop value. A flow runs only while R holds
+at most a quarter of W, so the sink is not empty, X is a cut of W of at
+most the stop value, and the search ends with it. The ball may hold t0:
+any such cut ends the search, so the local cut need not be the pair
+(s, t0)'s, and on the extremal graphs as built t0 lies next to s's leaf,
+where a sink that holds it cannot be cut off by k vertices. The searches
+of the local flow walk S and R only. It runs only at a stop value of at
+least 2; at 1 the pair loop alone finds the cut.
 
 Side A of a separation is the component of W - X that holds the cut's
 source: s for the degree cut N(s) and for the local flow, x for the flow
@@ -468,13 +472,14 @@ def _degree_classes(masks: tuple[int, ...], alive: int) -> dict[int, int]:
 # flow once the ball holds more than 1/_LOCAL_SHARE of the set, where the
 # loop's own first flow walks about as much. Measured with Python 3.11 on a
 # 2-CPU machine, extracting from the extremal graphs (2,2) at levels 10-12,
-# (3,3) at 9-10, (4,4) at 8 and (6,6) at 8, as built and relabelled: every
-# local flow that settled its set did so in the first round for k = 2 and in
-# the second for k = 3, 4 and 6. Rounds 3 and 4 settled none and ran most
-# of the flows that missed: at (2,4) level 8 as built, where no local flow
-# settles, the misses took 6.4 ms of 58 ms with four rounds and 4.3 ms of
-# 57 ms with two. On dense sets, such as the density threshold graphs, two
-# steps reach more than a quarter of the set, so no local flow runs there.
+# (3,3) at 9-10, (4,4) at 8 and (6,6) at 8, as built and relabelled, and
+# (2,4) at 8-9 and (2,3) at 9-10 as built: every local flow that settled its
+# set did so in the first round for (2,2), in the second for (3,3), (4,4)
+# and (6,6), and in either for (2,4) and (2,3) (56 and 4 sets at (2,4)
+# level 8). With no bound on the rounds, extract took 0.046 s against
+# 0.033 s at (2,4) level 9 and 0.118 s against 0.069 s at (2,3) level 10.
+# On dense sets, such as the density threshold graphs, two steps reach
+# more than a quarter of the set, so no local flow runs there.
 _LOCAL_STEPS = 2
 _LOCAL_ROUNDS = 2
 _LOCAL_SHARE = 4
@@ -483,25 +488,22 @@ _LOCAL_SHARE = 4
 def _local_cut(masks: tuple[int, ...], alive: int, s: int, limit: int) -> Optional[tuple[int, int, int]]:
     """The local flow of ``_min_cut_capped``: (value, separator, source
     side) of the first flow below ``limit`` from s to the sink alive - R,
-    for a ball R around s that grows round by round and never holds t, the
-    lowest non-neighbour of s; None when no round finds one."""
-    rest = alive & ~masks[s] & ~(1 << s)
-    t = (rest & -rest).bit_length() - 1
+    for a ball R around s that grows round by round within alive; None
+    when no round finds one. A flow runs only while R holds at most a
+    quarter of alive, so the sink is never empty. Once R stops growing it
+    is s's component, and that round's flow returns 0."""
     most = alive.bit_count() // _LOCAL_SHARE
-    avail = alive & ~(1 << t)
     layer = masks[s] & alive
     ball = 1 << s
     for _ in range(_LOCAL_ROUNDS):
         for _ in range(_LOCAL_STEPS):
             ball |= layer
-            layer = _near(masks, layer) & avail & ~ball
+            layer = _near(masks, layer) & alive & ~ball
         if ball.bit_count() > most:
             return None
         value, sep, side = _st_vertex_cut(masks, s, alive & ~ball, limit, alive)
         if value < limit:
             return value, sep, side
-        if not layer:
-            return None
     return None
 
 

@@ -15,6 +15,7 @@ from hcs import (
     get_alternative,
     is_k1_connected,
     min_vertex_cut,
+    validate_decomposition,
 )
 from hcs.connectivity import (
     _bits,
@@ -257,8 +258,10 @@ class TestStVertexCut:
         # separator the vertices whose in-node but not out-node the source
         # reaches in the residual network, and the side the vertices whose
         # out-node it reaches: s's component of alive - X. Pairs run to the
-        # sink {t}, local flows to the complement of a ball around s that
-        # misses s's lowest non-neighbour t0
+        # sink {t}, the others to the complement of a ball around s that
+        # misses s's lowest non-neighbour t0. ``_local_cut`` does not build
+        # these sinks, but they are valid kernel inputs, and in them a
+        # neighbour of s may touch the sink
         nx = pytest.importorskip("networkx")
         rng = random.Random(2020)
         compared = seeded = routed = off_t0 = 0
@@ -456,6 +459,44 @@ class TestLocalFlow:
         g = relabelled(build_extremal(2, 2, 6).graph, 6)
         find_separation(g, 2).validate(g, 2)
         assert local_flows and set(local_flows) == {3}
+
+    @pytest.fixture
+    def local_answers(self, monkeypatch):
+        # for each ``_local_cut`` call that ran a flow, whether it gave a cut
+        answers, flows = [], []
+        local_cut, st_vertex_cut = connectivity._local_cut, connectivity._st_vertex_cut
+
+        def flow(masks, s, sink, limit, alive):
+            flows.append(sink)
+            return st_vertex_cut(masks, s, sink, limit, alive)
+
+        def counted(masks, alive, s, limit):
+            flows.clear()
+            answer = local_cut(masks, alive, s, limit)
+            if flows:
+                answers.append(answer is not None)
+            return answer
+
+        monkeypatch.setattr(connectivity, "_st_vertex_cut", flow)
+        monkeypatch.setattr(connectivity, "_local_cut", counted)
+        return answers
+
+    @staticmethod
+    def extract_as_built(sigma_k, level):
+        # as built, s's lowest non-neighbour lies next to s's leaf, so a
+        # sink that must hold it cannot be cut off by k vertices
+        e = build_extremal(2, sigma_k, level)
+        res = extract(e.graph, 2, e.sigma)
+        assert res.outcome == SEPARABLE
+        validate_decomposition(e.graph, 2, e.sigma, res.tree)
+
+    def test_every_local_flow_settles_on_2_2_as_built(self, local_answers):
+        self.extract_as_built(2, 10)
+        assert len(local_answers) >= 500 and all(local_answers)  # 67 of 505 miss when the ball keeps t0 out
+
+    def test_local_flows_settle_on_2_4_as_built(self, local_answers):
+        self.extract_as_built(4, 8)
+        assert sum(local_answers) >= 50  # none of 79 when the ball keeps t0 out
 
 
 class TestNoWalk:

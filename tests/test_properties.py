@@ -314,22 +314,28 @@ def test_local_flow_and_source_side(case, k):
 
 
 @functools.lru_cache(maxsize=None)
-def relabelled_extremal(k: int, level: int) -> tuple[SimpleGraph, list[tuple[int, int]]]:
-    g = relabelled(build_extremal(k, k, level).graph, level)
+def extremal_with_non_edges(
+    k: int, sigma_k: int, level: int, relabel: bool
+) -> tuple[SimpleGraph, list[tuple[int, int]]]:
+    g = build_extremal(k, sigma_k, level).graph
+    if relabel:
+        g = relabelled(g, level)
     return g, non_edges(g)
 
 
 @st.composite
 def near_extremal(draw):
-    """The extremal graph with sigma_k = k, relabelled, plus one non-edge:
-    deep trees whose every node peels a small leaf, where the local flow
-    settles most nodes."""
-    k, level = draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)]))
-    g, missing = relabelled_extremal(k, level)
+    """An extremal graph plus one non-edge: deep trees whose every node
+    peels a small leaf, where the local flow settles most nodes. Either
+    sigma_k = k, relabelled, or as built, where the local flow's cut often
+    leaves s's lowest non-neighbour on s's side or in the cut."""
+    k, sigma_k, relabel = draw(st.sampled_from(
+        [(2, 2, True), (3, 3, True), (2, 2, False), (2, 3, False), (2, 4, False), (3, 3, False)]))
+    g, missing = extremal_with_non_edges(k, sigma_k, draw(st.integers(3, 5)), relabel)
     return SimpleGraph.from_edges(g.n, [*g.edges, draw(st.sampled_from(missing))]), k
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=160, deadline=None, derandomize=True, database=None)
 @given(near_extremal())
 def test_local_flow_and_source_side_near_extremal(case):
     g, k = case
