@@ -16,6 +16,7 @@ import pytest
 from hcs import ExperimentConfig, SimpleGraph, build_extremal, extract, run_experiment, verify_all_bounds
 from hcs.bounds import reports_to_json
 from hcs.cli import rows_to_csv
+from hcs.connectivity import min_vertex_cut
 from conftest import random_graph, result_to_json_dict
 
 
@@ -86,6 +87,7 @@ EXPERIMENT_LARGE = {
 }
 
 RANDOM_EXTRACTIONS = "cd24cb9e709aaeaa53c04976bf7cb693ec937569a86f249d8143272f07e36755"
+MIN_VERTEX_CUTS = "59f382e0e9c313db3eca4ad764e933e3a21f159efdfd11714dd6f716970621fa"
 BOUND_TABLE = "ad747c5c1d761ca4ed387c0796fc815890bf48e56814b68a63761fe9c37da084"
 
 
@@ -106,6 +108,24 @@ def test_random_extractions():
             for sigma in (Fraction(1, 5), Fraction(1)):
                 results.append(result_to_json_dict(extract(g, k, sigma)))
     assert digest(results) == RANDOM_EXTRACTIONS
+
+
+def test_min_vertex_cuts():
+    """(kappa, sorted separator) on seeded random graphs of 2 to 90 vertices
+    and on extremal instances, as built and relabelled."""
+    rng = random.Random(1975)
+    graphs = [
+        random_graph(rng, rng.randint(2, 90), rng.choice([0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9]))
+        for _ in range(400)
+    ]
+    for k, sigma_k, level in [(2, 2, 5), (2, 2, 8), (3, 3, 6), (2, 4, 6), (2, 3, 7), (4, 4, 5)]:
+        g = build_extremal(k, sigma_k, level).graph
+        graphs += [g, relabelled(g, level)]
+    answers = []
+    for g in graphs:
+        w = min_vertex_cut(g)
+        answers.append([w.kappa, None if w.separator is None else sorted(w.separator)])
+    assert digest(answers) == MIN_VERTEX_CUTS
 
 
 @pytest.mark.parametrize(("params", "expected"), sorted(EXPERIMENT.items()), ids=case_ids(EXPERIMENT))
