@@ -48,34 +48,32 @@ unchanged. And each breadth-first search stops when it first reaches a
 vertex next to the sink, not when it takes that vertex from its queue:
 the queue is first in, first out, so the path it augments is the same.
 
-The kernel answers two questions, both through ``_min_cut_capped``,
-which takes the second's stop value as ``enough``. ``min_vertex_cut``
-asks for the connectivity and a minimum separator (``enough`` 0).
-``find_separation`` asks only for some cut of at most k vertices
-(``enough`` k): padded to k vertices, any such cut is the core of a
-separation, and only the answer None needs the proof that kappa >= k+1
-(Even's test of kappa >= k, SIAM J. Comput. 4, 1975, also decides with a
-witness instead of computing kappa). So that search returns its first cut
-of at most k vertices, from the minimum degree, the local flow below or a
-pair of the loop, and otherwise k+1 with no cut. It misses no such cut:
-the loop run to its end returns kappa, and a pair is skipped only when its
-cut is at least best, which is then above k.
+The kernel answers one question, through ``_min_cut_capped``: the first
+cut of at most e vertices that its search meets, for a stop value
+``enough`` e >= 0, and otherwise e+1 with no cut. ``find_separation``
+asks it with e = k: padded to k vertices, any such cut is the core of a
+separation, and only the answer None needs the proof that kappa >= k+1.
+``min_vertex_cut`` asks it again and again, each time one below the last
+cut's value, until an ask finds no cut; Even's test of kappa >= k (SIAM
+J. Comput. 4, 1975) gets connectivity from such witness-giving asks too.
+The search returns its first cut of at most e vertices, from the minimum
+degree, the local flow below or a pair of the loop. It misses no such
+cut: the loop run to its end returns kappa or e+1, whichever is smaller,
+and a pair is skipped only when its cut is at least best, which is then
+above e.
 
-A disconnected set needs no walk of its own when k >= 2: a vertex of
-minimum degree at most k gives a cut at once, and otherwise a flow into
-another component returns 0, with the empty separator and its source's
-component as side A. The exact question walks the set once: a
-disconnected set gets the empty cut, with the component of its lowest
-vertex as side A, and a connected one has no cut below 1, so its search
-stops at its first cut of at most 1, which is then a minimum cut. With a
-stop value of 1 (k = 1, or a connected set in the exact question), the
-first time the best cut is 2, from the minimum degree, k+1 or a flow, one
-depth-first search (Hopcroft–Tarjan low points) decides whether the set
-has a cut of at most one vertex: a cut vertex, or a vertex the search from
-the lowest vertex never reaches, where a second search would need a second
-root. Without one no flow can return less than 2, and the search ends
-there, with the answer the full loop gives; with one the loop runs on
-until it finds such a cut.
+A disconnected set needs no walk of its own: a vertex of minimum degree
+at most e gives a cut at once, and otherwise a flow into another
+component returns 0, with the empty separator and its source's component
+as side A. At e = 0 the fan closure covers the source's component at
+once, so only the flows into other components run. With a stop value of
+1 and a minimum degree of at least 2, one depth-first search
+(Hopcroft–Tarjan low points) decides whether the set has a cut of at
+most one vertex: a cut vertex, or a vertex the search from the lowest
+vertex never reaches, where a second search would need a second root.
+Without one no flow can return less than 2, and the search ends there,
+with the answer the full loop gives; with one the loop runs on until it
+finds such a cut.
 
 Most of the sets extraction splits peel a small leaf off a large rest,
 and the loop's first flow, from s to its lowest non-neighbour t0, walks
@@ -89,12 +87,11 @@ any such cut ends the search, so the local cut need not be the pair
 (s, t0)'s, and on the extremal graphs as built t0 lies next to s's leaf,
 where a sink that holds it cannot be cut off by k vertices. The searches
 of the local flow walk S and R only. It runs only at a stop value of at
-least 2; at 1 the pair loop alone finds the cut.
+least 2; below that the pair loop alone finds the cut.
 
 Side A of a separation is the component of W - X that holds the cut's
-source: s for the degree cut N(s) and for the local flow, x for the flow
-of a pair (x, y), and, in the exact question, the lowest vertex of a
-disconnected set. The last search of a flow reaches exactly that
+source: s for the degree cut N(s) and for the local flow, and x for the
+flow of a pair (x, y). The last search of a flow reaches exactly that
 component (see ``_st_vertex_cut``), so finding it costs no search of its
 own, and on the extremal graphs it is the peeled leaf.
 
@@ -214,15 +211,6 @@ def _near(masks: tuple[int, ...], vertices: int) -> int:
         vertices &= vertices - 1
         near |= masks[v]
     return near
-
-
-def _component(masks: tuple[int, ...], alive: int, start: int) -> int:
-    """The component of the ``alive`` bitmask that holds the vertex bit ``start``."""
-    comp = frontier = start
-    while frontier:
-        frontier = _near(masks, frontier) & alive & ~comp
-        comp |= frontier
-    return comp
 
 
 def _has_cut_of_at_most_one(masks: tuple[int, ...], alive: int) -> bool:
@@ -512,27 +500,23 @@ def _min_cut_capped(
 ) -> tuple[int, Optional[int], int]:
     """A vertex cut of g on the non-empty set alive: (value, separator, side).
 
-    It answers one of two questions. With ``enough`` 0, a minimum cut:
-    value is kappa and the separator a bitmask of kappa vertices, or None
-    when the set is complete. With ``enough`` e >= 1, the first cut of at
-    most e vertices that the search meets, or (e + 1, None) when there is
-    none; a complete set of at most e + 1 vertices gives n - 1 instead.
+    It answers one question for every ``enough`` e >= 0: the first cut of
+    at most e vertices that the search meets, or (e + 1, None) when there
+    is none; a complete set of at most e + 1 vertices gives n - 1 instead.
     side is the component of alive less the separator that holds the cut's
     source (see the module docstring), or 0 when the separator is None.
 
-    ``degrees`` are the degree classes of alive (``_degree_classes``).
-    They give the minimum degree and the lowest-numbered vertex s of that
-    degree without a pass over the set; the set is complete exactly when
-    the minimum degree is n - 1, which covers a single vertex (degree 0).
+    ``degrees`` are the degree classes of alive (``_degree_classes``),
+    which are only read. They give the minimum degree and the
+    lowest-numbered vertex s of that degree without a pass over the set;
+    the set is complete exactly when the minimum degree is n - 1, which
+    covers a single vertex (degree 0).
 
-    The best cut starts at the minimum degree, or at e + 1 when that is
-    larger, drops only when a flow returns less, and the search stops as
-    soon as it is at most ``enough``. With ``enough`` 0 the set is first
-    walked once: a disconnected set returns the empty cut, and a connected
-    one has no cut below 1, so ``enough`` becomes 1 and the answer is the
-    full loop's. While ``enough`` is 1, the first time the best cut is 2,
-    whether from the degree, e + 1 or a flow, ``_has_cut_of_at_most_one``
-    is asked once: without such a cut no flow can return less than 2.
+    A minimum degree of at most e gives the degree cut N(s) at once.
+    Otherwise the best cut starts at e + 1 with no separator, drops only
+    when a flow returns less, and the search stops as soon as it is at
+    most e. When e is 1, ``_has_cut_of_at_most_one`` is asked once first:
+    without such a cut no flow can return less than 2.
 
     Before the pair loop, ``_local_cut`` tries the local flow, capped at
     ``enough`` + 1, when ``enough`` is at least 2; a flow below that cap
@@ -548,24 +532,16 @@ def _min_cut_capped(
     ``good`` starts afresh with each source: a cut between x and z bounds
     nothing for another source.
     """
-    n = alive.bit_count()
-    cap = enough + 1 if enough else n
     masks = g.adjacency_masks
     best = min(degrees)
-    if best == n - 1:
-        return min(best, cap), None, 0
-    if not enough:
-        comp = _component(masks, alive, alive & -alive)
-        if comp != alive:
-            return 0, 0, comp
-        enough = 1
+    if best == alive.bit_count() - 1:
+        return min(best, enough + 1), None, 0
     low = degrees[best]
     s = (low & -low).bit_length() - 1
-    if best >= cap:
-        best, best_sep, best_side = cap, None, 0
-    else:
-        best_sep, best_side = masks[s] & alive, 1 << s
-    if best <= enough or best == 2 and not _has_cut_of_at_most_one(masks, alive):
+    if best <= enough:
+        return best, masks[s] & alive, 1 << s
+    best, best_sep, best_side = enough + 1, None, 0
+    if enough == 1 and not _has_cut_of_at_most_one(masks, alive):
         return best, best_sep, best_side
     if enough >= 2:
         local = _local_cut(masks, alive, s, enough + 1)
@@ -584,7 +560,7 @@ def _min_cut_capped(
                 value, sep, side = _st_vertex_cut(masks, x, bit, best, alive)
                 if value < best:
                     best, best_sep, best_side = value, sep, side
-                    if best <= enough or best == 2 and not _has_cut_of_at_most_one(masks, alive):
+                    if best <= enough:
                         break
                     fresh = good
         fresh |= bit & ~good
@@ -595,11 +571,27 @@ def _min_cut_capped(
 # --- public operations ---------------------------------------------------------
 
 def min_vertex_cut(g: SimpleGraph) -> CutWitness:
-    """Exact vertex connectivity with a minimum-separator witness."""
+    """Exact vertex connectivity with a minimum-separator witness.
+
+    ``_min_cut_capped`` is asked for a cut of at most kappa - 1 vertices,
+    with kappa from n - 1 down to the value of the last cut found, until an
+    ask finds none. The first ask returns the degree cut at once unless the
+    graph is complete. Each cut found is smaller than the last, so at most
+    n asks run, and the last ask proves that no cut has fewer vertices than
+    the last cut found, which is therefore a minimum one. A complete graph
+    keeps kappa n - 1 and no separator; a disconnected one ends with the
+    empty cut. All asks share one set of degree classes.
+    """
     if g.n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
     alive = (1 << g.n) - 1
-    kappa, sep, _ = _min_cut_capped(g, alive, _degree_classes(g.adjacency_masks, alive), 0)
+    degrees = _degree_classes(g.adjacency_masks, alive)
+    kappa, sep = g.n - 1, None
+    while kappa:
+        value, cut, _ = _min_cut_capped(g, alive, degrees, kappa - 1)
+        if cut is None:
+            break
+        kappa, sep = value, cut
     return CutWitness(kappa, None if sep is None else frozenset(_bits(sep)))
 
 

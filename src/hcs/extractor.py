@@ -142,10 +142,12 @@ def validate_decomposition(
 ) -> None:
     """Raise ValueError unless the tree is internally consistent for g.
 
-    Each child must equal a side of its node's separation, which
-    ``Separation.validate`` checks is not the whole node, so every child is
-    strictly smaller than its parent.
+    The root must hold every vertex of g. Each child must equal a side of
+    its node's separation, which ``Separation.validate`` checks is not the
+    whole node, so every child is strictly smaller than its parent.
     """
+    if node.mask != (1 << g.n) - 1:
+        raise ValueError("the root does not hold every vertex of the graph")
     threshold = size_threshold(k, sigma)
     small_cap = max(threshold, k + 1)
     stack = [node]

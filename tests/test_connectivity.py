@@ -19,12 +19,11 @@ from hcs import (
 )
 from hcs.connectivity import (
     _bits,
-    _component,
     _has_cut_of_at_most_one,
     _near,
     _st_vertex_cut,
 )
-from conftest import brute_force_min_cut, random_graph, threshold_graph
+from conftest import brute_force_min_cut, component_by_search, random_graph, threshold_graph
 from test_extractor import triangle_chain
 from test_golden import relabelled
 
@@ -33,7 +32,7 @@ def removing_disconnects(g: SimpleGraph, separator) -> bool:
     alive = (1 << g.n) - 1
     for v in separator:
         alive &= ~(1 << v)
-    return alive.bit_count() >= 2 and _component(g.adjacency_masks, alive, alive & -alive) != alive
+    return alive.bit_count() >= 2 and component_by_search(g, alive, (alive & -alive).bit_length() - 1) != alive
 
 
 class TestMinVertexCut:
@@ -155,9 +154,9 @@ class TestAgreementAndWitnesses:
                 assert removing_disconnects(g, w.separator)
 
 
-def splits(masks, alive: int, sep: int, s: int, t: int) -> bool:
+def splits(g: SimpleGraph, alive: int, sep: int, s: int, t: int) -> bool:
     """Whether removing the bitmask sep from alive leaves s and t in different components."""
-    return not _component(masks, alive & ~sep, 1 << s) >> t & 1
+    return not component_by_search(g, alive & ~sep, s) >> t & 1
 
 
 def mask(vertices) -> int:
@@ -208,7 +207,7 @@ class TestStVertexCut:
             assert pair_cut(masks, s, t, g.n, full) == first
             value, sep = first
             assert sep.bit_count() == value and not (sep >> s | sep >> t) & 1
-            assert splits(masks, full, sep, s, t)
+            assert splits(g, full, sep, s, t)
 
     def test_capped_flow_reports_the_cap(self):
         # K6 without the edge 05: four disjoint 0-5 paths
@@ -237,7 +236,7 @@ class TestStVertexCut:
             s, t = rng.choice(pairs)
             value, sep = pair_cut(g.adjacency_masks, s, t, 40, alive)
             assert sep.bit_count() == value and set(_bits(sep)) <= set(live) - {s, t}
-            assert splits(g.adjacency_masks, alive, sep, s, t)
+            assert splits(g, alive, sep, s, t)
 
     def test_flow_sent_back_through_a_vertex(self):
         # a later search must send a unit back through the whole of a vertex
@@ -296,7 +295,7 @@ class TestStVertexCut:
                     assert (sep, side) == (None, 0)
                     continue
                 assert set(_bits(sep)) == x_in and set(_bits(side)) == x_out
-                assert side == _component(masks, alive & ~sep, 1 << s)
+                assert side == component_by_search(g, alive & ~sep, s)
                 if sink == 1 << t:
                     routed += direct.bit_count() < limit and any(
                         masks[a] & masks[t] & ~masks[s] for a in _bits(masks[s] & alive & ~masks[t]))
@@ -500,33 +499,19 @@ class TestLocalFlow:
 
 
 class TestNoWalk:
-    """No set that ``find_separation`` searches is walked for connectivity:
-    a disconnected set's empty cut is found by the degree, a flow or, at
-    k = 1, the depth-first search."""
+    """The kernel has no walk for connectivity: a disconnected set's empty
+    cut is found by the degree, a flow or, at k = 1, the depth-first
+    search."""
 
-    @pytest.fixture
-    def walks(self, monkeypatch):
-        calls = []
-        component = connectivity._component
-
-        def counted(masks, alive, start):
-            calls.append(alive)
-            return component(masks, alive, start)
-
-        monkeypatch.setattr(connectivity, "_component", counted)
-        return calls
-
-    def test_path_at_k1(self, walks):
+    def test_path_at_k1(self):
         assert extract(SimpleGraph.path(1200), 1, 1).outcome == SEPARABLE
-        assert walks == []
 
-    def test_extremal_relabelled(self, walks):
+    def test_extremal_relabelled(self):
         e = build_extremal(2, 2, 9)
         assert extract(relabelled(e.graph, 9), 2, e.sigma).outcome == SEPARABLE
-        assert walks == []
 
     @pytest.mark.parametrize("k, side_a", [(1, {0, 1, 2, 3}), (2, {0, 1, 2, 3, 4})])
-    def test_disjoint_k4s(self, walks, k, side_a):
+    def test_disjoint_k4s(self, k, side_a):
         # minimum degree 3 > k: at k = 1 the search finds no cut vertex but
         # a second root; a flow from 0 into the other K4 returns the empty
         # cut, padded with 0 and, at k = 2, with 4
@@ -536,10 +521,7 @@ class TestNoWalk:
         sep.validate(g, k)
         assert (sep.side_a, sep.side_b) == (side_a, {0, 4, 5, 6, 7})
         assert not is_k1_connected(g, k)
-        assert walks == []
-        # the exact question walks the set once
         assert min_vertex_cut(g) == CutWitness(0, frozenset())
-        assert len(walks) == 1
 
 
 class TestIsK1Connected:

@@ -16,7 +16,6 @@ from hcs import (
     SimpleGraph,
     average_degree,
     build_extremal,
-    connectivity,
     density_threshold,
     extract,
     get_alternative,
@@ -233,6 +232,15 @@ class TestExtract:
             with pytest.raises(ValueError, match=message):
                 validate_decomposition(g, 2, Fraction(1, 5), bad)
 
+    def test_validate_rejects_a_root_that_misses_vertices(self):
+        e = build_extremal(2, 2, 4)
+        tree = extract(e.graph, 2, e.sigma).tree
+        validate_decomposition(e.graph, 2, e.sigma, tree)
+        with pytest.raises(ValueError, match="every vertex"):
+            validate_decomposition(e.graph, 2, e.sigma, tree.children[1])
+        with pytest.raises(ValueError, match="every vertex"):
+            validate_decomposition(SimpleGraph(e.graph.n + 1, e.graph.edges), 2, e.sigma, tree)
+
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             extract(SimpleGraph.complete(3), 2, 0)
@@ -271,7 +279,7 @@ class TestExtract:
 
 
 class TestInheritedBound:
-    def test_disconnected_child(self, monkeypatch):
+    def test_disconnected_child(self):
         # Vertex 0 has degree 2, so the root's core is its neighbourhood
         # {1, 2}. The child {1..10} is then two K4's, one with vertex 1 and
         # one with vertex 2 joined to three of its vertices: disconnected, of
@@ -281,7 +289,6 @@ class TestInheritedBound:
         edges += [(a, b) for a in range(3, 7) for b in range(a + 1, 7)]
         edges += [(a, b) for a in range(7, 11) for b in range(a + 1, 11)]
         g = SimpleGraph.from_edges(11, edges)
-        monkeypatch.setattr(connectivity, "_component", None)  # a walk would raise
         res = extract(g, 2, 2)
         validate_decomposition(g, 2, 2, res.tree)
         data = result_to_json_dict(res)

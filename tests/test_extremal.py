@@ -21,10 +21,10 @@ from hcs import (
 import hcs.extremal
 from hcs.bounds import _alt1_constants
 from hcs.extremal import ExtremalGraph, _edge_lower_bound, _split_parts
-from hcs.connectivity import _component
 from conftest import (
     build_extremal_oracle,
     certificate_check_oracle,
+    component_by_search,
     extremal_to_json_dict,
     induced_subgraph,
     partition_check_oracle,
@@ -131,7 +131,7 @@ class TestVerify:
             alive = (1 << snap.n) - 1
             for v in y:
                 alive &= ~(1 << v)
-            assert _component(snap.adjacency_masks, alive, alive & -alive) != alive
+            assert component_by_search(snap, alive, (alive & -alive).bit_length() - 1) != alive
 
     def test_glue_edge_halving(self):
         # the gluing sets keep at most a 2^-j share of the complete edge count

@@ -69,10 +69,15 @@ def test_mask_matches_induced_subgraph(case, k):
         sep.validate(g, k, alive)
 
     if alive:
-        kappa, cut, _ = _min_cut_capped(g, alive, fresh_degrees(g, alive), 0)
-        ref = min_vertex_cut(ind.graph)
-        assert kappa == ref.kappa
-        assert (None if cut is None else frozenset(_bits(cut))) == (None if ref.separator is None else back(ref.separator))
+        kappa = min_cut_every_pair(g, alive.bit_count(), alive)[0]
+        full = (1 << ind.graph.n) - 1
+        for enough in range(max(kappa - 1, 0), kappa + 1):
+            value, cut, side = _min_cut_capped(g, alive, fresh_degrees(g, alive), enough)
+            ref_value, ref_cut, ref_side = _min_cut_capped(ind.graph, full, fresh_degrees(ind.graph, full), enough)
+            assert value == ref_value == kappa and (cut is None) == (ref_cut is None)
+            if cut is not None:
+                assert (frozenset(_bits(cut)), frozenset(_bits(side))) == (back(_bits(ref_cut)), back(_bits(ref_side)))
+        assert min_vertex_cut(ind.graph).kappa == kappa
 
 
 @st.composite
@@ -115,8 +120,7 @@ def min_cut_every_pair(g: SimpleGraph, cap: int, alive: int) -> tuple[int, Optio
     """The capped minimum cut by a flow on every dominating pair, with no
     pair skipped and no early stop, keeping the first strict drop: the
     value, the separator's bitmask or None, and the cut's source: s for the
-    degree cut, x for the flow of a pair (x, y), and the lowest vertex of a
-    disconnected set."""
+    degree cut and x for the flow of a pair (x, y)."""
     masks = g.adjacency_masks
     n = alive.bit_count()
     live = _bits(alive)
@@ -133,25 +137,34 @@ def min_cut_every_pair(g: SimpleGraph, cap: int, alive: int) -> tuple[int, Optio
         value, sep, _ = _st_vertex_cut(masks, x, 1 << y, best, alive)
         if value < best:
             best, best_sep, source = value, sep, x
-    if component_by_search(g, alive, live[0]) != alive:
-        source = live[0]
     return best, best_sep, source
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(st.one_of(graph_and_mask(), split_at_a_low_vertex(), threshold_density()), st.integers(1, 3))
 def test_skipped_flows_change_nothing(case, k):
-    """Skipping the flows whose pair is already decided gives the minimum cut
-    of the loop that runs them all, and its source side is the component of
-    the set less the separator that holds the cut's source. The search that
-    stops at k agrees with that loop down the separation tree
-    (``check_cuts_down_the_tree``)."""
+    """Skipping the flows whose pair is already decided misses no cut that
+    the loop running them all finds: with kappa from that loop, the search
+    that stops at kappa - 1 finds no cut, and the one that stops at kappa
+    finds a kappa-vertex separator. Its source side is the component of the
+    set less the separator that holds the loop's source when the two
+    separators agree, and otherwise still a component of that set, and not
+    the only one. The search that stops at k agrees with that loop down the
+    separation tree (``check_cuts_down_the_tree``)."""
     g, alive = case
     if alive:
-        kappa, sep, side = _min_cut_capped(g, alive, fresh_degrees(g, alive), 0)
-        ref_kappa, ref_sep, source = min_cut_every_pair(g, alive.bit_count(), alive)
-        assert (kappa, sep) == (ref_kappa, ref_sep)
-        assert side == (0 if sep is None else component_by_search(g, alive & ~sep, source))
+        kappa, ref_sep, source = min_cut_every_pair(g, alive.bit_count(), alive)
+        degrees = fresh_degrees(g, alive)
+        if kappa:
+            assert _min_cut_capped(g, alive, degrees, kappa - 1) == (kappa, None, 0)
+        value, sep, side = _min_cut_capped(g, alive, degrees, kappa)
+        if ref_sep is None:  # complete
+            assert (value, sep, side) == (kappa, None, 0)
+        else:
+            assert value == sep.bit_count() == kappa
+            start = source if sep == ref_sep else (side & -side).bit_length() - 1
+            assert side == component_by_search(g, alive & ~sep, start)
+            assert alive & ~sep & ~side
         check_cuts_down_the_tree(g, k, alive)
 
 
