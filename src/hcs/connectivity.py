@@ -11,27 +11,27 @@ against all of its non-neighbors, then all non-adjacent pairs of its
 neighbors.
 
 Most of these flows are decided before they run (Menger's fan argument,
-as in Esfahanian–Hakimi's dominating-set test). For the loop's current
-source x, call a vertex z good when z is a neighbour of x, a pair (x, z)
-came earlier in the loop, or z has at least best good neighbours; then
-kappa(x, z) >= best for every good z other than x. Best only falls, so a
-good vertex stays good: an earlier pair's flow either lowered best to its
-own value, found no cut below best, or was skipped because its vertex was
-good. A vertex y with at least best good neighbours has kappa(x, y) >= best:
-  - a set X of fewer than best vertices misses some good neighbour z of y,
+as in Esfahanian–Hakimi's dominating-set test). An ask with stop value e
+(see below) looks for a cut of fewer than c = e + 1 vertices, and c stays
+fixed for the whole ask. For the loop's current source x, call a vertex z
+good when z is a neighbour of x, a pair (x, z) came earlier in the loop,
+or z has at least c good neighbours; then kappa(x, z) >= c for every good
+z other than x. An earlier pair's flow found no cut below c, since a cut
+would have ended the ask, or was skipped because its vertex was good. A
+vertex y with at least c good neighbours has kappa(x, y) >= c:
+  - a set X of fewer than c vertices misses some good neighbour z of y,
     so z is in y's component of W - X;
   - if z is a neighbour of x, the path x-z-y avoids X;
-  - otherwise kappa(x, z) >= best > |X|, so x is in z's component too.
+  - otherwise kappa(x, z) >= c > |X|, so x is in z's component too.
 So X does not separate x from y, and the argument applies again to every
 vertex that the new good vertices give enough good neighbours. Before a
 flow would run, the good set is grown to this closure, and the flow of a
 pair (x, y) is skipped when y is good. The closure keeps a worklist: only
 the neighbours of vertices that became good since the last closure are
-looked at again, and every neighbour of the good set once best falls. x
-itself may join the good set, which adds nothing: its neighbours are good
-already. A skipped pair could not have lowered the best cut, and the loop
-replaces it only on a strict drop, so the pair order, the first minimum
-cut and every output are those of the full loop.
+looked at again. x itself may join the good set, which adds nothing: its
+neighbours are good already. A skipped pair has no cut below c, so the
+first cut the loop finds is the full loop's first, and the pair order and
+every output are those of the full loop.
 
 Each flow does less work than a plain augmenting-path search in two ways.
 It starts from a feasible flow instead of from zero, built in one pass
@@ -58,9 +58,8 @@ cut's value, until an ask finds no cut; Even's test of kappa >= k (SIAM
 J. Comput. 4, 1975) gets connectivity from such witness-giving asks too.
 The search returns its first cut of at most e vertices, from the minimum
 degree, the local flow below or a pair of the loop. It misses no such
-cut: the loop run to its end returns kappa or e+1, whichever is smaller,
-and a pair is skipped only when its cut is at least best, which is then
-above e.
+cut: the full loop would find one if the set has one, and a pair is
+skipped only when it has none.
 
 A disconnected set needs no walk of its own: a vertex of minimum degree
 at most e gives a cut at once, and otherwise a flow into another
@@ -407,13 +406,14 @@ def _dominating_pairs(masks: tuple[int, ...], alive: int, s: int) -> Iterator[tu
             yield x, y
 
 
-def _fan_closure(masks: tuple[int, ...], alive: int, good: int, fresh: int, best: int) -> int:
+def _fan_closure(masks: tuple[int, ...], alive: int, good: int, fresh: int, cap: int) -> int:
     """``good`` grown to a fixed point by adding every vertex of ``alive``
-    with at least ``best`` neighbours in it.
+    with at least ``cap`` neighbours in it (the fan argument of the module
+    docstring, for the threshold c = ``cap``).
 
     ``fresh`` names the good vertices whose neighbours have not been looked
-    at since they became good (or since ``best`` last fell); no other
-    vertex can have gained a good neighbour, so only theirs are rechecked.
+    at since they became good; no other vertex can have gained a good
+    neighbour, so only theirs are rechecked.
     """
     while fresh:
         near = _near(masks, fresh) & alive & ~good
@@ -421,7 +421,7 @@ def _fan_closure(masks: tuple[int, ...], alive: int, good: int, fresh: int, best
         while near:
             bit = near & -near
             near ^= bit
-            if (masks[bit.bit_length() - 1] & good).bit_count() >= best:
+            if (masks[bit.bit_length() - 1] & good).bit_count() >= cap:
                 good |= bit
                 fresh |= bit
     return good
@@ -512,60 +512,54 @@ def _min_cut_capped(
     the set is complete exactly when the minimum degree is n - 1, which
     covers a single vertex (degree 0).
 
-    A minimum degree of at most e gives the degree cut N(s) at once.
-    Otherwise the best cut starts at e + 1 with no separator, drops only
-    when a flow returns less, and the search stops as soon as it is at
-    most e. When e is 1, ``_has_cut_of_at_most_one`` is asked once first:
-    without such a cut no flow can return less than 2.
-
-    Before the pair loop, ``_local_cut`` tries the local flow, capped at
-    ``enough`` + 1, when ``enough`` is at least 2; a flow below that cap
-    ends the search (see the module docstring).
+    Every step below uses one cap, c = e + 1. A minimum degree below c
+    gives the degree cut N(s) at once. At c = 2, ``_has_cut_of_at_most_one``
+    is asked once first: without such a cut no flow can return less than
+    2. Above 2, ``_local_cut`` tries the local flow first (see the module
+    docstring). Every flow is capped at c, and the first flow that returns
+    a separator ends the search.
 
     ``good`` holds, for the current source x of the pair loop, vertices z
-    with kappa(x, z) >= best: x's neighbours, every y already paired with
-    x, and every vertex with at least ``best`` good neighbours (see the
-    module docstring; x itself may join, which adds nothing). A pair whose y is good cannot lower the best cut,
-    so its flow is skipped. Before a flow runs, ``_fan_closure`` grows
-    ``good`` to a fixed point from ``fresh``, the good vertices added since
-    the last closure; when ``best`` falls every good vertex is fresh again.
-    ``good`` starts afresh with each source: a cut between x and z bounds
-    nothing for another source.
+    with kappa(x, z) >= cap: x's neighbours, every y already paired with
+    x, and every vertex with at least ``cap`` good neighbours (the fan
+    argument of the module docstring; x itself may join, which adds
+    nothing). A pair whose y is good has no cut below the cap, so its flow
+    is skipped. Before a flow runs, ``_fan_closure`` grows ``good`` to a
+    fixed point from ``fresh``, the good vertices added since the last
+    closure. ``good`` starts afresh with each source: a cut between x and
+    z bounds nothing for another source.
     """
     masks = g.adjacency_masks
-    best = min(degrees)
-    if best == alive.bit_count() - 1:
-        return min(best, enough + 1), None, 0
-    low = degrees[best]
+    cap = enough + 1
+    least = min(degrees)
+    if least == alive.bit_count() - 1:
+        return min(least, cap), None, 0
+    low = degrees[least]
     s = (low & -low).bit_length() - 1
-    if best <= enough:
-        return best, masks[s] & alive, 1 << s
-    best, best_sep, best_side = enough + 1, None, 0
-    if enough == 1 and not _has_cut_of_at_most_one(masks, alive):
-        return best, best_sep, best_side
-    if enough >= 2:
-        local = _local_cut(masks, alive, s, enough + 1)
+    if least < cap:
+        return least, masks[s] & alive, 1 << s
+    if cap == 2 and not _has_cut_of_at_most_one(masks, alive):
+        return cap, None, 0
+    if cap > 2:
+        local = _local_cut(masks, alive, s, cap)
         if local is not None:
             return local
     source = -1
     for x, y in _dominating_pairs(masks, alive, s):
         if x != source:
-            source, good = x, masks[x] & alive
-            fresh = good
+            source = x
+            good = fresh = masks[x] & alive
         bit = 1 << y
-        if not good & bit and (masks[y] & good).bit_count() < best:
-            good = _fan_closure(masks, alive, good, fresh, best)
+        if not good & bit and (masks[y] & good).bit_count() < cap:
+            good = _fan_closure(masks, alive, good, fresh, cap)
             fresh = 0
             if not good & bit:
-                value, sep, side = _st_vertex_cut(masks, x, bit, best, alive)
-                if value < best:
-                    best, best_sep, best_side = value, sep, side
-                    if best <= enough:
-                        break
-                    fresh = good
+                value, sep, side = _st_vertex_cut(masks, x, bit, cap, alive)
+                if sep is not None:
+                    return value, sep, side
         fresh |= bit & ~good
         good |= bit
-    return best, best_sep, best_side
+    return cap, None, 0
 
 
 # --- public operations ---------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, TextIO, Union
 
 from .connectivity import Separation, _bits, _members, find_separation
-from .field import Surd
+from .field import Surd, _exact
 from .graphs import SimpleGraph
 
 FOUND = "FOUND"
@@ -44,7 +44,7 @@ def size_threshold(k: int, sigma: SigmaLike) -> int:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    s = Surd(sigma)
+    s = _exact(sigma)
     if s <= 0:
         raise ValueError("sigma must be positive")
     return math.floor((1 + s) * k)

@@ -200,8 +200,8 @@ def _validate_structure(e: ExtremalGraph) -> None:
     if len(e.glue_history) != e.level:
         raise ValueError("one gluing set per level is required")
     for j, y in enumerate(e.glue_history):
-        if len(set(y)) != e.k:
-            raise ValueError(f"gluing set {j} must have exactly {e.k} vertices")
+        if len(y) != e.k or len(set(y)) != e.k:
+            raise ValueError(f"gluing set {j} must be {e.k} distinct vertices")
         limit = e.k + (1 << j) * e.sigma_k
         if any(not (0 <= v < limit) for v in y):
             raise ValueError(f"gluing set {j} out of its level range")

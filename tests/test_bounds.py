@@ -85,10 +85,14 @@ class TestParameterAlternatives:
         for alt_id in (1, 2, 3):
             alt = get_alternative(alt_id)
             assert alt.delta >= alt.gamma + 1
+        with pytest.raises(ValueError, match="delta >= 1 \\+ gamma"):
+            replace(get_alternative(3), delta=Fraction(2))
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             get_alternative(4)
+        with pytest.raises(ValueError, match="unknown alternative id 4"):
+            verify_alternative(replace(get_alternative(3), id=4))
 
     def test_each_alternative_built_once(self):
         for alt_id in (1, 2, 3):
@@ -125,6 +129,13 @@ class TestSplitMaximum:
             split_maximum_grid(inst, Fraction(1, 512))
         with pytest.raises(ValueError):
             split_maximum_grid(OptimizationInstance(1.0, (0.3, 0.3, 0.3, 0.3), 0.0))
+
+    def test_infeasible_splits(self):
+        inst = OptimizationInstance(2.0, (1.5,), 0.5)
+        assert split_is_feasible(inst, 1.0, (0.5,))
+        assert not split_is_feasible(inst, 0.4, (0.0,))  # x below tau
+        assert not split_is_feasible(inst, 1.0, (1.2,))  # the x side's norm exceeds x
+        assert not split_is_feasible(inst, 1.0, (0.0,))  # the other side's norm exceeds z - x
 
     def test_forced_single_point(self):
         assert split_maximum_grid(OptimizationInstance(1.0, (), 0.5)) == pytest.approx(0.5)
@@ -179,6 +190,8 @@ class TestEdgeBounds:
             basic_edge_bound(Fraction(-1), Fraction(1))
         with pytest.raises(ValueError):
             basic_edge_bound(Fraction(1), Fraction(0))
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            basic_edge_bound(Fraction(1), Fraction(-1))
 
     def test_halving_depth(self):
         assert halving_depth(Fraction(1), Fraction(1)) == 1
@@ -240,6 +253,8 @@ class TestEdgeBounds:
             core_side_edge_bound(1, 0, EMPTY_PROFILE)
         with pytest.raises(ValueError):
             core_side_edge_bound(1, 2, EMPTY_PROFILE)
+        with pytest.raises(ValueError, match="b must be non-negative"):
+            core_side_edge_bound(-1, 1, EMPTY_PROFILE)
 
 
 class TestCertifyInterval:
@@ -298,6 +313,10 @@ class TestCertifyInterval:
     def test_degenerate_interval(self):
         with pytest.raises(ValueError):
             certify_nonnegative_on_interval((Fraction(1),), 2, 1)
+
+    def test_cubic_refused(self):
+        with pytest.raises(ValueError, match="degree at most 2"):
+            certify_nonnegative_on_interval((0, 0, 0, 1), 0, 1)
 
     def test_single_point_interval(self):
         res = certify_nonnegative_on_interval((Fraction(0), Fraction(1)), 1, 1)
@@ -478,6 +497,10 @@ class TestSeparableDensityCheck:
 
     def test_found_graphs_not_applicable(self):
         report = separable_density_check(SimpleGraph.complete(7), 2, get_alternative(3))
+        assert report.verdict == "NOT_APPLICABLE"
+
+    def test_empty_graph_not_applicable(self):
+        report = separable_density_check(SimpleGraph.empty(0), 2, get_alternative(3))
         assert report.verdict == "NOT_APPLICABLE"
 
     def test_below_gamma_not_applicable(self):

@@ -315,6 +315,8 @@ class TestDispatch:
         pytest.param("glue_history", lambda meta: [], "one gluing set per level is required", id="glue-count"),
         pytest.param("glue_history", lambda meta: [[0, 5]], "gluing set 0 out of its level range",
                      id="glue-range"),
+        pytest.param("glue_history", lambda meta: [[0, 2, 0]], "gluing set 0 must be 2 distinct vertices",
+                     id="glue-vertex-repeated"),
     ])
     def test_malformed_extremal_metadata_exits_2(self, capsys, tmp_path, key, edit, message):
         # level 1 at k = 2, sigma_k = 2: six vertices, parts [[1, 3], [4, 5]], glue [[0, 2]]

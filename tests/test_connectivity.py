@@ -427,6 +427,35 @@ class TestFlowCount:
         assert is_k1_connected(g, 3, mask(found)) and len(found) == 49
         assert len(flows) <= 5  # 22 when each y is tested only when the loop reaches it
 
+    def test_one_cap_per_ask(self, monkeypatch, glued_k4s):
+        # an ask with stop value e caps every flow at e + 1, and a flow that
+        # returns a cut below that cap is the ask's last
+        asks = []
+        min_cut_capped, st_vertex_cut = connectivity._min_cut_capped, connectivity._st_vertex_cut
+
+        def ask(g, alive, degrees, enough):
+            asks.append((enough + 1, []))
+            return min_cut_capped(g, alive, degrees, enough)
+
+        def flow(masks, s, sink, limit, alive):
+            found = st_vertex_cut(masks, s, sink, limit, alive)
+            asks[-1][1].append((limit, found[0]))
+            return found
+
+        monkeypatch.setattr(connectivity, "_min_cut_capped", ask)
+        monkeypatch.setattr(connectivity, "_st_vertex_cut", flow)
+        e22, e33 = build_extremal(2, 2, 6), build_extremal(3, 3, 5)
+        for g, k, sigma in ((relabelled(e22.graph, 6), 2, e22.sigma),
+                            (relabelled(e33.graph, 5), 3, e33.sigma), (glued_k4s, 2, 1)):
+            extract(g, k, sigma)
+            min_vertex_cut(g)
+        for cap, ran in asks:
+            assert all(limit == cap for limit, _ in ran)
+            below = [i for i, (limit, value) in enumerate(ran) if value < limit]
+            assert below in ([], [len(ran) - 1])
+        assert sum(bool(ran) and ran[-1][1] < cap for cap, ran in asks) >= 50  # 98 of 104 asks
+        assert sum(len(ran) > 1 for _, ran in asks) >= 10  # 12
+
 
 class TestLocalFlow:
     """The local flow runs only at a stop value of at least 2: at 1 the pair

@@ -40,6 +40,8 @@ class TestSimpleGraph:
         assert SimpleGraph.cycle(5).edge_count == 5
         assert SimpleGraph.path(4).edge_count == 3
         assert SimpleGraph.empty(7).edge_count == 0
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            SimpleGraph.cycle(2)
 
     def test_adjacency(self):
         g = SimpleGraph.path(3)
