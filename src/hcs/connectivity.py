@@ -8,15 +8,16 @@ is one dict naming, for each vertex that carries a unit, the neighbour
 the unit comes from (see ``_st_vertex_cut``). Pairs are
 restricted to the classic dominating strategy: one minimum-degree vertex
 against all of its non-neighbors, then all non-adjacent pairs of its
-neighbors.
+neighbors. The loop walks them by source: each source x is cut from
+its partners in ascending order.
 
 Most of these flows are decided before they run (Menger's fan argument,
-as in Esfahanian–Hakimi's dominating-set test). An ask with stop value e
-(see below) looks for a cut of fewer than c = e + 1 vertices, and c stays
-fixed for the whole ask. For the loop's current source x, call a vertex z
-good when z is a neighbour of x, a pair (x, z) came earlier in the loop,
-or z has at least c good neighbours; then kappa(x, z) >= c for every good
-z other than x. An earlier pair's flow found no cut below c, since a cut
+as in Esfahanian–Hakimi's dominating-set test). An ask with cap c (see
+below) looks for a cut of fewer than c vertices, and c stays fixed for
+the whole ask. For the loop's current source x, call a vertex z good
+when z is a neighbour of x, a partner of x cut earlier in the loop, or z
+has at least c good neighbours; then kappa(x, z) >= c for every good z
+other than x. An earlier pair's flow found no cut below c, since a cut
 would have ended the ask, or was skipped because its vertex was good. A
 vertex y with at least c good neighbours has kappa(x, y) >= c:
   - a set X of fewer than c vertices misses some good neighbour z of y,
@@ -48,45 +49,44 @@ unchanged. And each breadth-first search stops when it first reaches a
 vertex next to the sink, not when it takes that vertex from its queue:
 the queue is first in, first out, so the path it augments is the same.
 
-The kernel answers one question, through ``_min_cut_capped``: the first
-cut of at most e vertices that its search meets, for a stop value
-``enough`` e >= 0, and otherwise e+1 with no cut. ``find_separation``
-asks it with e = k: padded to k vertices, any such cut is the core of a
-separation, and only the answer None needs the proof that kappa >= k+1.
-``min_vertex_cut`` asks it again and again, each time one below the last
-cut's value, until an ask finds no cut; Even's test of kappa >= k (SIAM
-J. Comput. 4, 1975) gets connectivity from such witness-giving asks too.
-The search returns its first cut of at most e vertices, from the minimum
-degree, the local flow below or a pair of the loop. It misses no such
-cut: the full loop would find one if the set has one, and a pair is
-skipped only when it has none.
+The kernel answers one question, through ``_min_cut_capped``: given a
+cap c, the first cut of fewer than c vertices that its search meets, or
+None. ``find_separation`` asks it with c = k + 1: padded to k vertices,
+any such cut is the core of a separation, and only the answer None needs
+the proof that kappa >= k+1. ``min_vertex_cut`` asks it again and again,
+each time with the size of the last cut found as the cap, until an ask
+finds no cut; Even's test of kappa >= k (SIAM J. Comput. 4, 1975) gets
+connectivity from such witness-giving asks too. The search returns its
+first cut of fewer than c vertices, from the minimum degree, the local
+flow below or a pair of the loop. It misses no such cut: the full loop
+would find one if the set has one, and a pair is skipped only when it
+has none.
 
 A disconnected set needs no walk of its own: a vertex of minimum degree
-at most e gives a cut at once, and otherwise a flow into another
-component returns 0, with the empty separator and its source's component
-as side A. At e = 0 the fan closure covers the source's component at
-once, so only the flows into other components run. With a stop value of
-1 and a minimum degree of at least 2, one depth-first search
-(Hopcroft–Tarjan low points) decides whether the set has a cut of at
-most one vertex: a cut vertex, or a vertex the search from the lowest
-vertex never reaches, where a second search would need a second root.
-Without one no flow can return less than 2, and the search ends there,
-with the answer the full loop gives; with one the loop runs on until it
-finds such a cut.
+below c gives a cut at once, and otherwise a flow into another component
+returns the empty separator, with its source's component as side A. At
+c = 1 the fan closure covers the source's component at once, so only the
+flows into other components run. With a cap of 2 and a minimum degree of
+at least 2, one depth-first search (Hopcroft–Tarjan low points) decides
+whether the set has a cut of at most one vertex: a cut vertex, or a
+vertex the search from the lowest vertex never reaches, where a second
+search would need a second root. Without one no flow can return less
+than 2, and the search ends there, with the answer the full loop gives;
+with one the loop runs on until it finds such a cut.
 
 Most of the sets extraction splits peel a small leaf off a large rest,
 and the loop's first flow, from s to its lowest non-neighbour t0, walks
 the whole set. So a local flow is tried first: R is a ball around s,
 grown by breadth-first steps in W, and the flow runs from s to the sink
-W - R, capped at the stop value plus 1. Let (S, X) be its source-minimal
-cut, of value v at most the stop value. A flow runs only while R holds
-at most a quarter of W, so the sink is not empty, X is a cut of W of at
-most the stop value, and the search ends with it. The ball may hold t0:
+W - R, capped at c. Let (S, X) be its source-minimal cut, of fewer than
+c vertices. A flow runs only while R holds at most a quarter of W, so
+the sink is not empty, X is a cut of W of fewer than c vertices, and the
+search ends with it. The ball may hold t0:
 any such cut ends the search, so the local cut need not be the pair
 (s, t0)'s, and on the extremal graphs as built t0 lies next to s's leaf,
 where a sink that holds it cannot be cut off by k vertices. The searches
-of the local flow walk S and R only. It runs only at a stop value of at
-least 2; below that the pair loop alone finds the cut.
+of the local flow walk S and R only. It runs only at a cap of at least
+3; below that the pair loop alone finds the cut.
 
 Side A of a separation is the component of W - X that holds the cut's
 source: s for the degree cut N(s) and for the local flow, and x for the
@@ -114,7 +114,7 @@ its sides as bitmasks, with frozensets built only on access.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import compress
 from typing import Iterator, Optional, Sequence, TypeVar
 
 from .graphs import SimpleGraph
@@ -394,16 +394,14 @@ def _st_vertex_cut(
 
 
 def _dominating_pairs(masks: tuple[int, ...], alive: int, s: int) -> Iterator[tuple[int, int]]:
-    """Pairs to cut: s, of minimum degree, against each non-neighbor, then
-    each non-adjacent pair of its neighbors."""
+    """Pairs to cut, by source: (s, the bitmask of s's non-neighbours) for
+    s of minimum degree, then, for each neighbour x of s in ascending order,
+    (x, the bitmask of the higher neighbours of s that x is not next to).
+    Each source is cut from its partners in ascending order."""
     nbrs = masks[s] & alive
-    rest = alive & ~nbrs & ~(1 << s)
-    while rest:  # one bit at a time: most calls stop after the first flow
-        yield s, (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-    for x, y in combinations(_bits(nbrs), 2):
-        if not masks[x] >> y & 1:
-            yield x, y
+    yield s, alive & ~nbrs & ~(1 << s)
+    for x in _bits(nbrs):
+        yield x, nbrs & ~masks[x] & -(2 << x)
 
 
 def _fan_closure(masks: tuple[int, ...], alive: int, good: int, fresh: int, cap: int) -> int:
@@ -473,13 +471,14 @@ _LOCAL_ROUNDS = 2
 _LOCAL_SHARE = 4
 
 
-def _local_cut(masks: tuple[int, ...], alive: int, s: int, limit: int) -> Optional[tuple[int, int, int]]:
-    """The local flow of ``_min_cut_capped``: (value, separator, source
-    side) of the first flow below ``limit`` from s to the sink alive - R,
-    for a ball R around s that grows round by round within alive; None
-    when no round finds one. A flow runs only while R holds at most a
-    quarter of alive, so the sink is never empty. Once R stops growing it
-    is s's component, and that round's flow returns 0."""
+def _local_cut(masks: tuple[int, ...], alive: int, s: int, cap: int) -> Optional[tuple[int, int]]:
+    """The local flow of ``_min_cut_capped``: (separator, source side) of
+    the first cut of fewer than ``cap`` vertices between s and the sink
+    alive - R, for a ball R around s that grows round by round within
+    alive; None when no round finds one. A flow runs only while R holds at
+    most a quarter of alive, so the sink is never empty. Once R stops
+    growing it is s's component, and that round's flow returns the empty
+    separator."""
     most = alive.bit_count() // _LOCAL_SHARE
     layer = masks[s] & alive
     ball = 1 << s
@@ -489,22 +488,20 @@ def _local_cut(masks: tuple[int, ...], alive: int, s: int, limit: int) -> Option
             layer = _near(masks, layer) & alive & ~ball
         if ball.bit_count() > most:
             return None
-        value, sep, side = _st_vertex_cut(masks, s, alive & ~ball, limit, alive)
-        if value < limit:
-            return value, sep, side
+        _, sep, side = _st_vertex_cut(masks, s, alive & ~ball, cap, alive)
+        if sep is not None:
+            return sep, side
     return None
 
 
 def _min_cut_capped(
-    g: SimpleGraph, alive: int, degrees: dict[int, int], enough: int
-) -> tuple[int, Optional[int], int]:
-    """A vertex cut of g on the non-empty set alive: (value, separator, side).
-
-    It answers one question for every ``enough`` e >= 0: the first cut of
-    at most e vertices that the search meets, or (e + 1, None) when there
-    is none; a complete set of at most e + 1 vertices gives n - 1 instead.
-    side is the component of alive less the separator that holds the cut's
-    source (see the module docstring), or 0 when the separator is None.
+    masks: tuple[int, ...], alive: int, degrees: dict[int, int], cap: int
+) -> Optional[tuple[int, int]]:
+    """The first vertex cut of fewer than ``cap`` vertices that the search
+    meets on the non-empty set alive, as (separator, side), or None when
+    the set has none; a complete set has none. side is the component of
+    alive less the separator that holds the cut's source (see the module
+    docstring).
 
     ``degrees`` are the degree classes of alive (``_degree_classes``),
     which are only read. They give the minimum degree and the
@@ -512,7 +509,7 @@ def _min_cut_capped(
     the set is complete exactly when the minimum degree is n - 1, which
     covers a single vertex (degree 0).
 
-    Every step below uses one cap, c = e + 1. A minimum degree below c
+    Every step below uses one cap, c = ``cap``. A minimum degree below c
     gives the degree cut N(s) at once. At c = 2, ``_has_cut_of_at_most_one``
     is asked once first: without such a cut no flow can return less than
     2. Above 2, ``_local_cut`` tries the local flow first (see the module
@@ -520,46 +517,43 @@ def _min_cut_capped(
     a separator ends the search.
 
     ``good`` holds, for the current source x of the pair loop, vertices z
-    with kappa(x, z) >= cap: x's neighbours, every y already paired with
-    x, and every vertex with at least ``cap`` good neighbours (the fan
+    with kappa(x, z) >= cap: x's neighbours, every partner y already cut
+    from x, and every vertex with at least ``cap`` good neighbours (the fan
     argument of the module docstring; x itself may join, which adds
-    nothing). A pair whose y is good has no cut below the cap, so its flow
+    nothing). A partner that is good has no cut below the cap, so its flow
     is skipped. Before a flow runs, ``_fan_closure`` grows ``good`` to a
     fixed point from ``fresh``, the good vertices added since the last
     closure. ``good`` starts afresh with each source: a cut between x and
     z bounds nothing for another source.
     """
-    masks = g.adjacency_masks
-    cap = enough + 1
     least = min(degrees)
     if least == alive.bit_count() - 1:
-        return min(least, cap), None, 0
+        return None
     low = degrees[least]
     s = (low & -low).bit_length() - 1
     if least < cap:
-        return least, masks[s] & alive, 1 << s
+        return masks[s] & alive, 1 << s
     if cap == 2 and not _has_cut_of_at_most_one(masks, alive):
-        return cap, None, 0
+        return None
     if cap > 2:
         local = _local_cut(masks, alive, s, cap)
         if local is not None:
             return local
-    source = -1
-    for x, y in _dominating_pairs(masks, alive, s):
-        if x != source:
-            source = x
-            good = fresh = masks[x] & alive
-        bit = 1 << y
-        if not good & bit and (masks[y] & good).bit_count() < cap:
-            good = _fan_closure(masks, alive, good, fresh, cap)
-            fresh = 0
-            if not good & bit:
-                value, sep, side = _st_vertex_cut(masks, x, bit, cap, alive)
-                if sep is not None:
-                    return value, sep, side
-        fresh |= bit & ~good
-        good |= bit
-    return cap, None, 0
+    for x, partners in _dominating_pairs(masks, alive, s):
+        good = fresh = masks[x] & alive
+        while partners:
+            bit = partners & -partners
+            partners ^= bit
+            if not good & bit and (masks[bit.bit_length() - 1] & good).bit_count() < cap:
+                good = _fan_closure(masks, alive, good, fresh, cap)
+                fresh = 0
+                if not good & bit:
+                    _, sep, side = _st_vertex_cut(masks, x, bit, cap, alive)
+                    if sep is not None:
+                        return sep, side
+            fresh |= bit & ~good
+            good |= bit
+    return None
 
 
 # --- public operations ---------------------------------------------------------
@@ -567,8 +561,8 @@ def _min_cut_capped(
 def min_vertex_cut(g: SimpleGraph) -> CutWitness:
     """Exact vertex connectivity with a minimum-separator witness.
 
-    ``_min_cut_capped`` is asked for a cut of at most kappa - 1 vertices,
-    with kappa from n - 1 down to the value of the last cut found, until an
+    ``_min_cut_capped`` is asked for a cut of fewer than kappa vertices,
+    with kappa from n - 1 down to the size of the last cut found, until an
     ask finds none. The first ask returns the degree cut at once unless the
     graph is complete. Each cut found is smaller than the last, so at most
     n asks run, and the last ask proves that no cut has fewer vertices than
@@ -578,14 +572,15 @@ def min_vertex_cut(g: SimpleGraph) -> CutWitness:
     """
     if g.n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
-    alive = (1 << g.n) - 1
-    degrees = _degree_classes(g.adjacency_masks, alive)
+    masks, alive = g.adjacency_masks, (1 << g.n) - 1
+    degrees = _degree_classes(masks, alive)
     kappa, sep = g.n - 1, None
     while kappa:
-        value, cut, _ = _min_cut_capped(g, alive, degrees, kappa - 1)
+        cut = _min_cut_capped(masks, alive, degrees, kappa)
         if cut is None:
             break
-        kappa, sep = value, cut
+        sep = cut[0]
+        kappa = sep.bit_count()
     return CutWitness(kappa, None if sep is None else frozenset(_bits(sep)))
 
 
@@ -633,13 +628,14 @@ def find_separation(
         degrees = _degree_classes(masks, alive)
     else:
         degrees = _side_degrees(masks, parent.degrees, parent.mask_a & parent.mask_b, alive)
-    value, cut, comp = _min_cut_capped(g, alive, degrees, k)
-    if value > k:
+    cut = _min_cut_capped(masks, alive, degrees, k + 1)
+    if cut is None:
         return None
-    if comp | cut == alive:
+    sep, comp = cut
+    if comp | sep == alive:
         raise RuntimeError("separator does not disconnect the vertex set")
-    side_a, side_b = comp | cut, alive & ~comp
-    for _ in range(k - value):
+    side_a, side_b = comp | sep, alive & ~comp
+    for _ in range(k - sep.bit_count()):
         priv_a, priv_b = side_a & ~side_b, side_b & ~side_a
         if priv_a.bit_count() >= priv_b.bit_count():
             side_b |= priv_a & -priv_a

@@ -245,7 +245,9 @@ def _certificate_check(e: ExtremalGraph) -> bool:
     in one child, and a vertex's path down the tree is fixed by its label:
     bit l-1 of ``side`` says which child it takes at level l, bit l-1 of
     ``glue`` whether it lies in y_l. Each level adds v_(l-1) - k labels to
-    a leaf's, so the labels cover the graph iff ``len(side) == n``.
+    a leaf's, so the labels cover the graph iff n = k + 2^level sigma_k.
+    That is tested first, so the lists never grow past the graph's size,
+    whatever the metadata claims.
 
     An edge joins the private sides of a level-l node only if bit l-1 of
     ``(side[u] ^ side[w]) & ~(glue[u] | glue[w])`` is set. Conversely, at
@@ -261,6 +263,8 @@ def _certificate_check(e: ExtremalGraph) -> bool:
     hash order scatters the reads and took three to five times as long at
     (2,2) level 13, but sorting first costs more than it saves.
     """
+    if e.graph.n != e.k + (e.sigma_k << e.level):
+        return False
     side = [0] * e.leaf_size
     glue = [0] * e.leaf_size
     for j, y in enumerate(e.glue_history):
@@ -270,8 +274,6 @@ def _certificate_check(e: ExtremalGraph) -> bool:
         glue += [glue[x] for x in rest]
         for x in y_set:
             glue[x] |= bit
-    if len(side) != e.graph.n:
-        return False
     return not any((side[u] ^ side[w]) & ~(glue[u] | glue[w]) for u, w in e.graph.held_edges)
 
 

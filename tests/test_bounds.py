@@ -198,6 +198,9 @@ class TestEdgeBounds:
         assert halving_depth(Fraction(2), Fraction(1)) == 1
         assert halving_depth(Fraction(201, 100), Fraction(1)) == 2
         assert halving_depth(Fraction(8, 5), Fraction(1, 5)) == 3
+        for sigma in (Fraction(0), Fraction(-1)):
+            with pytest.raises(ValueError):
+                halving_depth(Fraction(1), sigma)
 
     def test_iterated(self):
         assert iterated_edge_bound(

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
@@ -20,7 +21,9 @@ from hcs import (
     build_extremal,
     dispatch,
     extract,
+    extremal_from_json_dict,
     run_experiment,
+    verify_extremal,
 )
 from hcs.bounds import get_alternative, reports_to_json, verify_all_bounds
 from hcs.cli import NOT_APPLICABLE_SATURATED, _shuffle, build_parser, rows_to_csv, run_trial
@@ -166,6 +169,28 @@ class TestDispatch:
         assert dispatch(["certify", "--in", str(out)]) == 1
         text = capsys.readouterr().out
         assert "certificate=FAIL" in text and "vertex-count: FAIL" in text
+
+    def test_certify_fails_on_a_huge_sigma_k_in_small_memory(self, capsys, tmp_path):
+        # a 6-vertex level-1 file that claims sigma_k = 10^6: the certificate
+        # walk must compare n with the size the metadata claims before it
+        # builds a label list of that size (10^6 entries, about 93 MB)
+        out = tmp_path / "g.json"
+        dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "1", "--out", str(out)])
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        payload["metadata"]["sigma_k"] = 10**6
+        out.write_text(json.dumps(payload))
+        assert dispatch(["certify", "--in", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "certificate=FAIL" in text and "vertex-count: FAIL" in text
+        e = extremal_from_json_dict(payload)
+        tracemalloc.start()
+        try:
+            report = verify_extremal(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.certificate_ok and not report.passed and peak < 2**20
 
     def test_missing_file_is_usage_error(self, capsys):
         assert dispatch(["extract", "--in", "/nonexistent.json", "--k", "2",

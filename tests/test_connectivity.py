@@ -19,6 +19,7 @@ from hcs import (
 )
 from hcs.connectivity import (
     _bits,
+    _dominating_pairs,
     _has_cut_of_at_most_one,
     _near,
     _st_vertex_cut,
@@ -374,6 +375,46 @@ class TestHasCutVertex:
         assert _has_cut_of_at_most_one(masks, full & ~(1 << 1500))
 
 
+class TestDominatingPairs:
+    """``_dominating_pairs`` yields each source with the bitmask of its
+    partners; flattened, the pairs keep the order the golden digests were
+    taken in: s against each non-neighbour in ascending order, then the
+    non-adjacent pairs of s's sorted neighbours in ``combinations`` order."""
+
+    @staticmethod
+    def check(masks, alive, s):
+        nbrs = masks[s] & alive
+        expected = [(s, t) for t in _bits(alive & ~nbrs & ~(1 << s))]
+        expected += [(x, y) for x, y in combinations(_bits(nbrs), 2) if not masks[x] >> y & 1]
+        pairs = [(x, y) for x, partners in _dominating_pairs(masks, alive, s) for y in _bits(partners)]
+        assert pairs == expected, (alive, s)
+        return len(pairs)
+
+    def test_random_graphs(self):
+        rng = random.Random(34)
+        pairs = 0
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.95))
+            alive = rng.getrandbits(n) | rng.choice([0, (1 << n) - 1]) or 1 << rng.randrange(n)
+            pairs += self.check(g.adjacency_masks, alive, rng.choice(_bits(alive)))
+        assert pairs >= 2_000  # 2,724
+
+    def test_every_set_of_an_extraction(self, monkeypatch):
+        sets = []
+        min_cut_capped = connectivity._min_cut_capped
+
+        def ask(masks, alive, degrees, cap):
+            low = degrees[min(degrees)]
+            sets.append((masks, alive, (low & -low).bit_length() - 1))
+            return min_cut_capped(masks, alive, degrees, cap)
+
+        monkeypatch.setattr(connectivity, "_min_cut_capped", ask)
+        e = build_extremal(2, 2, 6)
+        extract(relabelled(e.graph, 6), 2, e.sigma)
+        assert len(sets) >= 60 and sum(self.check(*case) for case in sets) >= 2_000  # 63 sets, 2,110 pairs
+
+
 class TestFlowCount:
     """Flows saved by the cut-vertex search, the stop at the first cut of at
     most k and the skip of decided pairs."""
@@ -428,14 +469,14 @@ class TestFlowCount:
         assert len(flows) <= 5  # 22 when each y is tested only when the loop reaches it
 
     def test_one_cap_per_ask(self, monkeypatch, glued_k4s):
-        # an ask with stop value e caps every flow at e + 1, and a flow that
-        # returns a cut below that cap is the ask's last
+        # an ask with cap c caps every flow at c, and a flow that returns a
+        # cut below that cap is the ask's last
         asks = []
         min_cut_capped, st_vertex_cut = connectivity._min_cut_capped, connectivity._st_vertex_cut
 
-        def ask(g, alive, degrees, enough):
-            asks.append((enough + 1, []))
-            return min_cut_capped(g, alive, degrees, enough)
+        def ask(masks, alive, degrees, cap):
+            asks.append((cap, []))
+            return min_cut_capped(masks, alive, degrees, cap)
 
         def flow(masks, s, sink, limit, alive):
             found = st_vertex_cut(masks, s, sink, limit, alive)
@@ -458,17 +499,18 @@ class TestFlowCount:
 
 
 class TestLocalFlow:
-    """The local flow runs only at a stop value of at least 2: at 1 the pair
-    loop alone finds the cut."""
+    """The local flow runs only at a cap c of at least 3, an ask for a cut
+    of fewer than c vertices: below that the pair loop alone finds the
+    cut."""
 
     @pytest.fixture
     def local_flows(self, monkeypatch):
         calls = []
         local_cut = connectivity._local_cut
 
-        def counted(masks, alive, s, limit):
-            calls.append(limit)
-            return local_cut(masks, alive, s, limit)
+        def counted(masks, alive, s, cap):
+            calls.append(cap)
+            return local_cut(masks, alive, s, cap)
 
         monkeypatch.setattr(connectivity, "_local_cut", counted)
         return calls
@@ -498,9 +540,9 @@ class TestLocalFlow:
             flows.append(sink)
             return st_vertex_cut(masks, s, sink, limit, alive)
 
-        def counted(masks, alive, s, limit):
+        def counted(masks, alive, s, cap):
             flows.clear()
-            answer = local_cut(masks, alive, s, limit)
+            answer = local_cut(masks, alive, s, cap)
             if flows:
                 answers.append(answer is not None)
             return answer

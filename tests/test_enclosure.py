@@ -64,6 +64,7 @@ class TestArithmetic:
         assert (sqrt(2) + sqrt(3)) ** 2 == 5 + 2 * sqrt(6)
         assert Surd(Fraction(1, 3)) == Fraction(1, 3) and Fraction(1, 3) == Surd(Fraction(1, 3))
         assert hash(Surd(Fraction(1, 3))) == hash(Fraction(1, 3))
+        assert hash(sqrt(8) / 2) == hash(sqrt(2))
         assert Surd(sqrt(2)) == sqrt(2) and Surd(0.5) == Fraction(1, 2)
 
     def test_add_sub(self):
@@ -71,6 +72,8 @@ class TestArithmetic:
         assert a - sqrt(2) == 1
         assert 1 - a == -sqrt(2)
         assert Fraction(1, 2) + a - Fraction(3, 2) == sqrt(2)
+        with pytest.raises(TypeError):
+            a + "a"
 
     def test_mul_signs(self):
         # sqrt(A) sqrt(B) = (product of the common primes) sqrt(A xor B)
@@ -79,6 +82,8 @@ class TestArithmetic:
         assert sqrt(15) * sqrt(6) == 3 * sqrt(10)
         assert (sqrt(2) - 1) * (sqrt(2) + 1) == 1
         assert -2 * sqrt(3) * Fraction(1, 2) == -sqrt(3)
+        with pytest.raises(TypeError):
+            sqrt(3) * "a"
 
     def test_division(self):
         a = 1 + sqrt(2) + sqrt(3) + sqrt(5)
@@ -94,6 +99,8 @@ class TestArithmetic:
         assert a**0 == 1 and a**1 == a
         assert a**3 == a * a * a
         assert a**-2 * a**2 == 1
+        with pytest.raises(TypeError):
+            a ** "a"
 
     def test_contains_true_value(self):
         assert sqrt(2) * sqrt(2) == 2
@@ -109,6 +116,8 @@ class TestComparisons:
         assert Fraction(14, 10) < s2 < 2 and 2 > s2
         assert min(s3, s2, Fraction(3, 2)) == s2
         assert abs(1 - s2) == s2 - 1
+        with pytest.raises(TypeError):
+            s2 < "a"
 
     def test_floor(self):
         assert math.floor(sqrt(2)) == 1
@@ -129,6 +138,7 @@ class TestComparisons:
         assert str(sqrt(10) / 6) == "1/6*sqrt(10)"
         assert str(1 - sqrt(2) + 2 * sqrt(30)) == "1 - sqrt(2) + 2*sqrt(30)"
         assert str(Surd()) == "0"
+        assert repr(sqrt(2)) == "Surd(sqrt(2))"
 
 
 class TestNearCancellation:

@@ -219,6 +219,8 @@ class TestEdgeForms:
             twin = graph_from_json_dict({"n": other.n, "edges": [list(e) for e in other.sorted_edges]})
             for a, b in ((ordered, other), (ordered, twin), (g, twin)):
                 assert a != b and b != a
+        assert g != "x" and "x" != ordered
+        assert repr(SimpleGraph.path(3)) == "SimpleGraph(n=3, edges=frozenset({(0, 1), (1, 2)}))"
 
     @pytest.mark.parametrize("form", ["tuple", "set"])
     def test_setting_or_deleting_an_attribute_raises(self, form):

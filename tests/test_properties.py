@@ -69,14 +69,16 @@ def test_mask_matches_induced_subgraph(case, k):
         sep.validate(g, k, alive)
 
     if alive:
-        kappa = min_cut_every_pair(g, alive.bit_count(), alive)[0]
+        kappa, ref_sep, _ = min_cut_every_pair(g, alive.bit_count(), alive)
         full = (1 << ind.graph.n) - 1
-        for enough in range(max(kappa - 1, 0), kappa + 1):
-            value, cut, side = _min_cut_capped(g, alive, fresh_degrees(g, alive), enough)
-            ref_value, ref_cut, ref_side = _min_cut_capped(ind.graph, full, fresh_degrees(ind.graph, full), enough)
-            assert value == ref_value == kappa and (cut is None) == (ref_cut is None)
+        for cap in range(max(kappa, 1), kappa + 2):
+            cut = _min_cut_capped(g.adjacency_masks, alive, fresh_degrees(g, alive), cap)
+            ref = _min_cut_capped(ind.graph.adjacency_masks, full, fresh_degrees(ind.graph, full), cap)
+            assert (cut is None) == (ref is None) == (cap == kappa or ref_sep is None)
             if cut is not None:
-                assert (frozenset(_bits(cut)), frozenset(_bits(side))) == (back(_bits(ref_cut)), back(_bits(ref_side)))
+                (sep, side), (ref_cut, ref_side) = cut, ref
+                assert sep.bit_count() == kappa
+                assert (frozenset(_bits(sep)), frozenset(_bits(side))) == (back(_bits(ref_cut)), back(_bits(ref_side)))
         assert min_vertex_cut(ind.graph).kappa == kappa
 
 
@@ -133,10 +135,11 @@ def min_cut_every_pair(g: SimpleGraph, cap: int, alive: int) -> tuple[int, Optio
     best, best_sep, source = degree[s], masks[s] & alive, s
     if best >= cap:
         best, best_sep = cap, None
-    for x, y in _dominating_pairs(masks, alive, s):
-        value, sep, _ = _st_vertex_cut(masks, x, 1 << y, best, alive)
-        if value < best:
-            best, best_sep, source = value, sep, x
+    for x, partners in _dominating_pairs(masks, alive, s):
+        for y in _bits(partners):
+            value, sep, _ = _st_vertex_cut(masks, x, 1 << y, best, alive)
+            if value < best:
+                best, best_sep, source = value, sep, x
     return best, best_sep, source
 
 
@@ -145,23 +148,24 @@ def min_cut_every_pair(g: SimpleGraph, cap: int, alive: int) -> tuple[int, Optio
 def test_skipped_flows_change_nothing(case, k):
     """Skipping the flows whose pair is already decided misses no cut that
     the loop running them all finds: with kappa from that loop, the search
-    that stops at kappa - 1 finds no cut, and the one that stops at kappa
-    finds a kappa-vertex separator. Its source side is the component of the
+    capped at kappa finds no cut, and the one capped at kappa + 1 finds a
+    kappa-vertex separator. Its source side is the component of the
     set less the separator that holds the loop's source when the two
     separators agree, and otherwise still a component of that set, and not
-    the only one. The search that stops at k agrees with that loop down the
+    the only one. The search capped at k + 1 agrees with that loop down the
     separation tree (``check_cuts_down_the_tree``)."""
     g, alive = case
     if alive:
         kappa, ref_sep, source = min_cut_every_pair(g, alive.bit_count(), alive)
-        degrees = fresh_degrees(g, alive)
+        masks, degrees = g.adjacency_masks, fresh_degrees(g, alive)
         if kappa:
-            assert _min_cut_capped(g, alive, degrees, kappa - 1) == (kappa, None, 0)
-        value, sep, side = _min_cut_capped(g, alive, degrees, kappa)
+            assert _min_cut_capped(masks, alive, degrees, kappa) is None
+        cut = _min_cut_capped(masks, alive, degrees, kappa + 1)
         if ref_sep is None:  # complete
-            assert (value, sep, side) == (kappa, None, 0)
+            assert cut is None
         else:
-            assert value == sep.bit_count() == kappa
+            sep, side = cut
+            assert sep.bit_count() == kappa
             start = source if sep == ref_sep else (side & -side).bit_length() - 1
             assert side == component_by_search(g, alive & ~sep, start)
             assert alive & ~sep & ~side
@@ -286,11 +290,11 @@ def test_is_k1_connected_matches_removal(case, k):
 def check_cuts_down_the_tree(g: SimpleGraph, k: int, alive: int) -> None:
     """At every node of the separation tree from alive, searched with its
     parent's degree classes as ``extract`` searches it, ``_min_cut_capped``
-    stopping at k gives a cut of at most k exactly when the loop over every
-    pair finds one, never below that loop's minimum, and the degree cut
-    when the minimum degree is at most k; its source side is a component of
-    the set less the separator, and not the only one. Complete sets and
-    sets of no cut below k+1 give the loop's value with no separator."""
+    capped at k + 1 gives a cut of at most k exactly when the loop over
+    every pair finds one, never below that loop's minimum, and the degree
+    cut when the minimum degree is at most k; its source side is a
+    component of the set less the separator, and not the only one.
+    Complete sets and sets of no cut below k+1 give None."""
     masks = g.adjacency_masks
     todo = [(alive, None)]
     while todo:
@@ -299,18 +303,20 @@ def check_cuts_down_the_tree(g: SimpleGraph, k: int, alive: int) -> None:
             degrees = fresh_degrees(g, alive)
         else:
             degrees = _side_degrees(masks, parent.degrees, parent.mask_a & parent.mask_b, alive)
-        value, sep, side = _min_cut_capped(g, alive, degrees, k)
+        cut = _min_cut_capped(masks, alive, degrees, k + 1)
         ref_kappa, ref_sep, _ = min_cut_every_pair(g, k + 1, alive)
         case = (sorted(g.edges), k, alive)
         if ref_sep is None:  # complete, or no cut below k+1
-            assert (value, sep, side) == (ref_kappa, None, 0), case
+            assert cut is None, case
         else:
-            assert ref_kappa <= value == sep.bit_count() <= k, case
+            assert cut is not None, case
+            sep, side = cut
+            assert ref_kappa <= sep.bit_count() <= k, case
             classes = fresh_degrees(g, alive)
             least = min(classes)
             if least <= k:  # the degree cut of the lowest vertex of least degree
                 s = classes[least] & -classes[least]
-                assert (value, sep, side) == (least, _near(masks, s) & alive, s), case
+                assert (sep, side) == (_near(masks, s) & alive, s), case
             assert side == component_by_search(g, alive & ~sep, (side & -side).bit_length() - 1), case
             assert alive & ~sep & ~side, case
         split = find_separation(g, k, alive, parent=parent)
