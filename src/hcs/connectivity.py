@@ -149,20 +149,14 @@ class Separation:
     The core claims nothing about the connectivity of the separated set:
     ``find_separation`` pads the first cut of at most k vertices it meets,
     not a minimum one. ``degrees`` maps each degree in the separated set
-    to the bitmask of its vertices of that degree, or is None when unknown
-    or forgotten (``forget_degrees``); it is not part of equality.
+    to the bitmask of its vertices of that degree, or is None when unknown;
+    it is not part of equality. The separations of ``extract``'s tree hold
+    None, since only the searches of the sides read the classes.
     """
 
     mask_a: int
     mask_b: int
     degrees: Optional[dict[int, int]] = field(default=None, compare=False, repr=False)
-
-    def forget_degrees(self) -> None:
-        """Drop ``degrees``, which only the searches of the sides read.
-
-        A tree of n nodes would otherwise keep n sets of degree classes; the
-        field is set in place, so no separation is copied."""
-        object.__setattr__(self, "degrees", None)
 
     @property
     def side_a(self) -> frozenset[int]:

@@ -116,8 +116,6 @@ def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
     while True:
         large = w.bit_count() > small_cap
         sep = find_separation(g, k, w, parent=parent) if large else None
-        if parent is not None and w == parent.mask_b:
-            parent.forget_degrees()  # both of its sides have been searched
         if sep is not None:
             path.append((w, sep, []))
             w, parent = sep.mask_a, sep
@@ -129,6 +127,9 @@ def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
             mask, sep, children = path[-1]
             children.append(node)
             if len(children) == 1:
+                # side A is done, and only side B's search still reads the degree
+                # classes, so the tree keeps a separation of the plain sides
+                path[-1] = (mask, Separation(sep.mask_a, sep.mask_b), children)
                 w, parent = sep.mask_b, sep
                 break
             path.pop()

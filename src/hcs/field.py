@@ -13,7 +13,9 @@ element comes from integer square-root bounds refined until they exclude
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
+from functools import total_ordering
 from math import floor, gcd, isqrt
 
 _RADICANDS = (1, 2, 3, 6, 5, 10, 15, 30)  # product of the primes (2, 3, 5) in each mask
@@ -21,6 +23,7 @@ _RADICANDS = (1, 2, 3, 6, 5, 10, 15, 30)  # product of the primes (2, 3, 5) in e
 _PRODUCT = tuple(tuple((a ^ b, _RADICANDS[a & b]) for b in range(8)) for a in range(8))
 
 
+@total_ordering
 class Surd:
     """An element of Q(sqrt2, sqrt3, sqrt5); mixes with int and Fraction."""
 
@@ -133,53 +136,36 @@ class Surd:
 
     # -- order --------------------------------------------------------------
 
-    def _bracket(self, bits: int) -> tuple[int, int, int]:
-        """Integers lo, hi and scale with lo <= scale * self <= hi, hi - lo <= 8.
+    def _brackets(self, bits: int) -> Iterator[tuple[int, int, int]]:
+        """Integers lo, hi and scale with lo <= scale * self <= hi, hi - lo <= 8,
+        at bits, then 2 * bits, and so on.
 
-        scale is 2**bits times the denominator.
+        scale is 2**bits times the denominator, so the brackets narrow without end.
         """
-        lo = hi = 0
-        for m, a in self._nums.items():
-            if m == 0:
-                lo += a << bits
-                hi += a << bits
-            else:
-                t = isqrt(a * a * _RADICANDS[m] << 2 * bits)  # t <= |a| sqrt(r) 2^bits < t + 1
-                lo, hi = (lo + t, hi + t + 1) if a > 0 else (lo - t - 1, hi - t)
-        return lo, hi, self._den << bits
+        while True:
+            lo = hi = 0
+            for m, a in self._nums.items():
+                if m == 0:
+                    lo += a << bits
+                    hi += a << bits
+                else:
+                    t = isqrt(a * a * _RADICANDS[m] << 2 * bits)  # t <= |a| sqrt(r) 2^bits < t + 1
+                    lo, hi = (lo + t, hi + t + 1) if a > 0 else (lo - t - 1, hi - t)
+            yield lo, hi, self._den << bits
+            bits *= 2
 
     def _sign(self) -> int:
         if self.is_rational:
             a = self._nums.get(0, 0)
             return (a > 0) - (a < 0)
-        bits = 32
-        while True:  # a non-zero value is eventually bracketed away from 0
-            lo, hi, _ = self._bracket(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
-
-    def _compare(self, other) -> int | None:
-        o = _coerce(other)
-        return None if o is None else (self - o)._sign()
+        # a non-zero value is eventually bracketed away from 0
+        for lo, hi, _ in self._brackets(32):
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
 
     def __lt__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is None else s < 0
-
-    def __le__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is None else s <= 0
-
-    def __gt__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is None else s > 0
-
-    def __ge__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is None else s >= 0
+        o = _coerce(other)
+        return NotImplemented if o is None else (self - o)._sign() < 0
 
     def __eq__(self, other):
         o = _coerce(other)
@@ -194,12 +180,10 @@ class Surd:
         return bool(self._nums)
 
     def __floor__(self) -> int:
-        bits = 0 if self.is_rational else 32
-        while True:  # an irrational value is eventually bracketed between integers
-            lo, hi, scale = self._bracket(bits)
+        # an irrational value is eventually bracketed between integers
+        for lo, hi, scale in self._brackets(0 if self.is_rational else 32):
             if lo // scale == hi // scale:
                 return lo // scale
-            bits *= 2
 
     def __ceil__(self) -> int:
         return -floor(-self)
@@ -207,12 +191,10 @@ class Surd:
     def __float__(self) -> float:
         if self.is_rational:
             return float(Fraction(self._nums.get(0, 0), self._den))
-        bits = 64
-        while True:  # refine until the bracket is narrow relative to the value
-            lo, hi, scale = self._bracket(bits)
+        # refine until the bracket is narrow relative to the value
+        for lo, hi, scale in self._brackets(64):
             if (hi - lo) << 56 <= abs(lo):
                 return float(Fraction(lo + hi, 2 * scale))
-            bits *= 2
 
     # -- text ---------------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Exact arithmetic in Q(sqrt2, sqrt3, sqrt5), the number type of the bound table.
 
 The hand-written cases pin the field's rules; the property test compares
-sign, order, floor, inverse and float with mpmath at 80 digits.
+sign, order (also against a Fraction, on either side), floor, ceil,
+inverse and float with mpmath at 80 digits.
 """
 
 import math
@@ -111,6 +112,7 @@ class TestComparisons:
     def test_certified_ordering(self):
         s2, s3 = sqrt(2), sqrt(3)
         assert s2 < s3 and s3 >= s2 and s3 > s2 and s2 <= s2
+        assert not s2 < s2 and s2 >= s2 and not s2 > s2
         assert not s2 <= Fraction(14, 10)  # 1.4 < sqrt(2)
         assert s2 <= Fraction(15, 10)
         assert Fraction(14, 10) < s2 < 2 and 2 > s2
@@ -118,6 +120,12 @@ class TestComparisons:
         assert abs(1 - s2) == s2 - 1
         with pytest.raises(TypeError):
             s2 < "a"
+        with pytest.raises(TypeError):
+            s2 <= "a"
+        with pytest.raises(TypeError):
+            s2 > "a"
+        with pytest.raises(TypeError):
+            s2 >= "a"
 
     def test_floor(self):
         assert math.floor(sqrt(2)) == 1
@@ -191,14 +199,20 @@ def reference(x: Surd):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(elements, elements)
-def test_field_agrees_with_mpmath(x, y):
+@given(elements, elements, small_rationals)
+def test_field_agrees_with_mpmath(x, y, q):
     with mpmath.workdps(80):
-        vx, vy = reference(x), reference(y)
+        vx, vy, vq = reference(x), reference(y), mpmath.mpf(q.numerator) / q.denominator
         sign = (vx > 0) - (vx < 0) if x else 0
         assert (x > 0, x < 0, x == 0) == (sign > 0, sign < 0, sign == 0)
-        assert (x < y, x <= y, x > y) == (vx < vy, vx <= vy, vx > vy)
+        assert (x < y, x <= y, x > y, x >= y) == (vx < vy, vx <= vy, vx > vy, vx >= vy)
+        assert (x < q, x <= q, x > q, x >= q) == (vx < vq, vx <= vq, vx > vq, vx >= vq)
+        # a Fraction on the left reaches the reflected Surd method
+        assert (q < x, q <= x, q > x, q >= x) == (vq < vx, vq <= vx, vq > vx, vq >= vx)
+        same = x * 3 / 3  # equal to x, computed apart
+        assert (x < same, x <= same, x > same, x >= same) == (False, True, False, True)
         assert math.floor(x) == int(mpmath.floor(vx))
+        assert math.ceil(x) == int(mpmath.ceil(vx))
         assert math.isclose(float(x), float(vx), rel_tol=1e-15, abs_tol=0.0)
         assert abs(reference(x * y) - vx * vy) < mpmath.mpf(10) ** -70
         if x:

@@ -305,6 +305,22 @@ class TestCertificateOracle:
             mutated = _with_edge(e, rng.choice(first), rng.choice(second))
             assert not self._agree(mutated).partition_ok
 
+    def test_pool_check_walks_no_more_pairs_than_edges(self, monkeypatch):
+        # a file may claim a pool far larger than its edge list: with k = sigma_k
+        # = 300, 90,000 pairs join the two parts, but the graph has no edges
+        k = 300
+        e = ExtremalGraph(
+            graph=SimpleGraph.empty(3 * k), k=k, sigma_k=k, level=1,
+            parts=(tuple(range(k, 2 * k)), tuple(range(2 * k, 3 * k))),
+            glue_history=(tuple(range(k)),),
+        )
+        calls = []
+        has_edge = SimpleGraph.has_edge
+        monkeypatch.setattr(SimpleGraph, "has_edge", lambda g, u, v: calls.append(1) or has_edge(g, u, v))
+        assert self._agree(e).partition_ok
+        assert len(calls) <= e.graph.edge_count == 0
+        assert not self._agree(_with_edge(e, k, 2 * k)).partition_ok
+
 
 def _toggled(e: ExtremalGraph, edge: tuple[int, int]) -> ExtremalGraph:
     """The instance with one edge added, or deleted if the graph has it."""
