@@ -54,20 +54,33 @@ def size_threshold(k: int, sigma: SigmaLike) -> int:
 class DecompositionNode:
     """One node of the decomposition tree over original vertex ids.
 
-    The node's vertex set is held as the bitmask ``mask``; ``vertices`` is
-    the same set as a frozenset, built on access. A tree can be as deep as
-    the graph has vertices, so nodes compare and hash by identity and the
-    repr counts the children instead of showing them.
+    A node is its vertex set, held as the bitmask ``mask``, and its
+    children: none for a LEAF_SMALL node, and for a SEPARATED node the two
+    sides of the separation that splits it, side A first. ``vertices``,
+    ``kind`` and ``separation`` are read from these on access. A tree can
+    be as deep as the graph has vertices, so nodes compare and hash by
+    identity and the repr counts the children instead of showing them.
     """
 
     mask: int
-    kind: str
-    separation: Optional[Separation]
-    children: tuple["DecompositionNode", ...]
+    children: tuple["DecompositionNode", ...] = ()
 
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(_bits(self.mask))
+
+    @property
+    def kind(self) -> str:
+        return SEPARATED if self.children else LEAF_SMALL
+
+    @property
+    def separation(self) -> Optional[Separation]:
+        """The separation whose sides are the two children's sets, with no
+        degree classes, or None for a leaf."""
+        if not self.children:
+            return None
+        left, right = self.children
+        return Separation(left.mask, right.mask)
 
     def __repr__(self) -> str:
         return f"DecompositionNode(kind={self.kind!r}, vertices={self.mask.bit_count()}, children={len(self.children)})"
@@ -106,12 +119,11 @@ def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
     give the side's (see ``find_separation``); the answers do not depend
     on it.
     """
-    threshold = size_threshold(k, sigma)
     # sets of at most k+1 vertices cannot host a (k+1)-connected subgraph either
-    small_cap = max(threshold, k + 1)
-    # each open SEPARATED node: its vertex set, its separation and the
-    # children finished so far
-    path: list[tuple[int, Separation, list[DecompositionNode]]] = []
+    small_cap = max(size_threshold(k, sigma), k + 1)
+    # each open SEPARATED node: its vertex set, its separation while side A is
+    # searched (then None) and the children finished so far
+    path: list[tuple[int, Optional[Separation], list[DecompositionNode]]] = []
     w, parent = (1 << g.n) - 1, None
     while True:
         large = w.bit_count() > small_cap
@@ -122,18 +134,16 @@ def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
             continue
         if large:
             return ExtractionResult(FOUND, frozenset(_bits(w)), None)
-        node = DecompositionNode(w, LEAF_SMALL, None, ())
+        node = DecompositionNode(w)
         while path:  # hand the finished node to the open nodes above it
             mask, sep, children = path[-1]
             children.append(node)
-            if len(children) == 1:
-                # side A is done, and only side B's search still reads the degree
-                # classes, so the tree keeps a separation of the plain sides
-                path[-1] = (mask, Separation(sep.mask_a, sep.mask_b), children)
+            if sep is not None:  # side A is done; side B's search is the last to read sep
+                path[-1] = (mask, None, children)
                 w, parent = sep.mask_b, sep
                 break
             path.pop()
-            node = DecompositionNode(mask, SEPARATED, sep, tuple(children))
+            node = DecompositionNode(mask, tuple(children))
         else:
             return ExtractionResult(SEPARABLE, None, node)
 
@@ -143,31 +153,26 @@ def validate_decomposition(
 ) -> None:
     """Raise ValueError unless the tree is internally consistent for g.
 
-    The root must hold every vertex of g. Each child must equal a side of
-    its node's separation, which ``Separation.validate`` checks is not the
-    whole node, so every child is strictly smaller than its parent.
+    The root must hold every vertex of g and each leaf at most
+    max(floor((1+sigma)k), k+1) vertices. Each other node must have two
+    children whose sets form a separation of its set, which
+    ``Separation.validate`` checks; neither side is then the whole set, so
+    every child is strictly smaller than its parent.
     """
     if node.mask != (1 << g.n) - 1:
         raise ValueError("the root does not hold every vertex of the graph")
-    threshold = size_threshold(k, sigma)
-    small_cap = max(threshold, k + 1)
+    small_cap = max(size_threshold(k, sigma), k + 1)
     stack = [node]
     while stack:
         node = stack.pop()
-        if node.kind == LEAF_SMALL:
+        if not node.children:
             if node.mask.bit_count() > small_cap:
                 raise ValueError("LEAF_SMALL node too large")
             continue
-        if node.kind != SEPARATED:
-            raise ValueError(f"unknown node kind {node.kind}")
-        sep = node.separation
-        if sep is None or len(node.children) != 2:
-            raise ValueError("SEPARATED node needs a separation and two children")
-        sep.validate(g, k, node.mask)
-        for child, side in zip(node.children, (sep.mask_a, sep.mask_b)):
-            if child.mask != side:
-                raise ValueError("child vertex set does not match its separation side")
-            stack.append(child)
+        if len(node.children) != 2:
+            raise ValueError("SEPARATED node needs two children")
+        node.separation.validate(g, k, node.mask)
+        stack += node.children
 
 
 # --- serialization ----------------------------------------------------------------
@@ -224,7 +229,7 @@ def write_result_json(result: ExtractionResult, fh: TextIO) -> None:
 
     The text is written piece by piece, so the whole document is never
     held in memory, and a node's vertex list is built once: a child's
-    ``vertices`` is the side of its parent's separation that it holds.
+    ``vertices`` is its side of its parent's separation.
     """
     if result.outcome == FOUND:
         fh.writelines(('{"outcome":"FOUND","subgraph":[', ",".join(map(str, sorted(result.subgraph))), "]}"))
@@ -241,14 +246,13 @@ def write_result_json(result: ExtractionResult, fh: TextIO) -> None:
             continue
         node, vertices = item
         fh.writelines(('{"vertices":', vertices, ',"kind":"', node.kind, '"'))
-        sep = node.separation
-        if sep is None:
+        if not node.children:
             fh.write("}")
             continue
-        a, b = sep.mask_a, sep.mask_b
+        left, right = node.children
+        a, b = left.mask, right.mask
         side_a, side_b = _side_text(a, b, vertices, names), _side_text(b, a, vertices, names)
         fh.writelines((',"separation":{"side_a":', side_a, ',"side_b":', side_b, ',"core":',
                        _json_list(a & b, names), '},"children":['))
-        left, right = node.children
         stack += ["]}", (right, side_b), ",", (left, side_a)]
     fh.write("}")

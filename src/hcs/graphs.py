@@ -8,7 +8,6 @@ floating point.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,8 +34,8 @@ class SimpleGraph:
     Its edges are pairs (u, v) with u < v, held in one of two forms: the
     frozenset ``edges`` or the ascending tuple ``sorted_edges``. The graph
     is built with one of them and derives the other only on first use, so a
-    caller that reads only one form never pays for the other. ``held_edges``
-    and ``has_edge`` read whichever form the graph holds.
+    caller that reads only one form never pays for the other.
+    ``held_edges`` reads whichever form the graph holds.
     """
 
     def __init__(self, n: int, edges: frozenset[Edge]) -> None:
@@ -105,16 +104,6 @@ class SimpleGraph:
         which reads vertex data nearly in order, else the set in hash order."""
         held = vars(self)
         return held["sorted_edges"] if "sorted_edges" in held else held["edges"]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the normalized pair (u, v) is an edge: a set lookup, or a
-        bisect in the ascending tuple when the graph holds no set."""
-        held = vars(self)
-        if "edges" in held:
-            return (u, v) in held["edges"]
-        ordered = held["sorted_edges"]
-        i = bisect_left(ordered, (u, v))
-        return i < len(ordered) and ordered[i] == (u, v)
 
     @property
     def edge_count(self) -> int:

@@ -255,6 +255,40 @@ def partition_check_oracle(e) -> bool:
     return not any(masks[v] & pool & ~own for p, own in zip(e.parts, part_masks) for v in p)
 
 
+def tree_check_oracle(g: SimpleGraph, k: int, sigma, root) -> bool:
+    """Whether root is a decomposition tree of g, checked with plain sets.
+
+    The root holds every vertex; a leaf holds at most
+    max(floor((1+sigma)k), k+1) vertices; every other node has two children
+    A and B with A | B its set W, |A & B| = k, neither side W and no edge
+    between A - B and B - A.
+    """
+    def members(mask: int) -> set[int]:
+        return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+    cap = max(math.floor((1 + Fraction(sigma)) * k), k + 1)
+    if members(root.mask) != set(range(g.n)):
+        return False
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        w = members(node.mask)
+        if not node.children:
+            if len(w) > cap:
+                return False
+            continue
+        if len(node.children) != 2:
+            return False
+        a, b = (members(child.mask) for child in node.children)
+        if a | b != w or len(a & b) != k or w in (a, b):
+            return False
+        only_a, only_b = a - b, b - a
+        if any(u in only_a and v in only_b or u in only_b and v in only_a for u, v in g.edges):
+            return False
+        stack += node.children
+    return True
+
+
 # --- extremal builder oracle ------------------------------------------------------
 # The set-based loop that build_extremal ran before it kept its edges as one
 # ascending list: each level adds the copy-two images to a set, and the gluing

@@ -26,7 +26,14 @@ from hcs import (
 )
 from hcs.extractor import write_result_json
 from hcs.field import Surd, sqrt
-from conftest import brute_force_hcs, induced_subgraph, k1_connected_by_removal, random_graph, result_to_json_dict
+from conftest import (
+    brute_force_hcs,
+    induced_subgraph,
+    k1_connected_by_removal,
+    random_graph,
+    result_to_json_dict,
+    tree_check_oracle,
+)
 from test_golden import EXTREMAL, case_ids, digest, relabelled
 
 
@@ -219,16 +226,13 @@ class TestExtract:
         g = SimpleGraph.cycle(12)
         tree = extract(g, 2, Fraction(1, 5)).tree
         left, right = tree.children
-        deep_left, deep_right = right.children
-        odd_right = replace(right, children=(deep_left, replace(deep_right, kind="ODD")))
         cases = [
-            (replace(tree, children=(right, left)), "does not match"),
-            (replace(tree, kind="ODD"), "unknown node kind"),
             (replace(tree, children=(left,)), "two children"),
-            (replace(tree, kind=LEAF_SMALL), "too large"),
-            (replace(tree, children=(left, odd_right)), "unknown node kind"),
+            (replace(tree, children=()), "too large"),
         ]
         validate_decomposition(g, 2, Fraction(1, 5), tree)
+        # the sides in the other order are a separation too
+        validate_decomposition(g, 2, Fraction(1, 5), replace(tree, children=(right, left)))
         for bad, message in cases:
             with pytest.raises(ValueError, match=message):
                 validate_decomposition(g, 2, Fraction(1, 5), bad)
@@ -277,6 +281,121 @@ class TestExtract:
         k33 = SimpleGraph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
         assert extract(k33, 2, Fraction(1, 5)).outcome == FOUND
         assert extract(k33, 3, Fraction(1, 5)).outcome == SEPARABLE
+
+
+def _mutation_cases() -> list[tuple]:
+    """(graph, k, sigma, SEPARABLE tree) on extremal graphs, a path and seeded random graphs.
+
+    A larger sigma leaves room in the leaves, so a vertex moved between two
+    leaves may break only the separation's private-edge condition.
+    """
+    e22, e33 = build_extremal(2, 2, 4), build_extremal(3, 3, 3)
+    cases = [(g, k, sigma, extract(g, k, sigma).tree) for g, k, sigma in
+             [(relabelled(e22.graph, 4), 2, e22.sigma), (e33.graph, 3, e33.sigma), (SimpleGraph.path(30), 1, Fraction(1))]]
+    rng = random.Random(36)
+    for k in (1, 2, 3):
+        count = 0
+        while count < 3:
+            g = random_graph(rng, rng.randint(10, 24), rng.choice([0.15, 0.25, 0.35]))
+            sigma = rng.choice([Fraction(1, 2), Fraction(2), Fraction(3)])
+            res = extract(g, k, sigma)
+            if res.outcome == SEPARABLE and res.tree.children:
+                cases.append((g, k, sigma, res.tree))
+                count += 1
+    return cases
+
+
+def _nodes_with_paths(root) -> list[tuple]:
+    """Every node of the tree with its path from the root, as (parent, child index) pairs."""
+    found, stack = [], [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        found.append((node, path))
+        stack.extend((child, path + ((node, i),)) for i, child in enumerate(node.children))
+    return found
+
+
+def _put(path, node):
+    """The root of the tree with node in place of the one at the end of path, its ancestors rebuilt."""
+    for parent, i in reversed(path):
+        children = list(parent.children)
+        children[i] = node
+        node = replace(parent, children=tuple(children))
+    return node
+
+
+def _vertex(rng: random.Random, mask: int) -> int:
+    """A random bit of mask, which is not 0, as a single-bit mask."""
+    return 1 << rng.choice([v for v in range(mask.bit_length()) if mask >> v & 1])
+
+
+def _mutated(rng: random.Random, mutation: str, node, small_cap: int, n: int):
+    """node with one fault of the named kind, or None when node cannot take it."""
+    if mutation == "widen leaf":
+        if node.children or n <= small_cap:
+            return None
+        mask = node.mask
+        while mask.bit_count() <= small_cap:
+            mask |= _vertex(rng, (1 << n) - 1 & ~mask)
+        return replace(node, mask=mask)
+    if not node.children:
+        return None
+    i = rng.randrange(2)
+    one, other = node.children[i], node.children[1 - i]
+
+    def with_sides(one_mask: int, other_mask: int):
+        sides = (replace(one, mask=one_mask), replace(other, mask=other_mask))
+        return replace(node, children=sides[::-1] if i else sides)
+
+    if mutation == "move private vertex":
+        v = _vertex(rng, one.mask & ~other.mask)
+        return with_sides(one.mask & ~v, other.mask | v)
+    if mutation == "add vertex to both":
+        return with_sides(one.mask, other.mask | _vertex(rng, one.mask & ~other.mask))
+    if mutation == "drop core vertex":
+        return with_sides(one.mask & ~_vertex(rng, one.mask & other.mask), other.mask)
+    if mutation == "swap children":
+        return replace(node, children=node.children[::-1])
+    if mutation == "split to leaf":
+        return replace(node, children=())
+    assert mutation == "keep one child"
+    return replace(node, children=(one,))
+
+
+MUTATIONS = ["move private vertex", "add vertex to both", "drop core vertex", "swap children",
+             "split to leaf", "keep one child", "widen leaf", "child as root"]
+
+
+class TestValidateMutations:
+    def test_agrees_with_the_oracle(self):
+        cases = _mutation_cases()
+        for g, k, sigma, tree in cases:
+            assert tree_check_oracle(g, k, sigma, tree)
+            validate_decomposition(g, k, sigma, tree)
+        rng = random.Random(2026)
+        seen = set()
+        for _ in range(400):
+            g, k, sigma, tree = rng.choice(cases)
+            mutation = rng.choice(MUTATIONS)
+            nodes = _nodes_with_paths(tree)
+            if mutation == "child as root":
+                bad = rng.choice(nodes[1:])[0]
+            else:
+                small_cap = max(size_threshold(k, sigma), k + 1)
+                bad = None
+                while bad is None:
+                    node, path = rng.choice(nodes)
+                    mutated = _mutated(rng, mutation, node, small_cap, g.n)
+                    bad = None if mutated is None else _put(path, mutated)
+            try:
+                validate_decomposition(g, k, sigma, bad)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == tree_check_oracle(g, k, sigma, bad), mutation
+            assert accepted or mutation != "swap children"
+            seen.add(mutation)
+        assert seen == set(MUTATIONS)
 
 
 class TestInheritedBound:
