@@ -554,11 +554,13 @@ class TestSerialization:
         assert_written_as_dumped(extract(relabelled(e.graph, level), k, e.sigma))
 
     # sha256 and size of the `extract --out` file, write_result_json's text and a
-    # newline, for trees larger than the golden digests': the extremal graphs as built
+    # newline, for trees larger than the golden digests': the extremal graphs as
+    # built, a chain of triangles and a path whose file is 6.4 MB
     OUT_FILES = {
         "extremal-2-2-9": ("cfae4c83cf62590bbb3789945cec78a082f61006d46c4e31c522c3b2b3d31b6b", 1_160_302),
         "extremal-2-4-8": ("b71e3f6ff6db0f240f09ee4a49bcac101d3fed8f18bfb45a0835866dc4351f3f", 269_809),
         "triangle-chain-300": ("44b903c89efb484e691455c7ccb64998390129c8a64c90c4800b50fdee851fe7", 758_786),
+        "path-1200": ("55c4364246d709cd3a60370119184bd0c9cbe103d946bc081e7ef1b6ba1ef5f0", 6_367_709),
     }
 
     @pytest.mark.parametrize("case", sorted(OUT_FILES))
@@ -567,6 +569,7 @@ class TestSerialization:
             "extremal-2-2-9": (build_extremal(2, 2, 9).graph, 2, 1),
             "extremal-2-4-8": (build_extremal(2, 4, 8).graph, 2, 2),
             "triangle-chain-300": (triangle_chain(300), 1, 3),
+            "path-1200": (SimpleGraph.path(1200), 1, 1),
         }[case]
         buf = io.StringIO()
         write_result_json(extract(g, k, sigma), buf)
