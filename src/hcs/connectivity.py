@@ -250,17 +250,22 @@ def _has_cut_of_at_most_one(masks: tuple[int, ...], alive: int) -> bool:
 def _members(mask: int, items: Sequence[T]) -> list[T]:
     """``items[v]`` for each vertex id v in a bitmask, in ascending order of v.
 
-    Each step of the bit-by-bit loop costs time in proportion to the
-    mask's length, so a mask of many vertices is read instead from its
-    binary digits, in one pass that runs in C.
+    A mask of few vertices is read from its top bit down, and the list is
+    reversed at the end: each step takes the highest vertex v left and
+    clears bit v, which builds two ints no wider than what is left of the
+    mask. Each step still costs time in proportion to that width, so a
+    mask of many vertices is read instead from its binary digits, in one
+    pass that runs in C.
     """
     if mask.bit_count() > 128:
         flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)  # flags[v] is 1 iff v is in mask
         return list(compress(items, flags))
     out = []
     while mask:
-        out.append(items[(mask & -mask).bit_length() - 1])
-        mask &= mask - 1
+        v = mask.bit_length() - 1
+        out.append(items[v])
+        mask ^= 1 << v
+    out.reverse()
     return out
 
 

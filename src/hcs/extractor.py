@@ -12,9 +12,11 @@ extremal graphs, are about as deep as the graph has vertices. So the
 search, the tree check and the JSON writer walk the tree on explicit
 stacks, never by recursion, and vertex sets become frozensets or sorted
 lists only at the public API and in JSON. The nested JSON of such a tree
-holds about n^2 ids, so the streaming writer cuts a large side's list out
-of its parent's list text by deleting the few ids the side lacks: its
-Python work follows the peeled parts, not the output's size.
+holds about n^2 ids, so the writer cuts a large side's list out of its
+parent's list text by deleting the few ids the side lacks: its Python work
+follows the peeled parts, not the output's size. It hands the file the
+text in blocks of a few nodes each, not piece by piece, and never holds
+the whole document.
 """
 
 from __future__ import annotations
@@ -184,13 +186,14 @@ def _json_list(mask: int, names: list[str]) -> str:
 
 # A side's list is cut out of its parent's list text when the ids it lacks
 # number at most 1/_DELETE_RATIO of the ids it keeps; otherwise it is encoded.
-# A deleted id costs about 1.5 us (a bit loop over a mask as wide as the
-# graph, and the search), an encoded id about 40 ns. Measured with Python
-# 3.11 on a 2-CPU machine, with every id of the graph in the parent list and
-# the deleted ids drawn at random: deleting 4 of 300 ids took 4 us against
-# 14 us for encoding the rest, 31 of 2,000 took 53 us against 78 us, 312 of
-# 20,000 took 0.85 ms against 0.81 ms, and 62 of 2,000 took 92 us against
-# 74 us.
+# A deleted id costs about 1.4 us (the search, and listing the ids from a
+# mask as wide as the graph), an encoded id about 40 ns. Measured with
+# Python 3.11 on a 2-CPU machine, with every id of the graph in the parent
+# list and the deleted ids drawn at random, the median of five draws:
+# deleting 4 of 300 ids took 6 us against 13 us for encoding the rest, 31
+# of 2,000 took 43 us against 70 us, 312 of 20,000 took 0.70 ms against
+# 0.79 ms, and 62 of 2,000 took 75 us against 70 us. The ratio chooses only
+# how a list's text is built, never its bytes.
 _DELETE_RATIO = 64
 
 
@@ -223,36 +226,48 @@ def _side_text(side: int, other: int, parent_text: str, names: list[str]) -> str
     return _json_list(side, names)
 
 
+# write_result_json hands the file one joined string once it holds more
+# than this many pieces: about four tree nodes' worth
+_BLOCK = 64
+
+
 def write_result_json(result: ExtractionResult, fh: TextIO) -> None:
     """Write result to fh as compact JSON: ``{"outcome":"FOUND","subgraph":[...]}``
     with the vertex ids ascending, or ``{"outcome":"SEPARABLE","tree":...}``.
 
-    The text is written piece by piece, so the whole document is never
-    held in memory, and a node's vertex list is built once: a child's
-    ``vertices`` is its side of its parent's separation.
+    A FOUND answer is written in one call. A tree is written in blocks: the
+    pieces of its text are gathered in a list, and the list is joined and
+    written whenever it passes 64 pieces, so the text held at any time is a
+    few nodes' worth, never the whole document. A node's vertex list is
+    built once: a child's ``vertices`` is its side of its parent's
+    separation.
     """
     if result.outcome == FOUND:
-        fh.writelines(('{"outcome":"FOUND","subgraph":[', ",".join(map(str, sorted(result.subgraph))), "]}"))
+        fh.write('{"outcome":"FOUND","subgraph":[' + ",".join(map(str, sorted(result.subgraph))) + "]}")
         return
     root = result.tree
     names = list(map(str, range(root.mask.bit_length())))
-    fh.write('{"outcome":"SEPARABLE","tree":')
+    pieces = ['{"outcome":"SEPARABLE","tree":']
     # items are either text to write or (node, its vertex list text)
     stack: list = [(root, _json_list(root.mask, names))]
     while stack:
+        if len(pieces) > _BLOCK:
+            fh.write("".join(pieces))
+            pieces.clear()
         item = stack.pop()
         if isinstance(item, str):
-            fh.write(item)
+            pieces.append(item)
             continue
         node, vertices = item
-        fh.writelines(('{"vertices":', vertices, ',"kind":"', node.kind, '"'))
+        pieces += ('{"vertices":', vertices, ',"kind":"', node.kind, '"')
         if not node.children:
-            fh.write("}")
+            pieces.append("}")
             continue
         left, right = node.children
         a, b = left.mask, right.mask
         side_a, side_b = _side_text(a, b, vertices, names), _side_text(b, a, vertices, names)
-        fh.writelines((',"separation":{"side_a":', side_a, ',"side_b":', side_b, ',"core":',
-                       _json_list(a & b, names), '},"children":['))
+        pieces += (',"separation":{"side_a":', side_a, ',"side_b":', side_b, ',"core":',
+                   _json_list(a & b, names), '},"children":[')
         stack += ["]}", (right, side_b), ",", (left, side_a)]
-    fh.write("}")
+    pieces.append("}")
+    fh.write("".join(pieces))

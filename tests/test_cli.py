@@ -2,6 +2,7 @@ import bisect
 import gc
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -28,7 +29,7 @@ from hcs import (
 from hcs.bounds import get_alternative, reports_to_json, verify_all_bounds
 from hcs.cli import NOT_APPLICABLE_SATURATED, _shuffle, build_parser, rows_to_csv, run_trial
 from hcs.graphs import VERTEX_CAP, graph_from_json_dict
-from conftest import extremal_to_json_dict, graph_to_json_dict, result_to_json_dict
+from conftest import brute_force_hcs, extremal_to_json_dict, graph_to_json_dict, result_to_json_dict
 from test_golden import relabelled
 
 
@@ -639,6 +640,115 @@ class TestCertifyAnyEdgeOrder:
         assert hashlib.sha256(text.encode()).hexdigest() == self.FAIL_STDOUT
         random.Random(9).shuffle(edges)
         assert self._certify(capsys, tmp_path, payload, edges) == (code, text)
+
+
+def _swap_labels(data: dict, a: int, b: int) -> None:
+    """Exchange labels a and b in the edges, the pool and the gluing sets."""
+    swap = {a: b, b: a}
+    data["graph"]["edges"] = [[swap.get(u, u), swap.get(w, w)] for u, w in data["graph"]["edges"]]
+    meta = data["metadata"]
+    for key in ("parts", "glue_history"):
+        meta[key] = [[swap.get(v, v) for v in s] for s in meta[key]]
+
+
+def _mutate(rng: random.Random, data: dict) -> str:
+    """Apply one random change to a construct file's dict in place; returns its kind."""
+    graph, meta = data["graph"], data["metadata"]
+    n, edges = graph["n"], graph["edges"]
+    kind = rng.choice(["glue", "k", "sigma_k", "level", "pool-move", "pool-replace", "edge-add",
+                       "edge-remove", "glue-order", "swap", "n"])
+    if kind == "glue" and meta["glue_history"]:
+        y = rng.choice(meta["glue_history"])
+        y[rng.randrange(len(y))] = rng.randrange(-1, n + 1)
+    elif kind in ("k", "sigma_k", "level"):
+        meta[kind] += rng.choice((-1, 1))
+    elif kind == "pool-move" and any(meta["parts"]):
+        source = rng.choice([p for p in meta["parts"] if p])
+        rng.choice(meta["parts"]).append(source.pop(rng.randrange(len(source))))
+    elif kind == "pool-replace" and any(meta["parts"]):
+        p = rng.choice([p for p in meta["parts"] if p])
+        p[rng.randrange(len(p))] = rng.randrange(n)
+    elif kind == "edge-add" and n >= 2:
+        edges.append(sorted(rng.sample(range(n), 2)))
+    elif kind == "edge-remove" and edges:
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == "glue-order" and len(meta["glue_history"]) >= 2:
+        i, j = rng.sample(range(len(meta["glue_history"])), 2)
+        meta["glue_history"][i], meta["glue_history"][j] = meta["glue_history"][j], meta["glue_history"][i]
+    elif kind == "swap" and n >= 2:
+        _swap_labels(data, *rng.sample(range(n), 2))
+    elif kind == "n":
+        graph["n"] += rng.choice((-1, 1))
+    return kind
+
+
+def _claims_hold(data: dict) -> bool:
+    """Whether a certified file's claims hold, checked without hcs's checks.
+
+    The claims: n = k + 2^level sigma_k; at least 2^L (C(k + sigma_k, 2) -
+    (2/3)(1 - 4^-L) C(k, 2)) distinct edges; a pool in balanced, disjoint
+    parts with no edge across two of them; and no (k+1)-connected subgraph
+    on more than k + sigma_k vertices, by exhaustive search.
+    """
+    meta = data["metadata"]
+    n, k, sigma_k, level, parts = data["graph"]["n"], meta["k"], meta["sigma_k"], meta["level"], meta["parts"]
+    edges = {tuple(sorted(e)) for e in data["graph"]["edges"]}
+    if k < 1 or level < 0 or n != k + sigma_k * 2**level:
+        return False
+    bound = 2**level * (math.comb(k + sigma_k, 2) - Fraction(2, 3) * (1 - Fraction(1, 4**level)) * math.comb(k, 2))
+    if len(edges) < bound:
+        return False
+    part_of = {v: i for i, p in enumerate(parts) for v in p}
+    if len(part_of) != sum(map(len, parts)) or max(map(len, parts)) - min(map(len, parts)) > 1:
+        return False
+    if any(u in part_of and w in part_of and part_of[u] != part_of[w] for u, w in edges):
+        return False
+    return brute_force_hcs(SimpleGraph.from_edges(n, sorted(edges)), k, Fraction(sigma_k, k)) is None
+
+
+class TestCertifyMutations:
+    """Seeded mutations of small construct files: certify may pass a file only
+    when the claims it certifies hold, and otherwise exits 1 or 2 with one
+    verdict or error and no traceback."""
+
+    # (k, sigma_k, level) with n = 5 to 17, small enough for the exhaustive search
+    INSTANCES = ((1, 1, 2), (1, 1, 3), (2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (1, 2, 3),
+                 (3, 3, 1), (3, 3, 2), (2, 4, 1))
+    MUTATIONS = 300
+
+    def test_seeded_mutations(self, capsys, tmp_path):
+        files = {}
+        for k, sigma_k, level in self.INSTANCES:
+            out = tmp_path / f"{k}-{sigma_k}-{level}.json"
+            assert dispatch(["construct", "--k", str(k), "--sigma-k", str(sigma_k), "--level", str(level),
+                             "--out", str(out)]) == 0
+            files[k, sigma_k, level] = json.loads(out.read_text())
+            assert dispatch(["certify", "--in", str(out)]) == 0
+        capsys.readouterr()
+        rng = random.Random(37)
+        path = tmp_path / "mutated.json"
+        codes = []
+        for i in range(self.MUTATIONS):
+            instance = rng.choice(self.INSTANCES)
+            data = json.loads(json.dumps(files[instance]))
+            kinds = [_mutate(rng, data) for _ in range(rng.randint(1, 3))]
+            path.write_text(json.dumps(data))
+            case = f"mutation {i} of {instance}: {kinds}"
+            try:
+                code = dispatch(["certify", "--in", str(path)])
+            except Exception as exc:  # a crash is a failure of the test, not of the file
+                pytest.fail(f"{case} raised {exc!r}")
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err, case
+            assert code in (0, 1, 2), case
+            if code == 2:
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, case
+            else:
+                assert captured.err == "" and captured.out, case
+            if code == 0:
+                assert _claims_hold(data), case
+            codes.append(code)
+        assert set(codes) == {0, 1, 2}
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])

@@ -20,6 +20,7 @@ from hcs import (
 from hcs.connectivity import (
     _bits,
     _dominating_pairs,
+    _members,
     _has_cut_of_at_most_one,
     _near,
     _st_vertex_cut,
@@ -698,9 +699,26 @@ class TestFindSeparation:
 
 
 def test_bits_matches_a_scan():
-    # long masks of many members take another route than short or sparse ones
+    # masks of at most 128 members are read from the top bit down, larger ones
+    # from their binary digits: dense masks, sparse masks as wide as a large
+    # graph, and masks whose lowest or highest possible bit is set, on both sides
     rng = random.Random(5)
+    masks = []
     for length in (0, 1, 64, 128, 129, 130, 700, 4100):
         for p in (0.0, 0.05, 0.5, 1.0):
-            mask = sum(1 << v for v in range(length) if rng.random() < p)
-            assert _bits(mask) == [v for v in range(length) if mask >> v & 1]
+            masks.append((length, sum(1 << v for v in range(length) if rng.random() < p)))
+    for width in (1, 2, 127, 128, 129, 130, 1200, 1201, 4100):
+        masks += [(width, 1 << width - 1), (width, 1 | 1 << width - 1)]
+        for count in (1, 2, 4, 6, 127, 128, 129, 130):
+            if count <= width:
+                masks.append((width, sum(1 << v for v in rng.sample(range(width), count))))
+            if 2 <= count <= width:
+                rest = rng.sample(range(1, width - 1), count - 2)
+                masks.append((width, sum(1 << v for v in rest) | 1 | 1 << width - 1))
+    assert {1, 4, 128, 129} <= {mask.bit_count() for _, mask in masks}
+    names = [f"v{v}" for v in range(4100)]
+    for width, mask in masks:
+        expected = [v for v in range(width) if mask >> v & 1]
+        assert _bits(mask) == expected
+        assert _members(mask, range(width)) == expected
+        assert _members(mask, names) == [names[v] for v in expected]

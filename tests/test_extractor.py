@@ -576,6 +576,32 @@ class TestSerialization:
         data = (buf.getvalue() + "\n").encode()
         assert (hashlib.sha256(data).hexdigest(), len(data)) == self.OUT_FILES[case]
 
+    class CountingFile:
+        """Records the length of each text it is written; ``writelines`` writes
+        each line in a call of its own, as a text file's does."""
+
+        def __init__(self):
+            self.sizes = []
+
+        def write(self, text):
+            self.sizes.append(len(text))
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    def test_written_in_blocks(self):
+        # a tree goes to the file in blocks of more than 64 pieces, each at most
+        # 64 pieces and one node's more, and a piece is at most one vertex list
+        # (4,891 characters for all of path(1200)); a FOUND answer in one call
+        spy = self.CountingFile()
+        write_result_json(extract(SimpleGraph.path(1200), 1, 1), spy)
+        assert sum(spy.sizes) == 6_367_708
+        assert len(spy.sizes) <= 400 and max(spy.sizes) <= 80 * 4_891
+        spy = self.CountingFile()
+        write_result_json(extract(SimpleGraph.complete(6), 2, Fraction(1, 5)), spy)
+        assert spy.sizes == [len('{"outcome":"FOUND","subgraph":[0,1,2,3,4,5]}')]
+
     def test_written_text_is_dumped_text_random(self):
         rng = random.Random(2718)
         for _ in range(40):
