@@ -383,6 +383,50 @@ class TestDispatch:
         capsys.readouterr()
 
 
+class TestAlternativeChoices:
+    """Every subcommand with ``--alt`` takes the ids 1, 2 and 3 and refuses 4 as
+    a usage error."""
+
+    @pytest.fixture
+    def graph_file(self, tmp_path):
+        source = tmp_path / "g.json"
+        source.write_text(json.dumps(graph_to_json_dict(build_extremal(2, 2, 1).graph)))
+        return str(source)
+
+    def commands(self, graph_file: str, alt: str) -> dict[str, list[str]]:
+        return {
+            "extract": ["extract", "--in", graph_file, "--k", "2", "--alt", alt],
+            "experiment": ["experiment", "--trials", "1", "--k", "1", "--alt", alt, "--seed", "1",
+                           "--n-min", "6", "--n-max", "8"],
+            "verify-bounds": ["verify-bounds", "--alt", alt],
+        }
+
+    @pytest.mark.parametrize("alt", ["1", "2", "3"])
+    def test_each_id_is_accepted(self, capsys, graph_file, alt):
+        for name, argv in self.commands(graph_file, alt).items():
+            assert dispatch(argv) == 0, name
+            captured = capsys.readouterr()
+            assert captured.err == "" and captured.out, name
+
+    def test_unknown_id_is_a_usage_error(self, capsys, graph_file):
+        # argparse words the choices differently across Python versions; the
+        # usage line's {...} and the start of the error line do not change
+        for name, argv in self.commands(graph_file, "4").items():
+            assert dispatch(argv) == 2, name
+            usage, *_, error = capsys.readouterr().err.splitlines()
+            choices = "{1,2,3,all}" if name == "verify-bounds" else "{1,2,3}"
+            assert f"--alt {choices}" in usage, name
+            assert error.startswith(f"hcs {name}: error: argument --alt: invalid choice: "), name
+
+    def test_all_is_accepted_by_verify_bounds_alone(self, capsys, graph_file):
+        assert dispatch(["verify-bounds", "--alt", "all"]) == 0
+        assert capsys.readouterr().out.endswith("24/24 obligations passed\n")
+        for name in ("extract", "experiment"):
+            assert dispatch(self.commands(graph_file, "all")[name]) == 2, name
+            error = capsys.readouterr().err.splitlines()[-1]
+            assert error == f"hcs {name}: error: argument --alt: invalid int value: 'all'", name
+
+
 def run_optimized(*argv: str) -> subprocess.CompletedProcess:
     """Run ``python -O -m hcs`` on argv with this checkout's sources."""
     src = str(Path(hcs.__file__).parents[1])
