@@ -86,12 +86,16 @@ def alternative_3() -> ParameterAlternative:
     )
 
 
+def _entry(alt_id: int) -> tuple:
+    """The builder and the obligation table of an alternative id."""
+    if alt_id not in _ALTERNATIVES:
+        raise ValueError(f"unknown alternative id {alt_id}")
+    return _ALTERNATIVES[alt_id]
+
+
 @functools.cache  # the alternatives are frozen, so each id is built once per process
 def get_alternative(alt_id: int) -> ParameterAlternative:
-    builders = {1: alternative_1, 2: alternative_2, 3: alternative_3}
-    if alt_id not in builders:
-        raise ValueError(f"unknown alternative id {alt_id}")
-    return builders[alt_id]()
+    return _entry(alt_id)[0]()
 
 
 def density_threshold(alt: ParameterAlternative, k: int) -> Fraction | Surd:
@@ -524,20 +528,22 @@ def _alt3_obligations(alt: ParameterAlternative) -> list[BoundReport]:
     ]
 
 
+# each alternative by id: its builder and its obligation table
+_ALTERNATIVES = {
+    1: (alternative_1, _alt1_obligations),
+    2: (alternative_2, _alt2_obligations),
+    3: (alternative_3, _alt3_obligations),
+}
+
+
 def verify_alternative(alt: ParameterAlternative) -> list[BoundReport]:
     """Certify every inequality instance backing the given alternative."""
-    if alt.id == 1:
-        return _alt1_obligations(alt)
-    if alt.id == 2:
-        return _alt2_obligations(alt)
-    if alt.id == 3:
-        return _alt3_obligations(alt)
-    raise ValueError(f"unknown alternative id {alt.id}")
+    return _entry(alt.id)[1](alt)
 
 
 def verify_all_bounds() -> list[BoundReport]:
     out = verify_basic_bounds()
-    for alt_id in (1, 2, 3):
+    for alt_id in _ALTERNATIVES:
         out += verify_alternative(get_alternative(alt_id))
     return out
 

@@ -23,11 +23,12 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bounds import (
+    _ALTERNATIVES,
     ParameterAlternative,
     density_threshold,
     get_alternative,
@@ -88,15 +89,11 @@ class TrialRow:
     elapsed_ms: int
 
     def csv_fields(self) -> list[str]:
-        return [
-            str(self.trial),
-            str(self.n),
-            str(self.e),
-            str(self.d_bar),
-            self.outcome,
-            "" if self.h_size is None else str(self.h_size),
-            str(self.elapsed_ms),
-        ]
+        return ["" if (value := getattr(self, name)) is None else str(value) for name in _TRIAL_COLUMNS]
+
+
+# the CSV columns: TrialRow's fields, in order
+_TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRow))
 
 
 NOT_APPLICABLE_SATURATED = "NOT_APPLICABLE_SATURATED"
@@ -159,7 +156,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRow], bool]:
 def rows_to_csv(rows: Sequence[TrialRow]) -> str:
     """The rows as CSV text; no field needs quoting: each is an integer, a
     fraction p/q, an outcome name or empty."""
-    lines = ["trial,n,e,d_bar,outcome,h_size,elapsed_ms", *(",".join(r.csv_fields()) for r in rows)]
+    lines = [",".join(_TRIAL_COLUMNS), *(",".join(r.csv_fields()) for r in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -323,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--sigma", help="size parameter as an exact rational, e.g. 0.2 or 1/5")
-    group.add_argument("--alt", type=int, choices=(1, 2, 3))
+    group.add_argument("--alt", type=int, choices=tuple(_ALTERNATIVES))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("verify-bounds", help="certify the proof-obligation table")
-    p.add_argument("--alt", choices=("1", "2", "3", "all"), required=True)
+    p.add_argument("--alt", choices=(*map(str, _ALTERNATIVES), "all"), required=True)
     p.add_argument("--csv", help="write the reports as CSV")
     p.add_argument("--json", help="write the reports as JSON")
     p.set_defaults(func=_cmd_verify_bounds)
@@ -336,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="randomized density-implication trials")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alt", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--alt", type=int, choices=tuple(_ALTERNATIVES), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", help="output CSV path (stdout when omitted)")
     p.add_argument("--n-min", type=int, default=15)

@@ -184,12 +184,8 @@ class Separation:
         priv_a, priv_b = a & ~b, b & ~a
         if priv_a.bit_count() > priv_b.bit_count():  # an edge has an end in each: walk the smaller
             priv_a, priv_b = priv_b, priv_a
-        masks = g.adjacency_masks
-        while priv_a:
-            v = (priv_a & -priv_a).bit_length() - 1
-            priv_a &= priv_a - 1
-            if masks[v] & priv_b:
-                raise ValueError("edge between the two private sides")
+        if _near(g.adjacency_masks, priv_a) & priv_b:
+            raise ValueError("edge between the two private sides")
 
 
 # --- bitmask traversal helpers ------------------------------------------------
