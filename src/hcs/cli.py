@@ -48,6 +48,7 @@ from .extremal import (
 from .graphs import (
     VERTEX_CAP,
     SimpleGraph,
+    _is_int,
     _unchecked_graph,
     average_degree,
     graph_from_json_dict,
@@ -65,6 +66,8 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if not all(map(_is_int, (self.trials, self.k, *self.n_range, self.seed))):
+            raise ValueError("'trials', 'k', 'n_range' and 'seed' must be integers")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.k < 1:

@@ -85,6 +85,8 @@ def _split_parts(
 
 def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
     """Build the level-``level`` instance for parameters k and sigma_k = sigma*k."""
+    if not all(map(_is_int, (k, sigma_k, level))):
+        raise ValueError("'k', 'sigma_k' and 'level' must be integers")
     if k < 1:
         raise ValueError("k must be a positive integer")
     if sigma_k < k:

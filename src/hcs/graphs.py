@@ -22,6 +22,8 @@ VERTEX_CAP = 100_000
 
 
 def _normalize_edge(u: int, v: int) -> Edge:
+    if not (_is_int(u) and _is_int(v)):
+        raise ValueError(f"malformed edge entry: {(u, v)!r}")
     if u == v:
         raise ValueError(f"loop at vertex {u} is not allowed")
     return (u, v) if u < v else (v, u)
@@ -39,9 +41,13 @@ class SimpleGraph:
     """
 
     def __init__(self, n: int, edges: frozenset[Edge]) -> None:
+        if not _is_int(n):
+            raise ValueError("vertex count must be an integer")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         for u, v in edges:
+            if not (_is_int(u) and _is_int(v)):
+                raise ValueError(f"malformed edge entry: {(u, v)!r}")
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range or not normalized")
         object.__setattr__(self, "n", n)

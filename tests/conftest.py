@@ -9,7 +9,7 @@ import pytest
 from hcs import CutWitness, OptimizationInstance, SimpleGraph, density_threshold, get_alternative, size_threshold
 from hcs.cli import _threshold_edge_count
 from hcs.connectivity import _bits
-from hcs.extractor import FOUND, SEPARABLE, ExtractionResult
+from hcs.extractor import FOUND, LEAF_SMALL, SEPARABLE, SEPARATED, DecompositionNode, ExtractionResult
 from hcs.extremal import _split_parts
 from hcs.graphs import VERTEX_CAP
 
@@ -381,6 +381,23 @@ def result_to_json_dict(result: ExtractionResult) -> dict:
             data["children"] = [{}, {}]
             stack.extend(zip(node.children, data["children"]))
     return {"outcome": SEPARABLE, "tree": root}
+
+
+def tree_from_json_dict(data: dict) -> DecompositionNode:
+    """The tree of a SEPARABLE answer's JSON as nodes, read back recursively, so
+    for small trees only. Each vertex list must ascend without repeats, a
+    SEPARATED node's sides must be its children's lists and its core their
+    common ids, and a LEAF_SMALL node must have no separation."""
+    vertices, kind = data["vertices"], data["kind"]
+    assert vertices == sorted(set(vertices)) and all(type(v) is int for v in vertices)
+    children = data.get("children", [])
+    if kind == SEPARATED:
+        sep = data["separation"]
+        assert [sep["side_a"], sep["side_b"]] == [child["vertices"] for child in children]
+        assert sep["core"] == sorted(set(sep["side_a"]) & set(sep["side_b"]))
+    else:
+        assert kind == LEAF_SMALL and set(data) == {"vertices", "kind"}
+    return DecompositionNode(sum(1 << v for v in vertices), tuple(map(tree_from_json_dict, children)))
 
 
 # --- relabelled induced subgraphs ------------------------------------------------

@@ -29,7 +29,8 @@ from hcs import (
 from hcs.bounds import get_alternative, reports_to_json, verify_all_bounds
 from hcs.cli import NOT_APPLICABLE_SATURATED, _shuffle, build_parser, rows_to_csv, run_trial
 from hcs.graphs import VERTEX_CAP, graph_from_json_dict
-from conftest import brute_force_hcs, extremal_to_json_dict, graph_to_json_dict, result_to_json_dict
+from conftest import (brute_force_hcs, extremal_to_json_dict, graph_to_json_dict, random_graph,
+                      result_to_json_dict, tree_check_oracle, tree_from_json_dict)
 from test_golden import relabelled
 
 
@@ -793,6 +794,145 @@ class TestCertifyMutations:
                 assert _claims_hold(data), case
             codes.append(code)
         assert set(codes) == {0, 1, 2}
+
+
+def _mutate_graph(rng: random.Random, graph: dict) -> str:
+    """Apply one random change to a graph file's dict in place that leaves it a
+    valid graph; returns its kind."""
+    n, edges = graph["n"], graph["edges"]
+    kind = rng.choice(["add-edge", "remove-edge", "reverse-edge", "repeat-edge", "shuffle",
+                       "grow-n", "swap-labels"])
+    if kind == "add-edge":
+        u, v = rng.sample(range(n), 2)
+        edges.insert(rng.randint(0, len(edges)), [u, v])
+    elif kind == "remove-edge" and edges:
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == "reverse-edge" and edges:
+        edges[rng.randrange(len(edges))].reverse()
+    elif kind == "repeat-edge" and edges:
+        edges.insert(rng.randint(0, len(edges)), list(rng.choice(edges)))
+    elif kind == "shuffle":
+        rng.shuffle(edges)
+    elif kind == "grow-n":
+        graph["n"] = n + rng.randint(1, 3)
+    elif kind == "swap-labels":
+        a, b = rng.sample(range(n), 2)
+        swap = {a: b, b: a}
+        graph["edges"] = [[swap.get(u, u), swap.get(v, v)] for u, v in edges]
+    return kind
+
+
+def _malform(rng: random.Random, graph: dict) -> tuple[str, bytes]:
+    """One random change that makes a graph file invalid: (its kind, the file's bytes)."""
+    n, edges = graph["n"], graph["edges"]
+    if not edges:
+        edges.append([0, 1])
+    i, side = rng.randrange(len(edges)), rng.randrange(2)
+    u = edges[i][side]
+    endpoints = {
+        "float-endpoint": u + 0.5, "integral-float-endpoint": float(u), "bool-endpoint": rng.random() < 0.5,
+        "string-endpoint": str(u), "null-endpoint": None, "nan-endpoint": math.nan,
+        "out-of-range-endpoint": rng.choice([n, n + 7, -1, 10**30]),
+    }
+    kind = rng.choice([*endpoints, "loop", "edge-arity", "edge-not-a-list", "bad-n", "n-too-small",
+                       "missing-key", "edges-not-a-list", "not-an-object", "bad-graph-entry",
+                       "truncated", "not-utf-8"])
+    data: object = graph
+    if kind in endpoints:
+        edges[i][side] = endpoints[kind]
+    elif kind == "loop":
+        edges[i] = [u, u]
+    elif kind == "edge-arity":
+        edges[i] = rng.choice([[u], edges[i] + [u], []])
+    elif kind == "edge-not-a-list":
+        edges[i] = rng.choice([u, {"u": u}, "0,1", None])
+    elif kind == "bad-n":
+        graph["n"] = rng.choice([float(n), str(n), None, True, -1, VERTEX_CAP + 1, [n]])
+    elif kind == "n-too-small":
+        graph["n"] = max(map(max, edges))
+    elif kind == "missing-key":
+        del graph[rng.choice(["n", "edges"])]
+    elif kind == "edges-not-a-list":
+        graph["edges"] = rng.choice([{}, "[]", None, 0, {"0": [0, 1]}])
+    elif kind == "not-an-object":
+        data = rng.choice([[n, edges], n, "graph", None])
+    elif kind == "bad-graph-entry":
+        data = {"graph": rng.choice([None, 5, [n, edges], {"n": n}])}
+    text = json.dumps(data).encode()
+    if kind == "truncated":
+        text = text[:rng.randrange(len(text))]
+    elif kind == "not-utf-8":
+        text = b"\xff" + text
+    return kind, text
+
+
+class TestExtractMutations:
+    """Seeded mutations of small graph files: extract must refuse a malformed
+    file with exit code 2 and one error line, and answer a valid one with an
+    answer that independent checks confirm: a FOUND set that networkx finds
+    (k+1)-connected and large enough, or a SEPARABLE tree that
+    ``tree_check_oracle`` accepts."""
+
+    MUTATIONS = 600
+    SIGMAS = ("1/5", "1/2", "1", "2")
+
+    @staticmethod
+    def graphs() -> list[dict]:
+        rng = random.Random(12)
+        built = [build_extremal(*a).graph for a in ((1, 1, 2), (1, 1, 3), (2, 2, 1), (2, 2, 2), (2, 2, 3),
+                                                      (3, 3, 1), (2, 3, 2))]
+        plain = [SimpleGraph.complete(7), SimpleGraph.cycle(9), SimpleGraph.path(6)]
+        dense = [random_graph(rng, rng.randint(8, 20), p) for p in (0.3, 0.5, 0.7, 0.9)]
+        return [graph_to_json_dict(g) for g in built + plain + dense]
+
+    def check_answer(self, graph: dict, k: int, sigma: Fraction, answer: dict, case: str) -> str:
+        nx = pytest.importorskip("networkx")
+        n = graph["n"]
+        if answer["outcome"] == "FOUND":
+            found = answer["subgraph"]
+            assert found == sorted(set(found)) and set(found) <= set(range(n)), case
+            assert len(found) > math.floor((1 + sigma) * k), case
+            h = nx.Graph(e for e in graph["edges"] if e[0] in found and e[1] in found)
+            h.add_nodes_from(found)
+            assert len(found) >= k + 2 and nx.node_connectivity(h) >= k + 1, case
+        else:
+            assert answer["outcome"] == "SEPARABLE", case
+            g = SimpleGraph.from_edges(n, graph["edges"])
+            assert tree_check_oracle(g, k, sigma, tree_from_json_dict(answer["tree"])), case
+        return answer["outcome"]
+
+    def test_seeded_mutations(self, capsys, tmp_path):
+        graphs = self.graphs()
+        rng = random.Random(38)
+        path = tmp_path / "mutated.json"
+        outcomes, codes = set(), []
+        for i in range(self.MUTATIONS):
+            graph = json.loads(json.dumps(rng.choice(graphs)))
+            kinds = [_mutate_graph(rng, graph) for _ in range(rng.randint(0, 3))]
+            malformed = rng.random() < 0.5
+            if malformed:
+                kind, text = _malform(rng, graph)
+                kinds.append(kind)
+            else:
+                data = {"graph": graph, "metadata": {}} if rng.random() < 0.25 else graph
+                text = json.dumps(data).encode()
+            path.write_bytes(text)
+            k, sigma = rng.randint(1, 3), rng.choice(self.SIGMAS)
+            case = f"mutation {i}, k={k}, sigma={sigma}: {kinds}"
+            try:
+                code = dispatch(["extract", "--in", str(path), "--k", str(k), "--sigma", sigma])
+            except Exception as exc:  # a crash is a failure of the test, not of the file
+                pytest.fail(f"{case} raised {exc!r}")
+            captured = capsys.readouterr()
+            if malformed:
+                assert code == 2, case
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, case
+                assert captured.out == "", case
+            else:
+                assert code == 0 and captured.err == "", case
+                outcomes.add(self.check_answer(graph, k, Fraction(sigma), json.loads(captured.out), case))
+            codes.append(code)
+        assert outcomes == {"FOUND", "SEPARABLE"} and set(codes) == {0, 2}
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
