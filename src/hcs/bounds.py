@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .extractor import SEPARABLE, extract
 from .field import Surd, _exact, sqrt
-from .graphs import AnticliqueProfile, SimpleGraph
+from .graphs import AnticliqueProfile, SimpleGraph, _is_int
 
 
 # --- parameter alternatives ----------------------------------------------------
@@ -561,7 +561,7 @@ def separable_density_check(g: SimpleGraph, k: int, alt: ParameterAlternative) -
     not_applicable = BoundReport(oid, params, "-", "-", Fraction(0), "NOT_APPLICABLE")
     if g.n == 0:
         return not_applicable
-    if k < 1:
+    if not _is_int(k) or k < 1:
         raise ValueError("k must be a positive integer")
     # the graph with every edge doubled and a loop per vertex: v/k vertices, (2e+v)/k^2 edges
     gg = Fraction(g.n, k) - 1

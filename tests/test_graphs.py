@@ -12,10 +12,12 @@ from hcs import (
     build_extremal,
     extract,
     find_separation,
+    get_alternative,
     graph_from_json_dict,
     graph_to_dot,
     is_k1_connected,
     min_vertex_cut,
+    separable_density_check,
     size_threshold,
     validate_decomposition,
 )
@@ -56,37 +58,37 @@ class TestSimpleGraph:
         assert (0, 2) not in g.edges
 
 
-def _entries():
-    """(name, call with the value, the message) for each public entry that takes
-    an integer: the value goes where that integer goes."""
-    g = build_extremal(2, 2, 2).graph
-    tree = extract(g, 2, 1).tree
+_G = build_extremal(2, 2, 2).graph
+_K = "k must be a positive integer"
+_EXTREMAL = "'k', 'sigma_k' and 'level' must be integers"
+_CONFIG = "'trials', 'k', 'n_range' and 'seed' must be integers"
 
-    def config(**bad):
-        return lambda: ExperimentConfig(**{"trials": 1, "k": 2, "n_range": (15, 50),
-                                           "alternative_id": 3, "seed": 1, **bad})
 
-    k_msg = "k must be a positive integer"
-    extremal_msg = "'k', 'sigma_k' and 'level' must be integers"
-    config_msg = "'trials', 'k', 'n_range' and 'seed' must be integers"
-    return [
-        ("SimpleGraph n", lambda x: SimpleGraph(x, frozenset()), "vertex count must be an integer"),
-        ("SimpleGraph endpoint", lambda x: SimpleGraph(3, frozenset({(0, x)})), "malformed edge entry"),
-        ("from_edges n", lambda x: SimpleGraph.from_edges(x, [(0, 1)]), "vertex count must be an integer"),
-        ("from_edges endpoint", lambda x: SimpleGraph.from_edges(3, [(x, 0)]), "malformed edge entry"),
-        ("size_threshold k", lambda x: size_threshold(x, 1), k_msg),
-        ("extract k", lambda x: extract(g, x, 1), k_msg),
-        ("validate_decomposition k", lambda x: validate_decomposition(g, x, 1, tree), k_msg),
-        ("find_separation k", lambda x: find_separation(g, x), k_msg),
-        ("is_k1_connected k", lambda x: is_k1_connected(g, x), k_msg),
-        ("build_extremal k", lambda x: build_extremal(x, 2, 1), extremal_msg),
-        ("build_extremal sigma_k", lambda x: build_extremal(2, x, 1), extremal_msg),
-        ("build_extremal level", lambda x: build_extremal(2, 2, x), extremal_msg),
-        ("ExperimentConfig trials", lambda x: config(trials=x)(), config_msg),
-        ("ExperimentConfig k", lambda x: config(k=x)(), config_msg),
-        ("ExperimentConfig n_range", lambda x: config(n_range=(x, 50))(), config_msg),
-        ("ExperimentConfig seed", lambda x: config(seed=x)(), config_msg),
-    ]
+def _config(**bad) -> ExperimentConfig:
+    return ExperimentConfig(**{"trials": 1, "k": 2, "n_range": (15, 50), "alternative_id": 3, "seed": 1, **bad})
+
+
+# each public entry that takes an integer: a call with the value where that
+# integer goes, and the message that refuses it
+INTEGER_ENTRIES = {
+    "SimpleGraph n": (lambda x: SimpleGraph(x, frozenset()), "vertex count must be an integer"),
+    "SimpleGraph endpoint": (lambda x: SimpleGraph(3, frozenset({(0, x)})), "malformed edge entry"),
+    "from_edges n": (lambda x: SimpleGraph.from_edges(x, [(0, 1)]), "vertex count must be an integer"),
+    "from_edges endpoint": (lambda x: SimpleGraph.from_edges(3, [(x, 0)]), "malformed edge entry"),
+    "size_threshold k": (lambda x: size_threshold(x, 1), _K),
+    "extract k": (lambda x: extract(_G, x, 1), _K),
+    "validate_decomposition k": (lambda x: validate_decomposition(_G, x, 1, extract(_G, 2, 1).tree), _K),
+    "find_separation k": (lambda x: find_separation(_G, x), _K),
+    "is_k1_connected k": (lambda x: is_k1_connected(_G, x), _K),
+    "separable_density_check k": (lambda x: separable_density_check(_G, x, get_alternative(3)), _K),
+    "build_extremal k": (lambda x: build_extremal(x, 2, 1), _EXTREMAL),
+    "build_extremal sigma_k": (lambda x: build_extremal(2, x, 1), _EXTREMAL),
+    "build_extremal level": (lambda x: build_extremal(2, 2, x), _EXTREMAL),
+    "ExperimentConfig trials": (lambda x: _config(trials=x), _CONFIG),
+    "ExperimentConfig k": (lambda x: _config(k=x), _CONFIG),
+    "ExperimentConfig n_range": (lambda x: _config(n_range=(x, 50)), _CONFIG),
+    "ExperimentConfig seed": (lambda x: _config(seed=x), _CONFIG),
+}
 
 
 class TestIntegerRule:
@@ -94,18 +96,17 @@ class TestIntegerRule:
     an integer, as the JSON loaders do; anything else is a ValueError."""
 
     @pytest.mark.parametrize("value", [2.0, 1.5, True], ids=["2.0", "1.5", "True"])
-    @pytest.mark.parametrize("entry", range(len(_entries())), ids=[e[0] for e in _entries()])
+    @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
     def test_non_integers_are_refused(self, entry, value):
-        _, call, message = _entries()[entry]
+        call, message = INTEGER_ENTRIES[entry]
         with pytest.raises(ValueError, match=message):
             call(value)
 
     def test_the_entries_take_their_ints(self):
-        g = build_extremal(2, 2, 2).graph
         assert size_threshold(2, 1) == 4
-        validate_decomposition(g, 2, 1, extract(g, 2, 1).tree)
-        assert find_separation(g, 2) is not None and not is_k1_connected(g, 2)
-        ExperimentConfig(trials=1, k=2, n_range=(15, 50), alternative_id=3, seed=1)
+        validate_decomposition(_G, 2, 1, extract(_G, 2, 1).tree)
+        assert find_separation(_G, 2) is not None and not is_k1_connected(_G, 2)
+        assert _config().seed == 1
 
     def test_numpy_endpoints_are_refused(self):
         # a numpy int64 endpoint made a numpy mask that dropped every bit above 63
