@@ -620,6 +620,22 @@ class TestPinnedExtremalOutputs:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
 
 
+class TestPinnedDotOutputs:
+    # sha256 of construct's --dot file: one line per vertex, then one per edge
+    PINNED = {
+        (2, 2, 8): "30bbb74936bb577e244fe07e5b6a54d881f70dcf3d1700d40e8b4976ff1c63bc",
+        (2, 4, 5): "934a5efeb52cee947783545be989b10942b1c0c3a74384054b1012fa37188ec2",
+    }
+
+    @pytest.mark.parametrize("k, sigma_k, level", sorted(PINNED))
+    def test_dot_bytes(self, capsys, tmp_path, k, sigma_k, level):
+        dot = tmp_path / "g.dot"
+        assert dispatch(["construct", "--k", str(k), "--sigma-k", str(sigma_k), "--level", str(level),
+                         "--out", str(tmp_path / "g.json"), "--dot", str(dot)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == self.PINNED[k, sigma_k, level]
+
+
 class TestCertifyAnyEdgeOrder:
     # certify keeps the file's edges as the ascending tuple when they are
     # strictly ascending, and as a set walked in hash order otherwise; its report

@@ -20,6 +20,7 @@ from hcs import (
 import hcs.extremal
 from hcs.bounds import _alt1_constants
 from hcs.extremal import ExtremalGraph, _edge_lower_bound, _split_parts
+from hcs.graphs import _unchecked_graph
 from conftest import (
     build_extremal_oracle,
     certificate_check_oracle,
@@ -315,6 +316,19 @@ class TestCertificateOracle:
         )
         assert self._agree(e).partition_ok
         assert not self._agree(_with_edge(e, k, 2 * k)).partition_ok
+
+    @pytest.mark.parametrize("k, sigma_k, level", [(2, 2, 5), (3, 3, 4), (1, 3, 6)])
+    def test_pool_check_on_both_edge_forms(self, k, sigma_k, level):
+        # the ascending tuple as built and the set hold the same edges; an edge
+        # between two parts fails, one with only its larger end in the pool passes
+        e = build_extremal(k, sigma_k, level)
+        pool = sorted(v for p in e.parts for v in p)
+        first, second = [p for p in e.parts if p][:2]
+        outside = min(v for v in range(pool[-1]) if v not in pool and (v, pool[-1]) not in e.graph.edges)
+        for u, v, ok in ((first[0], second[0], False), (outside, pool[-1], True)):
+            edges = e.graph.edges | {(min(u, v), max(u, v))}
+            for graph in (_unchecked_graph(e.graph.n, tuple(sorted(edges))), SimpleGraph(e.graph.n, edges)):
+                assert self._agree(replace(e, graph=graph)).partition_ok is ok, (u, v)
 
 
 def _toggled(e: ExtremalGraph, edge: tuple[int, int]) -> ExtremalGraph:
