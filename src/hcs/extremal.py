@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import Optional, TextIO
 
 from .bounds import _alt1_constants
@@ -111,11 +112,14 @@ def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
         y_parts, z_parts = _split_parts(tuple(pool.values()), k)
         y = tuple(sorted(v for p in y_parts for v in p))
         y_set = set(y)
-        # copy two keeps the glue labels and numbers the others on from n, in order
-        others = [v for v in range(n) if v not in y_set]
-        remap = list(range(n))
-        for j, v in enumerate(others, n):
-            remap[v] = j
+        # copy two keeps the glue labels and numbers the others on from n, in
+        # order. y ascends, so the labels between its entries j - 1 and j form
+        # a run, which takes the labels from n - j + the run's first label
+        remap: list[int] = []
+        for j, v in enumerate(y):
+            remap += range(n - j + len(remap), n - j + v)
+            remap.append(v)
+        remap += range(n - k + len(remap), 2 * n - k)
         # an edge inside the gluing set is its own image
         images = [
             (a, b) if a < b else (b, a)
@@ -214,10 +218,12 @@ def _check_partition(e: ExtremalGraph) -> bool:
     if max(sizes) - min(sizes) > 1:
         return False
     part_of = {v: i for i, p in enumerate(e.parts) for v in p}  # disjoint, as _validate_structure checked
-    # walk the edges, not the C(2k, 2) pool pairs, which the file's metadata sets
-    return not any(
-        u in part_of and w in part_of and part_of[u] != part_of[w] for u, w in e.graph.held_edges
-    )
+    # walk the edges, not the C(2k, 2) pool pairs, which the file's metadata
+    # sets; C picks out the edges whose first end is in the pool, and only
+    # those reach the Python test
+    edges = e.graph.held_edges
+    in_pool = compress(edges, map(part_of.__contains__, map(itemgetter(0), edges)))
+    return not any(w in part_of and part_of[u] != part_of[w] for u, w in in_pool)
 
 
 def _edge_lower_bound(e: ExtremalGraph) -> Fraction:
@@ -348,11 +354,12 @@ def _write_extremal_json(e: ExtremalGraph, fh: TextIO) -> None:
         "glue_history": e.glue_history,
     }
     edges = e.graph.sorted_edges
+    names = list(map(str, range(e.graph.n)))  # each id's text, made once
     fh.write(f'{{"graph":{{"n":{e.graph.n},"edges":[')
     for i in range(0, len(edges), 4096):  # a block at a time keeps the text small
         if i:
             fh.write(",")
-        fh.write(",".join([f"[{u},{v}]" for u, v in edges[i:i + 4096]]))
+        fh.write(",".join([f"[{names[u]},{names[v]}]" for u, v in edges[i:i + 4096]]))
     fh.write(f']}},"metadata":{json.dumps(meta, separators=(",", ":"))}}}\n')
 
 

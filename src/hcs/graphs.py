@@ -211,10 +211,8 @@ def _is_int(value) -> bool:
 
 
 def graph_to_dot(g: SimpleGraph) -> str:
-    lines = ["graph G {"]
-    for v in range(g.n):
-        lines.append(f"  {v};")
-    for u, v in g.sorted_edges:
-        lines.append(f"  {u} -- {v};")
+    names = list(map(str, range(g.n)))  # each id's text, made once
+    lines = ["graph G {", *[f"  {v};" for v in names]]
+    lines += [f"  {names[u]} -- {names[v]};" for u, v in g.sorted_edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
