@@ -88,12 +88,16 @@ def alternative_3() -> ParameterAlternative:
 
 def _entry(alt_id: int) -> tuple:
     """The builder and the obligation table of an alternative id."""
+    if not _is_int(alt_id):
+        raise ValueError("alternative id must be an integer")
     if alt_id not in _ALTERNATIVES:
         raise ValueError(f"unknown alternative id {alt_id}")
     return _ALTERNATIVES[alt_id]
 
 
-@functools.cache  # the alternatives are frozen, so each id is built once per process
+# the alternatives are frozen, so each id is built once per process; typed keys
+# keep 2.0 and True from finding the entries of 2 and 1 before _entry refuses them
+@functools.lru_cache(maxsize=None, typed=True)
 def get_alternative(alt_id: int) -> ParameterAlternative:
     return _entry(alt_id)[0]()
 

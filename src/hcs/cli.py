@@ -79,6 +79,7 @@ class ExperimentConfig:
             raise ValueError(f"n_range goes up to {hi} vertices, above the cap {VERTEX_CAP}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
+        get_alternative(self.alternative_id)  # refuses a non-integer or unknown id
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,7 @@ class SimpleGraph:
     """
 
     def __init__(self, n: int, edges: frozenset[Edge]) -> None:
-        if not _is_int(n):
-            raise ValueError("vertex count must be an integer")
+        _check_count(n)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         for u, v in edges:
@@ -80,16 +79,19 @@ class SimpleGraph:
 
     @staticmethod
     def complete(n: int) -> "SimpleGraph":
+        _check_count(n)
         return SimpleGraph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
     @staticmethod
     def cycle(n: int) -> "SimpleGraph":
+        _check_count(n)
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")
         return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
     @staticmethod
     def path(n: int) -> "SimpleGraph":
+        _check_count(n)
         return SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
     @cached_property
@@ -208,6 +210,12 @@ def _unchecked_graph(n: int, edges: frozenset[Edge] | tuple[Edge, ...]) -> Simpl
 def _is_int(value) -> bool:
     """An int and not a bool, which JSON ``true`` and ``false`` load as."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_count(n) -> None:
+    """Refuse a vertex count that is not an int, before range(n) sees it."""
+    if not _is_int(n):
+        raise ValueError("vertex count must be an integer")
 
 
 def graph_to_dot(g: SimpleGraph) -> str:

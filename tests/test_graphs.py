@@ -62,6 +62,7 @@ _G = build_extremal(2, 2, 2).graph
 _K = "k must be a positive integer"
 _EXTREMAL = "'k', 'sigma_k' and 'level' must be integers"
 _CONFIG = "'trials', 'k', 'n_range' and 'seed' must be integers"
+_ALT = "alternative id must be an integer"
 
 
 def _config(**bad) -> ExperimentConfig:
@@ -75,6 +76,9 @@ INTEGER_ENTRIES = {
     "SimpleGraph endpoint": (lambda x: SimpleGraph(3, frozenset({(0, x)})), "malformed edge entry"),
     "from_edges n": (lambda x: SimpleGraph.from_edges(x, [(0, 1)]), "vertex count must be an integer"),
     "from_edges endpoint": (lambda x: SimpleGraph.from_edges(3, [(x, 0)]), "malformed edge entry"),
+    "complete n": (SimpleGraph.complete, "vertex count must be an integer"),
+    "path n": (SimpleGraph.path, "vertex count must be an integer"),
+    "cycle n": (SimpleGraph.cycle, "vertex count must be an integer"),
     "size_threshold k": (lambda x: size_threshold(x, 1), _K),
     "extract k": (lambda x: extract(_G, x, 1), _K),
     "validate_decomposition k": (lambda x: validate_decomposition(_G, x, 1, extract(_G, 2, 1).tree), _K),
@@ -88,6 +92,7 @@ INTEGER_ENTRIES = {
     "ExperimentConfig k": (lambda x: _config(k=x), _CONFIG),
     "ExperimentConfig n_range": (lambda x: _config(n_range=(x, 50)), _CONFIG),
     "ExperimentConfig seed": (lambda x: _config(seed=x), _CONFIG),
+    "ExperimentConfig alternative_id": (lambda x: _config(alternative_id=x), _ALT),
 }
 
 
@@ -107,6 +112,16 @@ class TestIntegerRule:
         validate_decomposition(_G, 2, 1, extract(_G, 2, 1).tree)
         assert find_separation(_G, 2) is not None and not is_k1_connected(_G, 2)
         assert _config().seed == 1
+
+    @pytest.mark.parametrize("good, bad", [(2, 2.0), (1, True), (2, "2")])
+    def test_alternative_ids_after_the_int_is_cached(self, good, bad):
+        # get_alternative caches by value: 2.0 and True must not find the entries of 2 and 1
+        assert get_alternative(good).id == good and _config(alternative_id=good).alternative_id == good
+        for call in (get_alternative, lambda x: _config(alternative_id=x)):
+            with pytest.raises(ValueError, match=_ALT):
+                call(bad)
+        with pytest.raises(ValueError, match="unknown alternative id 7"):
+            _config(alternative_id=7)
 
     def test_numpy_endpoints_are_refused(self):
         # a numpy int64 endpoint made a numpy mask that dropped every bit above 63
