@@ -95,11 +95,15 @@ def _entry(alt_id: int) -> tuple:
     return _ALTERNATIVES[alt_id]
 
 
-# the alternatives are frozen, so each id is built once per process; typed keys
-# keep 2.0 and True from finding the entries of 2 and 1 before _entry refuses them
-@functools.lru_cache(maxsize=None, typed=True)
 def get_alternative(alt_id: int) -> ParameterAlternative:
-    return _entry(alt_id)[0]()
+    # _entry checks the id before the cache sees it: 2.0 and True would find
+    # the keys of 2 and 1, and an unhashable id would raise TypeError
+    return _built(_entry(alt_id)[0])
+
+
+@functools.cache  # the alternatives are frozen, so each is built once per process
+def _built(builder) -> ParameterAlternative:
+    return builder()
 
 
 def density_threshold(alt: ParameterAlternative, k: int) -> Fraction | Surd:

@@ -113,7 +113,7 @@ class TestIntegerRule:
         assert find_separation(_G, 2) is not None and not is_k1_connected(_G, 2)
         assert _config().seed == 1
 
-    @pytest.mark.parametrize("good, bad", [(2, 2.0), (1, True), (2, "2")])
+    @pytest.mark.parametrize("good, bad", [(2, 2.0), (1, True), (2, "2"), (2, [2])])
     def test_alternative_ids_after_the_int_is_cached(self, good, bad):
         # get_alternative caches by value: 2.0 and True must not find the entries of 2 and 1
         assert get_alternative(good).id == good and _config(alternative_id=good).alternative_id == good
