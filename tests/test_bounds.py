@@ -524,3 +524,8 @@ class TestSeparableDensityCheck:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             separable_density_check(SimpleGraph.empty(1), 0, get_alternative(3))
+
+    @pytest.mark.parametrize("k", [0, 1.5, True])
+    def test_k_is_checked_before_the_empty_graph_exit(self, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            separable_density_check(SimpleGraph.empty(0), k, get_alternative(3))

@@ -58,6 +58,40 @@ class TestSimpleGraph:
         assert (0, 2) not in g.edges
 
 
+class TestOneEdgeRule:
+    """``SimpleGraph``, ``from_edges`` and the JSON loader apply one edge rule."""
+
+    def test_a_repeated_edge_counts_once(self):
+        g = SimpleGraph(3, [(0, 1), (0, 1)])
+        assert g.edge_count == 1 and hash(g) == hash(SimpleGraph(3, frozenset({(0, 1)})))
+
+    def test_a_list_of_edges_makes_the_same_graph(self):
+        assert SimpleGraph(3, [(0, 1), (1, 2)]) == SimpleGraph.path(3)
+
+    def test_any_iterable_is_read_once(self):
+        g = SimpleGraph(3, iter([(0, 1)]))
+        assert g.edge_count == 1 and g.edges == frozenset({(0, 1)})
+
+    @pytest.mark.parametrize("entry", [5, (0,), (0, 1, 2), "01", {"u": 0}], ids=repr)
+    def test_a_malformed_entry_is_a_value_error(self, entry):
+        for call in (lambda: SimpleGraph.from_edges(3, [entry]), lambda: SimpleGraph(3, [entry]),
+                     lambda: graph_from_json_dict({"n": 3, "edges": [entry]})):
+            with pytest.raises(ValueError, match="malformed edge entry"):
+                call()
+
+    def test_a_swapped_pair_is_turned_only_by_from_edges(self):
+        assert SimpleGraph.from_edges(3, [(2, 1)]).edges == frozenset({(1, 2)})
+        with pytest.raises(ValueError, match="out of range or not normalized"):
+            SimpleGraph(3, [(2, 1)])
+
+    def test_an_int_subclass_is_refused_as_an_endpoint(self):
+        class Label(int):
+            pass
+        for call in (SimpleGraph.from_edges, SimpleGraph):
+            with pytest.raises(ValueError, match="malformed edge entry"):
+                call(3, [(0, Label(1))])
+
+
 _G = build_extremal(2, 2, 2).graph
 _K = "k must be a positive integer"
 _EXTREMAL = "'k', 'sigma_k' and 'level' must be integers"
