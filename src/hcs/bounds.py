@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .extractor import SEPARABLE, extract
 from .field import Surd, _exact, sqrt
-from .graphs import AnticliqueProfile, SimpleGraph, _is_int
+from .graphs import AnticliqueProfile, SimpleGraph, _check_k, _is_int
 
 
 # --- parameter alternatives ----------------------------------------------------
@@ -564,13 +564,12 @@ def separable_density_check(g: SimpleGraph, k: int, alt: ParameterAlternative) -
     Reports NOT_APPLICABLE when g < gamma or when the extractor finds a
     large highly connected subgraph instead.
     """
+    _check_k(k)
     oid = "separable-density"
     params = {"n": str(g.n), "e": str(g.edge_count), "k": str(k), "alt": alt.label}
     not_applicable = BoundReport(oid, params, "-", "-", Fraction(0), "NOT_APPLICABLE")
     if g.n == 0:
         return not_applicable
-    if not _is_int(k) or k < 1:
-        raise ValueError("k must be a positive integer")
     # the graph with every edge doubled and a loop per vertex: v/k vertices, (2e+v)/k^2 edges
     gg = Fraction(g.n, k) - 1
     if gg < alt.gamma:

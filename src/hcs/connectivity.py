@@ -117,7 +117,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterator, Optional, Sequence, TypeVar
 
-from .graphs import SimpleGraph, _is_int
+from .graphs import SimpleGraph, _check_k
 
 T = TypeVar("T")
 
@@ -581,11 +581,9 @@ def min_vertex_cut(g: SimpleGraph) -> CutWitness:
 
 def is_k1_connected(g: SimpleGraph, k: int, alive: Optional[int] = None) -> bool:
     """Whether g on alive is (k+1)-connected: at least k+2 vertices and no
-    separation with a k-vertex core (``find_separation`` finds none)."""
-    if not _is_int(k) or k < 1:
-        raise ValueError("k must be a positive integer")
-    alive = _vertex_mask(g, alive)
-    return alive.bit_count() >= k + 2 and find_separation(g, k, alive) is None
+    separation with a k-vertex core (``find_separation`` finds none, after
+    checking k and alive)."""
+    return find_separation(g, k, alive) is None and _vertex_mask(g, alive).bit_count() >= k + 2
 
 
 def find_separation(
@@ -611,8 +609,7 @@ def find_separation(
     degree classes by recounting only the core (``_side_degrees``); the
     separation is the same as without ``parent``.
     """
-    if not _is_int(k) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     alive = _vertex_mask(g, alive)
     if parent is not None and alive != parent.mask_a and alive != parent.mask_b:
         raise ValueError("alive is not a side of the parent separation")

@@ -28,7 +28,7 @@ from typing import Optional, TextIO, Union
 
 from .connectivity import Separation, _bits, _members, find_separation
 from .field import Surd, _exact
-from .graphs import SimpleGraph, _is_int
+from .graphs import SimpleGraph, _check_k
 
 FOUND = "FOUND"
 SEPARABLE = "SEPARABLE"
@@ -44,8 +44,7 @@ def size_threshold(k: int, sigma: SigmaLike) -> int:
 
     A float sigma is read as the decimal it prints as, so 0.3 is 3/10.
     """
-    if not _is_int(k) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     s = _exact(sigma)
     if s <= 0:
         raise ValueError("sigma must be positive")

@@ -19,6 +19,7 @@ from .bounds import _alt1_constants
 from .graphs import (
     VERTEX_CAP,
     SimpleGraph,
+    _check_k,
     _is_int,
     _unchecked_graph,
     graph_from_json_dict,
@@ -88,8 +89,7 @@ def build_extremal(k: int, sigma_k: int, level: int) -> ExtremalGraph:
     """Build the level-``level`` instance for parameters k and sigma_k = sigma*k."""
     if not all(map(_is_int, (k, sigma_k, level))):
         raise ValueError("'k', 'sigma_k' and 'level' must be integers")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_k(k)
     if sigma_k < k:
         raise ValueError("needs sigma_k >= k (sigma >= 1)")
     if level < 0:
@@ -185,7 +185,9 @@ class ExtremalReport:
         )
 
 
-def _validate_structure(e: ExtremalGraph) -> None:
+def _validate_structure(e: ExtremalGraph) -> dict[int, int]:
+    """Refuse a malformed instance; returns the map from each pool vertex to
+    its part's index."""
     n = e.graph.n
     if e.k < 1 or e.sigma_k < e.k or e.level < 0:
         raise ValueError("malformed parameters")
@@ -193,16 +195,16 @@ def _validate_structure(e: ExtremalGraph) -> None:
         raise ValueError(f"level {e.level} is above {n.bit_length() - 1}, the deepest for {n} vertices")
     if len(e.parts) != (1 << e.level):
         raise ValueError(f"expected {1 << e.level} pool parts, got {len(e.parts)}")
-    seen: set[int] = set()
-    for p in e.parts:
+    part_of: dict[int, int] = {}
+    for i, p in enumerate(e.parts):
         for v in p:
             if not (0 <= v < n):
                 raise ValueError(f"pool vertex {v} out of range")
-            if v in seen:
+            if v in part_of:
                 raise ValueError(f"pool vertex {v} repeated")
-            seen.add(v)
-    if len(seen) != 2 * e.k:
-        raise ValueError(f"pool covers {len(seen)} vertices, expected {2 * e.k}")
+            part_of[v] = i
+    if len(part_of) != 2 * e.k:
+        raise ValueError(f"pool covers {len(part_of)} vertices, expected {2 * e.k}")
     if len(e.glue_history) != e.level:
         raise ValueError("one gluing set per level is required")
     for j, y in enumerate(e.glue_history):
@@ -211,13 +213,15 @@ def _validate_structure(e: ExtremalGraph) -> None:
         limit = e.k + (1 << j) * e.sigma_k
         if any(not (0 <= v < limit) for v in y):
             raise ValueError(f"gluing set {j} out of its level range")
+    return part_of
 
 
-def _check_partition(e: ExtremalGraph) -> bool:
+def _check_partition(e: ExtremalGraph, part_of: dict[int, int]) -> bool:
+    """Pool balance and no edge between parts; ``part_of`` is the map that
+    ``_validate_structure`` returns."""
     sizes = [len(p) for p in e.parts]
     if max(sizes) - min(sizes) > 1:
         return False
-    part_of = {v: i for i, p in enumerate(e.parts) for v in p}  # disjoint, as _validate_structure checked
     # walk the edges, not the C(2k, 2) pool pairs, which the file's metadata
     # sets; C picks out the edges whose first end is in the pool, and only
     # those reach the Python test
@@ -275,11 +279,13 @@ def _certificate_check(e: ExtremalGraph) -> bool:
     side = [0] * e.leaf_size
     glue = [0] * e.leaf_size
     for j, y in enumerate(e.glue_history):
-        bit, y_set = 1 << j, set(y)
-        rest = [x for x in range(len(side)) if x not in y_set]  # the first copy's private labels
-        side += [side[x] | bit for x in rest]
-        glue += [glue[x] for x in rest]
-        for x in y_set:
+        bit, ends = 1 << j, sorted(y)
+        # the first copy's private labels, in order, are the runs between the
+        # glue labels, which copy two numbers on from len(side) as build_extremal does
+        for lo, hi in zip([0] + [v + 1 for v in ends], ends + [len(side)]):
+            side += [x | bit for x in side[lo:hi]]
+            glue += glue[lo:hi]
+        for x in y:
             glue[x] |= bit
     return not any((side[u] ^ side[w]) & ~(glue[u] | glue[w]) for u, w in e.graph.held_edges)
 
@@ -302,10 +308,10 @@ def _extraction_check(e: ExtremalGraph) -> bool:
 
 def verify_extremal(e: ExtremalGraph) -> ExtremalReport:
     """Re-verify every claimed property of a constructed instance."""
-    _validate_structure(e)
+    part_of = _validate_structure(e)
     g = e.graph
     vertex_ok = g.n - e.k == (1 << e.level) * e.sigma_k
-    partition_ok = _check_partition(e)
+    partition_ok = _check_partition(e, part_of)
     bound = _edge_lower_bound(e)
     edge_ok = Fraction(g.edge_count) >= bound
     certificate_ok = _certificate_check(e)
