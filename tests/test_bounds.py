@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -488,6 +489,69 @@ class TestObligationTables:
         assert Fraction(data[0]["margin_exact"]) == reports[0].margin
 
 
+class TestBoundTableOracle:
+    """Each of the 24 margins re-derived in sympy from the row's polynomials and
+    ends. No Surd arithmetic is shared: a number crosses over by its
+    coordinates only. On an interval, the minimum of rhs - lhs is taken over
+    the ends and the roots of its derivative inside, whatever its shape."""
+
+    def test_every_margin_is_rederived_exactly(self, monkeypatch):
+        sp = pytest.importorskip("sympy")
+        from hcs.field import Surd
+
+        roots = [sp.sqrt(m) for m in (1, 2, 3, 6, 5, 10, 15, 30)]  # the basis of Surd.coords
+
+        def exact(x):
+            return sum(sp.Rational(c.numerator, c.denominator) * r for c, r in zip(Surd(x).coords, roots))
+
+        x = sp.Symbol("x", real=True)
+
+        def poly(coeffs):
+            return sum(exact(c) * x**i for i, c in enumerate(coeffs))
+
+        def interval_margin(lhs_poly, rhs_poly, lo, hi):
+            q = sp.expand(poly(rhs_poly) - poly(lhs_poly))
+            a, b = exact(lo), exact(hi)
+            points = [a, b]
+            if sp.diff(q, x) != 0:
+                points += [r for r in sp.solve(sp.diff(q, x), x) if sp.radsimp(r - a) >= 0 >= sp.radsimp(r - b)]
+            values = [sp.radsimp(q.subs(x, p)) for p in points]
+            least = values[0]
+            for v in values[1:]:
+                if sp.radsimp(v - least) < 0:
+                    least = v
+            return least
+
+        def point_margin(lhs, rhs):
+            return exact(rhs) - exact(lhs)
+
+        def identity_margin(lhs_poly, rhs_poly):
+            gaps = [abs(exact(a) - exact(b)) for a, b in zip_longest(lhs_poly, rhs_poly, fillvalue=0)]
+            return -sp.Max(*gaps)
+
+        rows = []
+
+        def capture(name, derive):
+            real = getattr(bounds, name)
+
+            def wrapped(oid, params, *args):
+                report = real(oid, params, *args)
+                rows.append((report, derive(*args)))
+                return report
+            monkeypatch.setattr(bounds, name, wrapped)
+
+        capture("_interval_report", interval_margin)
+        capture("_point_report", point_margin)
+        capture("_identity_report", identity_margin)
+        reports = verify_all_bounds()
+
+        assert [r for r, _ in rows] == reports and len(reports) == 24
+        for report, derived in rows:
+            gap = sp.radsimp(sp.expand(derived - exact(report.margin)))
+            assert gap == 0, (report.obligation_id, derived, report.margin)
+            assert report.verdict == ("PASS" if sp.radsimp(derived) >= 0 else "FAIL"), report.obligation_id
+
+
 class TestSeparableDensityCheck:
     def test_cycle_eight(self):
         report = separable_density_check(SimpleGraph.cycle(8), 2, get_alternative(3))
@@ -524,6 +588,28 @@ class TestSeparableDensityCheck:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             separable_density_check(SimpleGraph.empty(1), 0, get_alternative(3))
+
+    def test_k1_small_trees_as_they_stand(self):
+        """Pins a finding, not a wanted verdict: at k = 1 the check fails on
+        the 3-vertex path at alts 2 and 3 and on both 4-vertex trees at alt 3."""
+        star = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        expected = {
+            ("P3", 2): ("FAIL", -Fraction(7, 3) + Fraction(11, 15) * sqrt(10)),
+            ("P3", 3): ("FAIL", Fraction(-173, 1500)),
+            ("P4", 2): ("PASS", None),
+            ("P4", 3): ("FAIL", Fraction(-19, 3000)),
+            ("K13", 2): ("PASS", None),
+            ("K13", 3): ("FAIL", Fraction(-19, 3000)),
+            ("P2", 2): ("NOT_APPLICABLE", None),
+            ("P2", 3): ("NOT_APPLICABLE", None),
+        }
+        graphs = {"P2": SimpleGraph.path(2), "P3": SimpleGraph.path(3), "P4": SimpleGraph.path(4), "K13": star}
+        expected.update({(name, 1): ("PASS", None) for name in ("P3", "P4", "K13")})
+        for (name, alt), (verdict, margin) in expected.items():
+            report = separable_density_check(graphs[name], 1, get_alternative(alt))
+            assert report.verdict == verdict, (name, alt)
+            if margin is not None:
+                assert report.margin == margin, (name, alt)
 
     @pytest.mark.parametrize("k", [0, 1.5, True])
     def test_k_is_checked_before_the_empty_graph_exit(self, k):
