@@ -9,8 +9,11 @@ subgraph remains confined to a single complete leaf of the gluing tree.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Optional, TextIO
@@ -57,6 +60,13 @@ class ExtremalGraph:
     @property
     def leaf_size(self) -> int:
         return self.k + self.sigma_k
+
+    # the pool map of _validate_structure, made on first use: the loader and
+    # verify_extremal share one validation, and a dataclasses.replace copy is
+    # validated afresh
+    @cached_property
+    def _part_of(self) -> dict[int, int]:
+        return _validate_structure(self)
 
 
 def _split_parts(
@@ -196,7 +206,7 @@ def _validate_structure(e: ExtremalGraph) -> dict[int, int]:
     if len(e.parts) != (1 << e.level):
         raise ValueError(f"expected {1 << e.level} pool parts, got {len(e.parts)}")
     part_of: dict[int, int] = {}
-    for i, p in enumerate(e.parts):
+    for i, p in compress(enumerate(e.parts), e.parts):  # most parts are empty
         for v in p:
             if not (0 <= v < n):
                 raise ValueError(f"pool vertex {v} out of range")
@@ -219,14 +229,23 @@ def _validate_structure(e: ExtremalGraph) -> dict[int, int]:
 def _check_partition(e: ExtremalGraph, part_of: dict[int, int]) -> bool:
     """Pool balance and no edge between parts; ``part_of`` is the map that
     ``_validate_structure`` returns."""
-    sizes = [len(p) for p in e.parts]
-    if max(sizes) - min(sizes) > 1:
+    # the non-empty parts' sizes, read from the map in O(2k) and not from
+    # the 2^level parts; if some part is empty, the least size is 0
+    sizes = Counter(part_of.values()).values()
+    least = min(sizes) if len(sizes) == len(e.parts) else 0
+    if max(sizes) - least > 1:
         return False
-    # walk the edges, not the C(2k, 2) pool pairs, which the file's metadata
-    # sets; C picks out the edges whose first end is in the pool, and only
-    # those reach the Python test
+    # read the edges whose first end is in the pool, not the C(2k, 2) pool
+    # pairs, which the file's metadata sets. In the ascending tuple a pool
+    # vertex's edges to higher labels are one slice, found by bisection; a set
+    # is never sorted, so C picks them out of it before any Python test runs
     edges = e.graph.held_edges
-    in_pool = compress(edges, map(part_of.__contains__, map(itemgetter(0), edges)))
+    if type(edges) is tuple:
+        in_pool = chain.from_iterable(
+            edges[bisect_left(edges, (u,)):bisect_left(edges, (u + 1,))] for u in part_of
+        )
+    else:
+        in_pool = compress(edges, map(part_of.__contains__, map(itemgetter(0), edges)))
     return not any(w in part_of and part_of[u] != part_of[w] for u, w in in_pool)
 
 
@@ -308,7 +327,7 @@ def _extraction_check(e: ExtremalGraph) -> bool:
 
 def verify_extremal(e: ExtremalGraph) -> ExtremalReport:
     """Re-verify every claimed property of a constructed instance."""
-    part_of = _validate_structure(e)
+    part_of = e._part_of  # validates the instance unless the loader did
     g = e.graph
     vertex_ok = g.n - e.k == (1 << e.level) * e.sigma_k
     partition_ok = _check_partition(e, part_of)
@@ -397,5 +416,5 @@ def extremal_from_json_dict(data: dict) -> ExtremalGraph:
         parts=tuple(map(tuple, parts)),
         glue_history=tuple(map(tuple, glue_history)),
     )
-    _validate_structure(e)
+    e._part_of  # refuses a malformed file here; verify_extremal reads the map kept
     return e

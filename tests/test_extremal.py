@@ -18,6 +18,7 @@ from hcs import (
     verify_extremal,
 )
 import hcs.extremal
+from hcs.cli import dispatch
 from hcs.bounds import _alt1_constants
 from hcs.extremal import ExtremalGraph, _edge_lower_bound, _split_parts
 from hcs.graphs import _unchecked_graph
@@ -228,6 +229,40 @@ class TestSerialization:
             extremal_from_json_dict({"graph": {"n": 1, "edges": []}})
 
 
+class TestOneValidation:
+    # an instance is validated when its pool map is first read: certify's loader
+    # reads it and verify_extremal reuses it. Any other instance, a
+    # dataclasses.replace copy of a loaded one too, is validated on its first
+    # verify_extremal
+
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        seen = []
+        validate = hcs.extremal._validate_structure
+
+        def spy(e):
+            seen.append(e)
+            return validate(e)
+
+        monkeypatch.setattr(hcs.extremal, "_validate_structure", spy)
+        return seen
+
+    def test_one_certify_validates_once(self, validated, capsys, tmp_path):
+        out = tmp_path / "g.json"
+        assert dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "5", "--out", str(out)]) == 0
+        assert dispatch(["certify", "--in", str(out)]) == 0
+        assert len(validated) == 1
+
+    def test_a_replaced_instance_is_validated_afresh(self, validated):
+        e = extremal_from_json_dict(extremal_to_json_dict(build_extremal(2, 2, 3)))
+        assert verify_extremal(e).passed and validated == [e]
+        first, second = [p for p in e.parts if p][:2]
+        repeated = replace(e, parts=tuple(first if p == second else p for p in e.parts))
+        with pytest.raises(ValueError, match="repeated"):
+            verify_extremal(repeated)
+        assert verify_extremal(replace(e)).passed and len(validated) == 3
+
+
 class TestSeparationInterplay:
     def test_level_one_separates_along_glue(self):
         e = build_extremal(2, 2, 1)
@@ -304,6 +339,12 @@ class TestCertificateOracle:
             first, second = rng.sample(parts, 2)
             mutated = _with_edge(e, rng.choice(first), rng.choice(second))
             assert not self._agree(mutated).partition_ok
+            # a vertex of a smallest part moved to a largest: two sizes apart,
+            # whether or not some part is empty
+            ordered = sorted(parts, key=len)
+            src, dst = ordered[0], ordered[-1]
+            moved = tuple(p[1:] if p == src else p + src[:1] if p == dst else p for p in e.parts)
+            assert not self._agree(replace(e, parts=moved)).partition_ok
 
     def test_pool_check_walks_no_more_pairs_than_edges(self):
         # a file may claim a pool far larger than its edge list: with k = sigma_k
@@ -320,15 +361,37 @@ class TestCertificateOracle:
     @pytest.mark.parametrize("k, sigma_k, level", [(2, 2, 5), (3, 3, 4), (1, 3, 6)])
     def test_pool_check_on_both_edge_forms(self, k, sigma_k, level):
         # the ascending tuple as built and the set hold the same edges; an edge
-        # between two parts fails, one with only its larger end in the pool passes
+        # between two parts fails, one with only its larger end in the pool passes.
+        # With the labels 0 and n - 1 swapped into the pool, the pool vertices'
+        # slices of the tuple reach both its ends, and n - 1 has an empty slice
         e = build_extremal(k, sigma_k, level)
+        n = e.graph.n
         pool = sorted(v for p in e.parts for v in p)
         first, second = [p for p in e.parts if p][:2]
         outside = min(v for v in range(pool[-1]) if v not in pool and (v, pool[-1]) not in e.graph.edges)
-        for u, v, ok in ((first[0], second[0], False), (outside, pool[-1], True)):
-            edges = e.graph.edges | {(min(u, v), max(u, v))}
-            for graph in (_unchecked_graph(e.graph.n, tuple(sorted(edges))), SimpleGraph(e.graph.n, edges)):
-                assert self._agree(replace(e, graph=graph)).partition_ok is ok, (u, v)
+        moved = _swapped(_swapped(e, pool[0], 0), pool[-1], n - 1)
+        low, high = (next(p for p in moved.parts if v in p) for v in (0, n - 1))
+        moved_pool = {v for p in moved.parts for v in p}
+        below_top = min(v for v in range(n) if v not in moved_pool and (v, n - 1) not in moved.graph.edges)
+        for inst, u, v, ok in (
+            (e, first[0], second[0], False),
+            (e, outside, pool[-1], True),
+            (moved, 0, min(moved_pool - set(low)), False),
+            (moved, max(moved_pool - set(high)), n - 1, False),
+            (moved, below_top, n - 1, True),
+        ):
+            edges = inst.graph.edges | {(min(u, v), max(u, v))}
+            for graph in (_unchecked_graph(n, tuple(sorted(edges))), SimpleGraph(n, edges)):
+                assert self._agree(replace(inst, graph=graph)).partition_ok is ok, (u, v)
+
+
+def _swapped(e: ExtremalGraph, a: int, b: int) -> ExtremalGraph:
+    """The instance with the labels a and b exchanged in its graph and its pool."""
+    def label(v: int) -> int:
+        return b if v == a else a if v == b else v
+
+    edges = {tuple(sorted(map(label, edge))) for edge in e.graph.edges}
+    return replace(e, graph=SimpleGraph(e.graph.n, edges), parts=tuple(tuple(map(label, p)) for p in e.parts))
 
 
 def _toggled(e: ExtremalGraph, edge: tuple[int, int]) -> ExtremalGraph:
