@@ -103,9 +103,19 @@ _TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRow))
 NOT_APPLICABLE_SATURATED = "NOT_APPLICABLE_SATURATED"
 
 
-def _threshold_edge_count(n: int, threshold) -> int:
-    """Smallest e with 2e/n >= threshold (a Fraction or a Surd)."""
-    return math.ceil(n * threshold / 2)
+# (delta, k, n) -> trial edge count, once per process. The key is the exact delta,
+# not the id, which alternative_1(sigma) shares with get_alternative(1) at another
+# delta, nor the alternative, whose hash hashes all four of its exact fields.
+_EDGE_COUNTS: dict[tuple, int] = {}
+
+
+def _threshold_edge_count(alt: ParameterAlternative, k: int, n: int) -> int:
+    """Smallest e with 2e/n >= density_threshold(alt, k); memoized per process."""
+    key = (alt.delta, k, n)
+    e = _EDGE_COUNTS.get(key)
+    if e is None:
+        e = _EDGE_COUNTS[key] = math.ceil(n * density_threshold(alt, k) / 2)
+    return e
 
 
 def _shuffle(items: list, rng: random.Random) -> None:
@@ -133,9 +143,8 @@ def _shuffle(items: list, rng: random.Random) -> None:
 def run_trial(t: int, cfg: ExperimentConfig, alt: ParameterAlternative) -> TrialRow:
     rng = random.Random(cfg.seed + t)
     n = rng.randint(*cfg.n_range)
-    threshold = density_threshold(alt, cfg.k)
     start = time.perf_counter()
-    target_e = _threshold_edge_count(n, threshold)
+    target_e = _threshold_edge_count(alt, cfg.k, n)
     max_e = n * (n - 1) // 2
     if target_e > max_e:
         elapsed = int((time.perf_counter() - start) * 1000)

@@ -21,6 +21,7 @@ the whole document.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,13 @@ def size_threshold(k: int, sigma: SigmaLike) -> int:
     s = _exact(sigma)
     if s <= 0:
         raise ValueError("sigma must be positive")
+    return _size_floor(k, s)
+
+
+# keyed on the exact sigma, never the argument: 0.3 == Fraction(0.3) and both hash
+# alike, but 0.3 reads as 3/10, which gives 13 at k = 10, and Fraction(0.3) gives 12
+@functools.cache
+def _size_floor(k: int, s: Fraction | Surd) -> int:
     return math.floor((1 + s) * k)
 
 

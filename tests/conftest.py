@@ -6,7 +6,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import pytest
 
-from hcs import CutWitness, OptimizationInstance, SimpleGraph, density_threshold, get_alternative, size_threshold
+from hcs import CutWitness, OptimizationInstance, SimpleGraph, get_alternative, size_threshold
 from hcs.cli import _threshold_edge_count
 from hcs.connectivity import _bits
 from hcs.extractor import FOUND, LEAF_SMALL, SEPARABLE, SEPARATED, DecompositionNode, ExtractionResult
@@ -46,8 +46,7 @@ def threshold_graph(rng: random.Random, n: int, alternative_id: int, k: int) -> 
     threshold of the alternative and k."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
-    threshold = density_threshold(get_alternative(alternative_id), k)
-    return SimpleGraph(n, frozenset(pairs[:_threshold_edge_count(n, threshold)]))
+    return SimpleGraph(n, frozenset(pairs[:_threshold_edge_count(get_alternative(alternative_id), k, n)]))
 
 
 def _adjacency_sets(g: SimpleGraph, vs: set[int]) -> dict[int, set[int]]:

@@ -36,6 +36,11 @@ from hcs.field import sqrt
 from conftest import split_maximum_grid
 
 
+# alt3's least delta, 2 + 5954167/5369280 (about 3.1089321), and its binding row
+ALT3_LEAST_DELTA = 2 + Fraction(5954167, 5369280)
+ALT3_BINDING_ROW = "alt3/base/g[2.04,2.08]"
+
+
 class TestParameterAlternatives:
     def test_alt1_default_is_boundary(self):
         alt = get_alternative(1)
@@ -441,8 +446,7 @@ class TestObligationTables:
 
     def test_alt3_least_delta(self):
         # alt3/base/g[2.04,2.08] binds: it holds iff delta >= 2 + 5954167/5369280
-        binding = "alt3/base/g[2.04,2.08]"
-        least = 2 + Fraction(5954167, 5369280)
+        binding, least = ALT3_BINDING_ROW, ALT3_LEAST_DELTA
 
         def margins(delta):
             reports = verify_alternative(replace(get_alternative(3), delta=delta))
@@ -489,21 +493,23 @@ class TestObligationTables:
         assert Fraction(data[0]["margin_exact"]) == reports[0].margin
 
 
+def sympy_exact(sp):
+    """The map from a Surd, Fraction or int to the equal sympy number. A number
+    crosses over by its coordinates only, so no Surd arithmetic is shared."""
+    from hcs.field import Surd
+
+    roots = [sp.sqrt(m) for m in (1, 2, 3, 6, 5, 10, 15, 30)]  # the basis of Surd.coords
+    return lambda x: sum(sp.Rational(c.numerator, c.denominator) * r for c, r in zip(Surd(x).coords, roots))
+
+
 class TestBoundTableOracle:
     """Each of the 24 margins re-derived in sympy from the row's polynomials and
-    ends. No Surd arithmetic is shared: a number crosses over by its
-    coordinates only. On an interval, the minimum of rhs - lhs is taken over
-    the ends and the roots of its derivative inside, whatever its shape."""
+    ends. On an interval, the minimum of rhs - lhs is taken over the ends and
+    the roots of its derivative inside, whatever its shape."""
 
     def test_every_margin_is_rederived_exactly(self, monkeypatch):
         sp = pytest.importorskip("sympy")
-        from hcs.field import Surd
-
-        roots = [sp.sqrt(m) for m in (1, 2, 3, 6, 5, 10, 15, 30)]  # the basis of Surd.coords
-
-        def exact(x):
-            return sum(sp.Rational(c.numerator, c.denominator) * r for c, r in zip(Surd(x).coords, roots))
-
+        exact = sympy_exact(sp)
         x = sp.Symbol("x", real=True)
 
         def poly(coeffs):
@@ -550,6 +556,56 @@ class TestBoundTableOracle:
             gap = sp.radsimp(sp.expand(derived - exact(report.margin)))
             assert gap == 0, (report.obligation_id, derived, report.margin)
             assert report.verdict == ("PASS" if sp.radsimp(derived) >= 0 else "FAIL"), report.obligation_id
+
+    def test_alt3_least_delta_is_solved(self, monkeypatch):
+        """Each alt3 row that involves delta, solved in sympy for the least delta
+        at which it holds. Every rhs is affine in delta and nothing else moves
+        with it, so the tables at delta = 3 and 4 give q(x, d) = rhs - lhs. The
+        row holds iff d >= d(x), the root of q(x, d) = 0, at each x of its
+        interval, so its least delta is the largest d(x) over the ends and the
+        critical points; a point row has one root. The largest over the rows
+        must be the least delta that test_alt3_least_delta checks in Surd."""
+        sp = pytest.importorskip("sympy")
+        exact = sympy_exact(sp)
+        x, d = sp.symbols("x d", real=True)
+        tables = {}  # obligation id -> the report's arguments at delta = 3, then at 4
+        for name in ("_interval_report", "_point_report"):
+            def wrapped(oid, params, *args, real=getattr(bounds, name)):
+                tables.setdefault(oid, []).append(args)
+                return real(oid, params, *args)
+            monkeypatch.setattr(bounds, name, wrapped)
+        for delta in (3, 4):
+            verify_alternative(replace(get_alternative(3), delta=Fraction(delta)))
+
+        def poly(coeffs):
+            return sum(exact(c) * x**i for i, c in enumerate(coeffs))
+
+        def largest(values):
+            best = values[0]
+            for v in values[1:]:
+                if sp.radsimp(v - best) > 0:
+                    best = v
+            return best
+
+        least = {}
+        for oid, (at3, at4) in tables.items():
+            assert at3[:1] + at3[2:] == at4[:1] + at4[2:], oid  # only the rhs moves
+            lhs, rhs3, *ends = at3
+            sym = poly if ends else exact
+            slope = sp.expand(sym(at4[1]) - sym(rhs3))
+            if slope == 0:
+                continue  # the row does not involve delta
+            (root,) = sp.solve(sym(rhs3) + (d - 3) * slope - sym(lhs), d)
+            points = [exact(e) for e in ends] or [x]  # a point row's root has no x
+            if ends:
+                lo, hi = points
+                points += [r for r in sp.solve(sp.diff(root, x), x) if sp.radsimp(r - lo) >= 0 >= sp.radsimp(r - hi)]
+            assert all(sp.radsimp(slope.subs(x, p)) > 0 for p in points), oid  # q grows with d
+            least[oid] = largest([sp.radsimp(root.subs(x, p)) for p in points])
+        assert len(tables) == 9 and set(tables) - set(least) == {"alt3/base/derivative-sign"}
+        top = largest(list(least.values()))
+        assert [oid for oid, v in least.items() if v == top] == [ALT3_BINDING_ROW]
+        assert top == exact(ALT3_LEAST_DELTA)
 
 
 class TestSeparableDensityCheck:

@@ -26,7 +26,7 @@ from hcs import (
     run_experiment,
     verify_extremal,
 )
-from hcs.bounds import get_alternative, reports_to_json, verify_all_bounds
+from hcs.bounds import alternative_1, density_threshold, get_alternative, reports_to_json, verify_all_bounds
 from hcs.cli import NOT_APPLICABLE_SATURATED, _shuffle, build_parser, rows_to_csv, run_trial
 from hcs.graphs import VERTEX_CAP, graph_from_json_dict
 from conftest import (brute_force_hcs, extremal_to_json_dict, graph_to_json_dict, random_graph,
@@ -510,6 +510,17 @@ class TestExperiment:
         second = strip_elapsed(rows_to_csv(run_experiment(cfg)[0]))
         assert first == second
         assert first.splitlines()[0] == "trial,n,e,d_bar,outcome,h_size"
+
+    def test_edge_count_follows_delta_not_the_id(self):
+        # alternative_1(2) shares id 1 with get_alternative(1), at delta 25/6 against
+        # about 3.63; each trial's edge count must follow its own delta
+        k, n = 2, 20
+        cfg = ExperimentConfig(trials=1, k=k, n_range=(n, n), alternative_id=1, seed=3)
+        counts = []
+        for alt in (alternative_1(2), get_alternative(1)):
+            counts.append(run_trial(1, cfg, alt).e)
+            assert counts[-1] == math.ceil(n * density_threshold(alt, k) / 2)
+        assert counts == [74, 63]
 
     def test_saturation(self):
         cfg = ExperimentConfig(trials=2, k=2, n_range=(5, 5), alternative_id=3, seed=1)

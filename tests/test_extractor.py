@@ -24,7 +24,7 @@ from hcs import (
     size_threshold,
     validate_decomposition,
 )
-from hcs.extractor import write_result_json
+from hcs.extractor import _size_floor, write_result_json
 from hcs.field import Surd, sqrt
 from conftest import (
     brute_force_hcs,
@@ -116,10 +116,19 @@ class TestSizeThreshold:
         assert sqrt(0.3) == sqrt(Fraction(3, 10))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            size_threshold(2, 0)
+        for _ in range(2):  # a refusal is not memoized
+            with pytest.raises(ValueError):
+                size_threshold(2, 0)
         with pytest.raises(ValueError):
             size_threshold(0, Fraction(1, 5))
+
+    @pytest.mark.parametrize("order", [(0.3, Fraction(0.3)), (Fraction(0.3), 0.3)], ids=["float-first", "binary-first"])
+    def test_memo_keyed_on_the_exact_sigma(self, order):
+        # 0.3 == Fraction(0.3) and both hash alike, but 0.3 reads as 3/10: a memo
+        # keyed on the argument hands the second of them the first one's answer
+        _size_floor.cache_clear()
+        for sigma in order * 2:
+            assert size_threshold(10, sigma) == (13 if isinstance(sigma, float) else 12), sigma
 
 
 class TestExtract:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from hcs import ExperimentConfig, SimpleGraph, build_extremal, extract, run_experiment, verify_all_bounds
+from hcs import ExperimentConfig, SimpleGraph, build_extremal, dispatch, extract, run_experiment, verify_all_bounds
 from hcs.bounds import reports_to_json
 from hcs.cli import rows_to_csv
 from hcs.connectivity import min_vertex_cut
@@ -33,11 +33,16 @@ def relabelled(g: SimpleGraph, seed: int) -> SimpleGraph:
     return SimpleGraph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
+def csv_digest(text: str) -> str:
+    """The digest of experiment CSV text without its timing column."""
+    return digest("\n".join(line.rsplit(",", 1)[0] for line in text.splitlines()))
+
+
 def experiment_digest(cfg: ExperimentConfig) -> str:
     """The digest of an experiment's CSV without its timing column; every trial must pass."""
     rows, ok = run_experiment(cfg)
     assert ok
-    return digest("\n".join(line.rsplit(",", 1)[0] for line in rows_to_csv(rows).splitlines()))
+    return csv_digest(rows_to_csv(rows))
 
 
 def case_ids(table: dict) -> list[str]:
@@ -133,6 +138,19 @@ def test_experiment_csv(params, expected):
     k, alt_id, seed, *n_range = params
     cfg = ExperimentConfig(trials=12, k=k, n_range=tuple(n_range) or (15, 50), alternative_id=alt_id, seed=seed)
     assert experiment_digest(cfg) == expected
+
+
+def test_experiment_csv_by_dispatch_interleaved(tmp_path):
+    """The acceptance batches of alts 1, 2 and 3 through the CLI, twice and
+    interleaved in one process: the thresholds memoized per process must
+    give each batch the CSV it gives alone."""
+    batches = [(2, 1, 1003), (2, 2, 1004), (2, 3, 1001)]
+    for rep in range(2):
+        for k, alt_id, seed in batches:
+            out = tmp_path / f"alt{alt_id}-{rep}.csv"
+            argv = ["experiment", "--trials", "12", "--k", str(k), "--alt", str(alt_id), "--seed", str(seed)]
+            assert dispatch(argv + ["--csv", str(out)]) == 0
+            assert csv_digest(out.read_text()) == EXPERIMENT[(k, alt_id, seed)], (rep, alt_id)
 
 
 @pytest.mark.parametrize(("params", "expected"), sorted(EXPERIMENT_LARGE.items()), ids=case_ids(EXPERIMENT_LARGE))
