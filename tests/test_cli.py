@@ -647,6 +647,31 @@ class TestPinnedDotOutputs:
         assert hashlib.sha256(dot.read_bytes()).hexdigest() == self.PINNED[k, sigma_k, level]
 
 
+class TestPinnedBoundTable:
+    # sha256 of verify-bounds' stdout per --alt, and of the --json and --csv files
+    # of --alt all; BOUND_TABLE sees neither the printed table nor the JSON writer
+    STDOUT = {
+        "all": "1f750d5166a60b2e4db632fa1942fd9a6e56e2a5e0f229d2d6dec20a4015b88c",
+        "1": "82ed70f87c1f8bf75d5880ee932c931008ed0adfb9e3a6a4eafd303bf75b5246",
+        "2": "c52e99ad7157c559db70c4bde308b1f6f35eb5d15a87e8383eec5bd31635852a",
+        "3": "64a29e3b93a0172e1e852e7265e87ca4a5d27d0ffafa312efc4d766ed3408d85",
+    }
+    JSON_FILE = "adfd2e0a447dd5fb466e31ba2d97bd1b5cc5eee56f95889be36c8a9dc0b639d5"
+    CSV_FILE = "eaf6606a59da72fea35d713c7f89054ff946d3ce6a3c9e17cd80d8d544b21a09"
+
+    @pytest.mark.parametrize("alt", sorted(STDOUT))
+    def test_stdout_bytes(self, capsys, alt):
+        assert dispatch(["verify-bounds", "--alt", alt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.STDOUT[alt]
+
+    def test_file_bytes(self, capsys, tmp_path):
+        out_json, out_csv = tmp_path / "bounds.json", tmp_path / "bounds.csv"
+        assert dispatch(["verify-bounds", "--alt", "all", "--json", str(out_json), "--csv", str(out_csv)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.STDOUT["all"]
+        assert hashlib.sha256(out_json.read_bytes()).hexdigest() == self.JSON_FILE
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == self.CSV_FILE
+
+
 class TestCertifyAnyEdgeOrder:
     # certify keeps the file's edges as the ascending tuple when they are
     # strictly ascending, and as a set walked in hash order otherwise; its report
