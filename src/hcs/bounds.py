@@ -258,8 +258,8 @@ def certify_nonnegative_on_interval(coeffs: Poly, lo, hi) -> CertificateResult:
     """Certify q(x) >= 0 on [lo, hi] for a quadratic q.
 
     The minimum of q on an interval is at an endpoint, or, when q is
-    convex, at its vertex -c1/(2 c2) if that lies inside; there q equals
-    c0 - c1^2/(4 c2). Coefficients and endpoints are exact (int, Fraction
+    convex, at its vertex v = -c1/(2 c2) if that lies inside; there q equals
+    c0 + c1 v/2. Coefficients and endpoints are exact (int, Fraction
     or Surd), so the sign of c2 is always decided and the margin is the
     exact minimum.
     """
@@ -275,7 +275,7 @@ def certify_nonnegative_on_interval(coeffs: Poly, lo, hi) -> CertificateResult:
         # the Fraction factors keep the divisions exact when c1 and c2 are ints
         vertex = Fraction(-1, 2) * c1 / c2
         if lo <= vertex <= hi:
-            candidates.append((c0 - Fraction(1, 4) * c1 * c1 / c2, vertex))
+            candidates.append((c0 + c1 * vertex / 2, vertex))
     else:
         method = "endpoints+concavity"
     margin, at = min(candidates, key=lambda c: c[0])

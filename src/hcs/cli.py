@@ -250,8 +250,7 @@ def _cmd_verify_bounds(args) -> int:
             fh.write(reports_to_csv(reports))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(reports_to_json(reports), fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(reports_to_json(reports), indent=1) + "\n")
     failed = [r for r in reports if r.verdict == "FAIL"]
     print(f"{len(reports) - len(failed)}/{len(reports)} obligations passed")
     return 1 if failed else 0

@@ -8,14 +8,14 @@ non-zero coordinates over one positive denominator, in lowest terms, so
 an element has one representation. Sums, products and quotients are
 exact, and zero is read from the coordinates. The sign of a non-zero
 element comes from integer square-root bounds refined until they exclude
-0, which always terminates. So every comparison is a proof.
+0, which always terminates. So every comparison is a proof. A comparison
+forms one difference and reads its sign, and none is formed against 0.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import total_ordering
 from math import floor, gcd, isqrt
 
 _RADICANDS = (1, 2, 3, 6, 5, 10, 15, 30)  # product of the primes (2, 3, 5) in each mask
@@ -23,7 +23,6 @@ _RADICANDS = (1, 2, 3, 6, 5, 10, 15, 30)  # product of the primes (2, 3, 5) in e
 _PRODUCT = tuple(tuple((a ^ b, _RADICANDS[a & b]) for b in range(8)) for a in range(8))
 
 
-@total_ordering
 class Surd:
     """An element of Q(sqrt2, sqrt3, sqrt5); mixes with int and Fraction."""
 
@@ -63,13 +62,15 @@ class Surd:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         o = _coerce(other)
         if o is None:
             return NotImplemented
+        # self + sign * o in one pass, so a difference builds no negated copy
+        d = sign * self._den
         nums = {m: a * o._den for m, a in self._nums.items()}
         for m, b in o._nums.items():
-            nums[m] = nums.get(m, 0) + b * self._den
+            nums[m] = nums.get(m, 0) + b * d
         return Surd._of(nums, self._den * o._den)
 
     __radd__ = __add__
@@ -81,12 +82,11 @@ class Surd:
         return -self if self._sign() < 0 else self
 
     def __sub__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else self + -o
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         o = _coerce(other)
-        return NotImplemented if o is None else o + -self
+        return NotImplemented if o is None else o.__add__(self, -1)
 
     def __mul__(self, other):
         o = _coerce(other)
@@ -163,9 +163,18 @@ class Surd:
             if lo > 0 or hi < 0:
                 return 1 if lo > 0 else -1
 
-    def __lt__(self, other):
-        o = _coerce(other)
-        return NotImplemented if o is None else (self - o)._sign() < 0
+    def _order(signs):
+        # the sign of self - other, read from self alone against 0
+        def compare(self, other):
+            o = _coerce(other)
+            if o is None:
+                return NotImplemented
+            return (self.__add__(o, -1) if o._nums else self)._sign() in signs
+        return compare
+
+    # the signs of self - other for which <, <=, > and >= hold
+    __lt__, __le__, __gt__, __ge__ = map(_order, ((-1,), (-1, 0), (1,), (0, 1)))
+    del _order
 
     def __eq__(self, other):
         o = _coerce(other)

@@ -331,6 +331,38 @@ class TestCertifyInterval:
         res = certify_nonnegative_on_interval((Fraction(0), Fraction(1)), 1, 1)
         assert res.passed and res.margin == 1
 
+    def test_convex_minimum_agrees_with_sympy(self):
+        # random convex quadratics with Surd and Fraction coefficients and ends;
+        # sympy takes the least value over the ends and the root of q' inside
+        sp = pytest.importorskip("sympy")
+        exact = sympy_exact(sp)
+        x = sp.Symbol("x", real=True)
+        rng = random.Random(44)
+
+        def reduced(e):
+            return sp.expand(sp.radsimp(sp.expand(e)))
+
+        def number(positive=False):
+            q = Fraction(rng.randint(1 if positive else -9, 9), rng.randint(1, 6))
+            return q if rng.random() < 0.4 else q + Fraction(rng.randint(0, 4), rng.randint(1, 6)) * sqrt(rng.choice((2, 3, 5, 6)))
+
+        inside = 0
+        for _ in range(40):
+            coeffs = number(), number(), number(positive=True)
+            lo, hi = sorted((number(), number()), key=float)
+            res = certify_nonnegative_on_interval(coeffs, lo, hi)
+            q = sum(exact(c) * x**i for i, c in enumerate(coeffs))
+            a, b = exact(lo), exact(hi)
+            points = [a, b] + [r for r in sp.solve(sp.diff(q, x), x) if sp.radsimp(r - a) >= 0 >= sp.radsimp(r - b)]
+            inside += len(points) == 3
+            values = [reduced(q.subs(x, p)) for p in points]
+            least = min(values, key=lambda v: sp.N(v, 50))
+            assert res.method == "endpoints+vertex"
+            assert reduced(exact(res.margin) - least) == 0, coeffs
+            assert reduced(q.subs(x, exact(res.at_point)) - least) == 0, coeffs
+            assert lo <= res.at_point <= hi and res.passed == (least >= 0)
+        assert inside >= 10
+
 
 class TestObligationTables:
     def test_alternative_3_has_nine_rows_all_exact_pass(self):

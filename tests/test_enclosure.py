@@ -1,8 +1,8 @@
 """Exact arithmetic in Q(sqrt2, sqrt3, sqrt5), the number type of the bound table.
 
 The hand-written cases pin the field's rules; the property test compares
-sign, order (also against a Fraction, on either side), floor, ceil,
-inverse and float with mpmath at 80 digits.
+sign, order (also against 0, an int or a Fraction, on either side),
+differences, floor, ceil, inverse and float with mpmath at 80 digits.
 """
 
 import math
@@ -199,12 +199,20 @@ def reference(x: Surd):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(elements, elements, small_rationals)
-def test_field_agrees_with_mpmath(x, y, q):
+@given(elements, elements, small_rationals, st.integers(-3, 3))
+def test_field_agrees_with_mpmath(x, y, q, n):
     with mpmath.workdps(80):
         vx, vy, vq = reference(x), reference(y), mpmath.mpf(q.numerator) / q.denominator
         sign = (vx > 0) - (vx < 0) if x else 0
         assert (x > 0, x < 0, x == 0) == (sign > 0, sign < 0, sign == 0)
+        # against 0 the order reads the sign of x itself, with x on either side
+        assert (x < 0, x <= 0, x > 0, x >= 0) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+        assert (0 < x, 0 <= x, 0 > x, 0 >= x) == (0 < sign, 0 <= sign, 0 > sign, 0 >= sign)
+        assert (x < n, x <= n, x > n, x >= n) == (vx < n, vx <= n, vx > n, vx >= n)
+        assert (n < x, n <= x, n > x, n >= x) == (n < vx, n <= vx, n > vx, n >= vx)
+        assert x - x == 0 and not x < x and not x > x
+        for diff, value in ((x - y, vx - vy), (x - q, vx - vq), (q - x, vq - vx)):
+            assert isinstance(diff, Surd) and abs(reference(diff) - value) < mpmath.mpf(10) ** -70
         assert (x < y, x <= y, x > y, x >= y) == (vx < vy, vx <= vy, vx > vy, vx >= vy)
         assert (x < q, x <= q, x > q, x >= q) == (vx < vq, vx <= vq, vx > vq, vx >= vq)
         # a Fraction on the left reaches the reflected Surd method

@@ -121,6 +121,17 @@ class TestSizeThreshold:
                 size_threshold(2, 0)
         with pytest.raises(ValueError):
             size_threshold(0, Fraction(1, 5))
+        # a zero Surd and a negative one: the sign test against 0 reads the Surd itself
+        for sigma in (sqrt(2) - sqrt(2), 1 - sqrt(2)):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                size_threshold(2, sigma)
+
+    def test_floors_of_the_irrational_sigmas(self):
+        # alt 1's sigma (sqrt(3) + sqrt(6))/3 ~ 1.394 and alt 2's sqrt(10)/6 ~ 0.527
+        floors = {1: [2, 4, 7, 9, 11, 14, 16, 19, 21, 23, 26, 28], 2: [1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18]}
+        for alt, expected in floors.items():
+            sigma = get_alternative(alt).sigma
+            assert [size_threshold(k, sigma) for k in range(1, 13)] == expected, alt
 
     @pytest.mark.parametrize("order", [(0.3, Fraction(0.3)), (Fraction(0.3), 0.3)], ids=["float-first", "binary-first"])
     def test_memo_keyed_on_the_exact_sigma(self, order):
