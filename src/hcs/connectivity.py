@@ -38,9 +38,12 @@ Each flow does less work than a plain augmenting-path search in two ways.
 It starts from a feasible flow instead of from zero, built in one pass
 over the neighbours a of s in ascending order: when a is next to the
 sink, one unit on s-a-sink, as an augmenting path along it would leave
-it; otherwise, when the sink is one vertex t (the flows of the pair
-loop), one unit on s-a-b-t, with b the lowest vertex next to a and t but
-not to s that no unit uses yet. Its value is the number of these paths,
+it; otherwise one unit on s-a-b-sink, with b the lowest vertex next to a
+and to the sink, not in the sink and not next to s, that no unit uses
+yet. To the one sink vertex t of a pair of the loop these b are t's
+neighbours; to the sink of a local flow (below) they are the vertices of
+the ball next to it, picked from the second neighbours of s. Its value is
+the number of these paths,
 and when they reach ``limit`` the pass stops and no search runs.
 Augmenting from any feasible flow reaches a maximum flow (Edmonds-Karp,
 J. ACM 19, 1972), and every maximum flow leaves the same
@@ -51,9 +54,10 @@ the queue is first in, first out, so the path it augments is the same.
 
 The kernel answers one question, through ``_min_cut_capped``: given a
 cap c, the first cut of fewer than c vertices that its search meets, or
-None. ``find_separation`` asks it with c = k + 1: padded to k vertices,
-any such cut is the core of a separation, and only the answer None needs
-the proof that kappa >= k+1. ``min_vertex_cut`` asks it again and again,
+None. The separation step ``_separate``, which ``find_separation`` runs
+after its checks and ``extract`` runs at each set of its tree, asks it
+with c = k + 1: padded to k vertices, any such cut is the core of a
+separation, and only the answer None needs the proof that kappa >= k+1. ``min_vertex_cut`` asks it again and again,
 each time with the size of the last cut found as the cap, until an ask
 finds no cut; Even's test of kappa >= k (SIAM J. Comput. 4, 1975) gets
 connectivity from such witness-giving asks too. The search returns its
@@ -319,9 +323,8 @@ def _st_vertex_cut(
     The source's own out-node is never reached that way, so s is tested
     once, before the first search.
 
-    The flow starts with one unit on s-a-sink or, to one sink vertex t, on
-    s-a-b-t for each neighbour a of s that the module docstring's one pass
-    routes. A later search may send such a unit back. The flow value
+    The flow starts with one unit on s-a-sink or on s-a-b-sink for each
+    neighbour a of s that the module docstring's one pass routes. A later search may send such a unit back. The flow value
     counts units, one a path, and the flow stops at ``limit`` with no
     search when these paths reach it. Any feasible flow augments to a
     maximum flow (Edmonds-Karp), and every maximum flow has the same
@@ -332,9 +335,10 @@ def _st_vertex_cut(
         return limit, None, 0
     into: dict[int, int] = {}
     units = 0
-    # b of s-a-b-t: next to t but not to s, so never an a; none unless the sink is t alone
-    lasts = 0 if sink & (sink - 1) else masks[sink.bit_length() - 1] & alive & ~masks[s]
     firsts = masks[s] & alive
+    # b of s-a-b-sink: next to the sink, not in it and not next to s, so never an a
+    lasts = (sum(1 << b for b in _bits(_near(masks, firsts) & alive & ~sink & ~firsts) if masks[b] & sink)
+             if sink & (sink - 1) else masks[sink.bit_length() - 1] & alive & ~firsts)
     while firsts and units < limit:
         a = (firsts & -firsts).bit_length() - 1
         firsts &= firsts - 1
@@ -342,7 +346,7 @@ def _st_vertex_cut(
         if masks[a] & sink:  # s-a-sink
             into[a] = s
             units += 1
-        elif hop:  # s-a-b-t
+        elif hop:  # s-a-b-sink
             bit = hop & -hop
             lasts ^= bit
             into[a] = s
@@ -591,18 +595,10 @@ def find_separation(
 ) -> Optional[Separation]:
     """A separation of g on alive whose core has exactly k vertices, if one exists.
 
-    Exists iff the set has at least k+2 vertices and kappa <= k. The first
-    separator of at most k vertices that ``_min_cut_capped`` meets, not
-    necessarily a minimum one, is padded up to k vertices by repeatedly
-    moving the lowest-indexed vertex of the larger private part into the
-    core (ties go to side A). The move never empties a private part: it
-    happens only while the core has fewer than k vertices, so the private
-    parts of the k+2 or more vertices hold at least 3 between them and the
-    larger holds at least 2. Side A grows from the component, after the
-    separator is removed, that holds the cut's source, which
-    ``_min_cut_capped`` returns with the cut: the flow that found the cut
-    reached it already, so no search runs here. The separation's
-    ``degrees`` are the set's degree classes.
+    Exists iff the set has at least k+2 vertices and kappa <= k. This checks
+    k, alive and ``parent``, counts the set's degree classes, and takes the
+    sides from ``_separate``, the step ``extract`` also runs. The
+    separation's ``degrees`` are the set's degree classes.
 
     ``parent``, when given, must be a separation of which alive is one
     side (ValueError otherwise). Its ``degrees``, when known, give alive's
@@ -620,6 +616,26 @@ def find_separation(
         degrees = _degree_classes(masks, alive)
     else:
         degrees = _side_degrees(masks, parent.degrees, parent.mask_a & parent.mask_b, alive)
+    sides = _separate(masks, alive, degrees, k)
+    return None if sides is None else Separation(*sides, degrees)
+
+
+def _separate(masks: tuple[int, ...], alive: int, degrees: dict[int, int], k: int) -> Optional[tuple[int, int]]:
+    """The sides (A, B), as bitmasks, of a separation with a k-vertex core of
+    the set alive of at least k+2 vertices, whose degree classes are
+    ``degrees``, or None when it has none. Nothing is checked.
+
+    The first separator of at most k vertices that ``_min_cut_capped``
+    meets, not necessarily a minimum one, is padded up to k vertices by
+    repeatedly moving the lowest-indexed vertex of the larger private part
+    into the core (ties go to side A). The move never empties a private
+    part: it happens only while the core has fewer than k vertices, so the
+    private parts of the k+2 or more vertices hold at least 3 between them
+    and the larger holds at least 2. Side A grows from the component, after
+    the separator is removed, that holds the cut's source, which
+    ``_min_cut_capped`` returns with the cut: the flow that found the cut
+    reached it already, so no search runs here.
+    """
     cut = _min_cut_capped(masks, alive, degrees, k + 1)
     if cut is None:
         return None
@@ -633,4 +649,4 @@ def find_separation(
             side_b |= priv_a & -priv_a
         else:
             side_a |= priv_b & -priv_b
-    return Separation(side_a, side_b, degrees)
+    return side_a, side_b

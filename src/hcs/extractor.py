@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, TextIO, Union
 
-from .connectivity import Separation, _bits, _members, find_separation
+from .connectivity import Separation, _bits, _members, _separate, _side_degrees
 from .field import Surd, _exact
 from .graphs import SimpleGraph, _check_k
 
@@ -119,37 +119,43 @@ def extract(g: SimpleGraph, k: int, sigma: SigmaLike) -> ExtractionResult:
     |W| - k, and both terms are at least 1, so a tree over n > k vertices
     has at most n - k leaves.
 
-    A FOUND set is certified once, by the search itself: ``find_separation``
-    returns None on a set of more than k+1 vertices only when it has no
-    vertex cut of at most k vertices, so the set is (k+1)-connected; that
-    is also the test ``is_k1_connected`` makes.
+    A FOUND set is certified once, by the search itself: the separation
+    step ``_separate``, which ``find_separation`` also runs, returns None on
+    a set of more than k+1 vertices only when it has no vertex cut of at
+    most k vertices, so the set is (k+1)-connected; that is also the test
+    ``is_k1_connected`` makes.
 
-    Each side is searched with its parent separation, whose degree classes
-    give the side's (see ``find_separation``); the answers do not depend
-    on it.
+    k and sigma are checked once, by ``size_threshold``; the step checks
+    nothing. The degree classes of the root are counted once, and each
+    side's are its parent's with only the core recounted
+    (``_side_degrees``); the answers do not depend on them.
     """
     # sets of at most k+1 vertices cannot host a (k+1)-connected subgraph either
     small_cap = max(size_threshold(k, sigma), k + 1)
-    # each open SEPARATED node: its vertex set, its separation while side A is
-    # searched (then None) and the children finished so far
-    path: list[tuple[int, Optional[Separation], list[DecompositionNode]]] = []
-    w, parent = (1 << g.n) - 1, None
+    masks = g.adjacency_masks
+    # each open SEPARATED node: its vertex set, its side B while side A is
+    # searched (then 0), its degree classes and the children finished so far
+    path: list[tuple[int, int, dict[int, int], list[DecompositionNode]]] = []
+    # the set to search, with its parent's degree classes and the parent's
+    # core; the root counts every vertex as core
+    w = core = (1 << g.n) - 1
+    classes: dict[int, int] = {}
     while True:
-        large = w.bit_count() > small_cap
-        sep = find_separation(g, k, w, parent=parent) if large else None
-        if sep is not None:
-            path.append((w, sep, []))
-            w, parent = sep.mask_a, sep
+        if w.bit_count() > small_cap:
+            degrees = _side_degrees(masks, classes, core, w)
+            sides = _separate(masks, w, degrees, k)
+            if sides is None:
+                return ExtractionResult(FOUND, frozenset(_bits(w)), None)
+            path.append((w, sides[1], degrees, []))
+            w, classes, core = sides[0], degrees, sides[0] & sides[1]
             continue
-        if large:
-            return ExtractionResult(FOUND, frozenset(_bits(w)), None)
         node = DecompositionNode(w)
         while path:  # hand the finished node to the open nodes above it
-            mask, sep, children = path[-1]
+            mask, side_b, classes, children = path[-1]
             children.append(node)
-            if sep is not None:  # side A is done; side B's search is the last to read sep
-                path[-1] = (mask, None, children)
-                w, parent = sep.mask_b, sep
+            if side_b:  # side A is done; side B's search is the last to read the classes
+                path[-1] = (mask, 0, {}, children)
+                w, core = side_b, node.mask & side_b
                 break
             path.pop()
             node = DecompositionNode(mask, tuple(children))
@@ -225,14 +231,6 @@ def _without(text: str, names: list[str]) -> str:
     return "".join(pieces)
 
 
-def _side_text(side: int, other: int, parent_text: str, names: list[str]) -> str:
-    """The JSON list of side; parent_text lists side | other."""
-    lacks = other & ~side
-    if lacks.bit_count() * _DELETE_RATIO <= side.bit_count():
-        return _without(parent_text, _members(lacks, names))
-    return _json_list(side, names)
-
-
 # write_result_json hands the file one joined string once it holds more
 # than this many pieces: about four tree nodes' worth
 _BLOCK = 64
@@ -248,6 +246,11 @@ def write_result_json(result: ExtractionResult, fh: TextIO) -> None:
     few nodes' worth, never the whole document. A node's vertex list is
     built once: a child's ``vertices`` is its side of its parent's
     separation.
+
+    When side A is a leaf, it is written in place and the walk goes on
+    down side B. Each node that waits on the stack holds the number of
+    closing brackets owed after its subtree: those of the separated nodes
+    whose side B it ends.
     """
     if result.outcome == FOUND:
         fh.write('{"outcome":"FOUND","subgraph":[' + ",".join(map(str, sorted(result.subgraph))) + "]}")
@@ -255,26 +258,27 @@ def write_result_json(result: ExtractionResult, fh: TextIO) -> None:
     root = result.tree
     names = list(map(str, range(root.mask.bit_length())))
     pieces = ['{"outcome":"SEPARABLE","tree":']
-    # items are either text to write or (node, its vertex list text)
-    stack: list = [(root, _json_list(root.mask, names))]
+    stack = [(root, _json_list(root.mask, names), 0)]  # (node, its vertex list text, brackets owed)
     while stack:
         if len(pieces) > _BLOCK:
             fh.write("".join(pieces))
             pieces.clear()
-        item = stack.pop()
-        if isinstance(item, str):
-            pieces.append(item)
-            continue
-        node, vertices = item
-        pieces += ('{"vertices":', vertices, ',"kind":"', node.kind, '"')
-        if not node.children:
-            pieces.append("}")
+        node, vertices, owed = stack.pop()
+        if not node.children:  # then a comma before the next node, or the end of the document
+            pieces += ('{"vertices":', vertices, ',"kind":"LEAF_SMALL"}' + "]}" * owed + ("," if stack else "}"))
             continue
         left, right = node.children
         a, b = left.mask, right.mask
-        side_a, side_b = _side_text(a, b, vertices, names), _side_text(b, a, vertices, names)
-        pieces += (',"separation":{"side_a":', side_a, ',"side_b":', side_b, ',"core":',
-                   _json_list(a & b, names), '},"children":[')
-        stack += ["]}", (right, side_b), ",", (left, side_a)]
-    pieces.append("}")
+        only_a, only_b = a & ~b, b & ~a  # the private parts: the ids the other side lacks
+        side_a = (_without(vertices, _members(only_b, names)) if only_b.bit_count() * _DELETE_RATIO <= a.bit_count()
+                  else _json_list(a, names))
+        side_b = (_without(vertices, _members(only_a, names)) if only_a.bit_count() * _DELETE_RATIO <= b.bit_count()
+                  else _json_list(b, names))
+        pieces += ('{"vertices":', vertices, ',"kind":"SEPARATED","separation":{"side_a":', side_a,
+                   ',"side_b":', side_b, ',"core":', _json_list(a & b, names), '},"children":[')
+        if left.children:
+            stack += ((right, side_b, owed + 1), (left, side_a, 0))
+        else:
+            pieces += ('{"vertices":', side_a, ',"kind":"LEAF_SMALL"},')
+            stack.append((right, side_b, owed + 1))
     fh.write("".join(pieces))

@@ -6,7 +6,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import pytest
 
-from hcs import CutWitness, OptimizationInstance, SimpleGraph, get_alternative, size_threshold
+from hcs import CutWitness, OptimizationInstance, SimpleGraph, find_separation, get_alternative, size_threshold
 from hcs.cli import _threshold_edge_count
 from hcs.connectivity import _bits
 from hcs.extractor import FOUND, LEAF_SMALL, SEPARABLE, SEPARATED, DecompositionNode, ExtractionResult
@@ -192,6 +192,45 @@ def brute_force_hcs(
     if g.n > max_vertices:
         raise ValueError(f"brute force limited to {max_vertices} vertices, got {g.n}")
     return scan_connected_subgraph(g, k, size_threshold(k, sigma) + 1)
+
+
+# --- extraction by the public separation step ------------------------------------
+
+def extract_by_find_separation(g: SimpleGraph, k: int, sigma) -> ExtractionResult:
+    """extract's answer, built by asking the public
+    ``find_separation(g, k, w, parent=...)`` at each set W of more than
+    max(floor((1+sigma)k), k+1) vertices, side A first, on an explicit stack;
+    the first set it finds no separation of is FOUND. A stack frame is a
+    set with the separation it is a side of, or a set whose two children
+    are the last two nodes finished."""
+    cap = max(size_threshold(k, sigma), k + 1)
+    stack: list = [((1 << g.n) - 1, None, False)]
+    done: list[DecompositionNode] = []
+    while stack:
+        w, parent, split = stack.pop()
+        if split:
+            b, a = done.pop(), done.pop()
+            done.append(DecompositionNode(w, (a, b)))
+            continue
+        if w.bit_count() <= cap:
+            done.append(DecompositionNode(w))
+            continue
+        sep = find_separation(g, k, w, parent=parent)
+        if sep is None:
+            return ExtractionResult(FOUND, frozenset(_bits(w)), None)
+        stack += [(w, None, True), (sep.mask_b, sep, False), (sep.mask_a, sep, False)]
+    return ExtractionResult(SEPARABLE, None, done.pop())
+
+
+def same_tree(left: DecompositionNode, right: DecompositionNode) -> bool:
+    """Whether two trees have the same set at every node, children in order."""
+    stack = [(left, right)]
+    while stack:
+        a, b = stack.pop()
+        if a.mask != b.mask or len(a.children) != len(b.children):
+            return False
+        stack += zip(a.children, b.children)
+    return True
 
 
 # --- extremal certificate oracles ---------------------------------------------

@@ -254,18 +254,19 @@ class TestStVertexCut:
 
     def test_matches_networkx_on_the_split_network(self):
         # each flow starts with one unit on s-a-sink for each neighbour a of s
-        # next to the sink and, to one sink vertex t, on a greedily routed
-        # s-a-b-t for each other a; the value must be min(kappa, limit), the
-        # separator the vertices whose in-node but not out-node the source
-        # reaches in the residual network, and the side the vertices whose
-        # out-node it reaches: s's component of alive - X. Pairs run to the
+        # next to the sink and on a greedily routed s-a-b-sink for each other
+        # a, to the sink {t} and to a ball's sink alike; the value must be
+        # min(kappa, limit), the separator the vertices whose in-node but not
+        # out-node the source reaches in the residual network, and the side
+        # the vertices whose out-node it reaches: s's component of alive - X.
+        # Both kinds of sink must see routed starts. Pairs run to the
         # sink {t}, the others to the complement of a ball around s that
         # misses s's lowest non-neighbour t0. ``_local_cut`` does not build
         # these sinks, but they are valid kernel inputs, and in them a
         # neighbour of s may touch the sink
         nx = pytest.importorskip("networkx")
         rng = random.Random(2020)
-        compared = seeded = routed = off_t0 = 0
+        compared = seeded = routed = routed_ball = off_t0 = 0
         for _ in range(240):
             n = rng.randint(5, 40)
             g = random_graph(rng, n, rng.uniform(0.05, 0.9))
@@ -298,10 +299,16 @@ class TestStVertexCut:
                     continue
                 assert set(_bits(sep)) == x_in and set(_bits(side)) == x_out
                 assert side == component_by_search(g, alive & ~sep, s)
+                # some a not next to the sink has a b next to it and to the
+                # sink, not in the sink and not next to s: a unit is routed on s-a-b-sink
+                lasts = alive & ~sink & ~masks[s] & _near(masks, sink)
+                routes = direct.bit_count() < limit and any(
+                    masks[a] & lasts for a in _bits(masks[s] & alive & ~direct))
                 if sink == 1 << t:
-                    routed += direct.bit_count() < limit and any(
-                        masks[a] & masks[t] & ~masks[s] for a in _bits(masks[s] & alive & ~masks[t]))
-        assert compared >= 400 and seeded >= 50 and routed >= 20 and off_t0 >= 40
+                    routed += routes
+                else:
+                    routed_ball += routes
+        assert compared >= 400 and seeded >= 50 and routed >= 20 and routed_ball >= 20 and off_t0 >= 40
 
     def test_routed_unit_sent_back(self):
         # 0 reaches 5 through 1 or 2, then 3 or 4; 2 only through 3. The paths
@@ -316,6 +323,19 @@ class TestStVertexCut:
         kappa, x_in, x_out = networkx_cut(nx, g, full, 0, 1 << 5)
         assert (kappa, mask(x_in), mask(x_out)) == expected
         assert _st_vertex_cut(g.adjacency_masks, 0, 1 << 5, 2, full) == (2, None, 0)
+
+    def test_routed_unit_sent_back_to_a_set_sink(self):
+        # the same graph with a sink of two vertices, 5 and 7, where 7 hangs off
+        # 4: b is next to the sink, not in it. 1 takes 3 first, so the flow
+        # starts with one unit on 0-1-3-5, which the search must send back
+        nx = pytest.importorskip("networkx")
+        g = SimpleGraph.from_edges(8, [(0, 1), (0, 2), (0, 6), (1, 3), (1, 4), (1, 6), (2, 3), (3, 5), (4, 5), (4, 7)])
+        full, sink = (1 << 8) - 1, 1 << 5 | 1 << 7
+        expected = (2, mask({1, 2}), mask({0, 6}))
+        assert _st_vertex_cut(g.adjacency_masks, 0, sink, 3, full) == expected
+        kappa, x_in, x_out = networkx_cut(nx, g, full, 0, sink)
+        assert (kappa, mask(x_in), mask(x_out)) == expected
+        assert _st_vertex_cut(g.adjacency_masks, 0, sink, 2, full) == (2, None, 0)
 
     def test_common_neighbours_reach_the_limit(self):
         # K(2,5): 0 and 1 share five neighbours, so five disjoint paths

@@ -24,14 +24,17 @@ from hcs import (
     size_threshold,
     validate_decomposition,
 )
-from hcs.extractor import _size_floor, write_result_json
+from hcs import extractor
+from hcs.extractor import DecompositionNode, ExtractionResult, _size_floor, write_result_json
 from hcs.field import Surd, sqrt
 from conftest import (
     brute_force_hcs,
+    extract_by_find_separation,
     induced_subgraph,
     k1_connected_by_removal,
     random_graph,
     result_to_json_dict,
+    same_tree,
     tree_check_oracle,
 )
 from test_golden import EXTREMAL, case_ids, digest, relabelled
@@ -76,6 +79,18 @@ def assert_written_as_dumped(result) -> None:
     if text != expected:  # name the first difference; a diff of megabytes takes minutes
         at = len(os.path.commonprefix([text, expected]))
         pytest.fail(f"texts differ at {at}: {text[at - 30:at + 30]!r} against {expected[at - 30:at + 30]!r}")
+
+
+def side_a_kinds(root) -> tuple[int, int]:
+    """(leaf, separated): how many separated nodes of the tree have a leaf as
+    side A and how many a separated node."""
+    counts, stack = [0, 0], [root]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            counts[bool(node.children[0].children)] += 1
+            stack += node.children
+    return counts[0], counts[1]
 
 
 def triangle_chain(m: int) -> SimpleGraph:
@@ -418,6 +433,41 @@ class TestValidateMutations:
         assert seen == set(MUTATIONS)
 
 
+class TestAgainstFindSeparation:
+    """extract runs the separation step unchecked and carries each side's
+    degree classes itself; its answer must be the one that asking the public
+    ``find_separation`` with ``parent=`` at each set gives, node for node."""
+
+    @staticmethod
+    def assert_same_answer(g, k, sigma) -> str:
+        got, expected = extract(g, k, sigma), extract_by_find_separation(g, k, sigma)
+        assert got.outcome == expected.outcome and got.subgraph == expected.subgraph
+        assert got.tree is None and expected.tree is None or same_tree(got.tree, expected.tree)
+        return got.outcome
+
+    def test_random_graphs(self):
+        rng = random.Random(4545)
+        outcomes = {k: set() for k in range(1, 5)}
+        for i in range(200):
+            k = 1 + i % 4
+            g = random_graph(rng, rng.randint(6, 32), rng.choice([0.1, 0.2, 0.35, 0.5, 0.7]))
+            outcomes[k].add(self.assert_same_answer(g, k, rng.choice([Fraction(1, 5), Fraction(1), Fraction(2)])))
+        assert all(seen == {FOUND, SEPARABLE} for seen in outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("case", ["path", "triangle chain"])
+    def test_long_trees(self, case):
+        g, k, sigma = {"path": (SimpleGraph.path(300), 1, 1), "triangle chain": (triangle_chain(100), 1, 3)}[case]
+        assert self.assert_same_answer(g, k, sigma) == SEPARABLE
+
+    @pytest.mark.parametrize("params", [(2, 2, 6), (3, 3, 5), (2, 4, 5)], ids=["2-2-6", "3-3-5", "2-4-5"])
+    @pytest.mark.parametrize("relabel", [False, True], ids=["as built", "relabelled"])
+    def test_extremal(self, params, relabel):
+        k, sigma_k, level = params
+        e = build_extremal(k, sigma_k, level)
+        g = relabelled(e.graph, level) if relabel else e.graph
+        assert self.assert_same_answer(g, k, e.sigma) == SEPARABLE
+
+
 class TestInheritedBound:
     def test_disconnected_child(self):
         # Vertex 0 has degree 2, so the root's core is its neighbourhood
@@ -565,13 +615,49 @@ class TestSerialization:
         assert res.outcome == SEPARABLE
         if case == "triangle chain":  # the root peels its lowest and its highest id
             assert res.tree.separation.mask_a & ~res.tree.separation.mask_b == 1 | 1 << 1200
+        # every side A is a leaf: the writer goes down side B in place
+        assert side_a_kinds(res.tree) == ((599 if case == "triangle chain" else 1198), 0)
         assert_written_as_dumped(res)
 
     @pytest.mark.parametrize("params", sorted(EXTREMAL), ids=case_ids(EXTREMAL))
     def test_written_text_is_dumped_text_extremal(self, params):
+        # the writer writes a leaf side A in place and walks a separated one:
+        # these trees have both
         k, sigma_k, level = params
         e = build_extremal(k, sigma_k, level)
-        assert_written_as_dumped(extract(relabelled(e.graph, level), k, e.sigma))
+        res = extract(relabelled(e.graph, level), k, e.sigma)
+        leaves, separated = side_a_kinds(res.tree)
+        assert leaves > 0 and separated > 0
+        assert_written_as_dumped(res)
+
+    @staticmethod
+    def cuts_made(res, monkeypatch) -> list[list[str]]:
+        """The ids the writer deletes from a parent's list text, one list a side,
+        once its text is checked against the dumped text."""
+        cuts = []
+        without = extractor._without
+        monkeypatch.setattr(extractor, "_without", lambda text, names: cuts.append(names) or without(text, names))
+        assert_written_as_dumped(res)
+        return cuts
+
+    def test_side_cut_when_it_lacks_at_most_a_64th(self, monkeypatch):
+        # a tree made by hand, over ids 0..199: the root's side A lacks only
+        # 199 and is cut from the root's text, its side B {0, 199} is encoded;
+        # side A splits into the leaf {0, 1}, encoded, and {1..198}, which
+        # lacks only 0 and is cut
+        leaf_a, leaf_b = DecompositionNode(0b11), DecompositionNode((1 << 199) - 2)
+        side_a = DecompositionNode((1 << 199) - 1, (leaf_a, leaf_b))
+        root = DecompositionNode((1 << 200) - 1, (side_a, DecompositionNode(1 | 1 << 199)))
+        assert self.cuts_made(ExtractionResult(SEPARABLE, None, root), monkeypatch) == [["199"], ["0"]]
+
+    def test_written_text_is_dumped_text_both_sides_cut(self, monkeypatch):
+        # K66 less the edge {0, 65} at k = 64: the core is the other 64
+        # vertices, each private part is one vertex, and 1 * 64 <= 65, so both
+        # sides' lists are cut out of the root's list text
+        g = SimpleGraph.from_edges(66, [e for e in SimpleGraph.complete(66).edges if e != (0, 65)])
+        res = extract(g, 64, Fraction(1, 64))
+        assert [child.mask for child in res.tree.children] == [(1 << 65) - 1, (1 << 66) - 2]
+        assert self.cuts_made(res, monkeypatch) == [["65"], ["0"]]
 
     # sha256 and size of the `extract --out` file, write_result_json's text and a
     # newline, for trees larger than the golden digests': the extremal graphs as
