@@ -101,12 +101,15 @@ own, and on the extremal graphs it is the peeled leaf.
 The same split fixes the side's degrees. No edge joins the two private
 parts of a separation, so a private vertex of a side keeps every
 neighbour it had in the separated set, and only the k core vertices
-change degree. The degree classes of a set (each degree mapped to the
-bitmask of its vertices) are counted in one pass at the root and then
-carried down: a side's classes are its parent's restricted to the side's
-private part, plus the k core vertices counted again. The minimum degree and its lowest-numbered vertex are
-read from the classes, with no pass over the set, and the set is complete
-exactly when its minimum degree is n - 1.
+change degree. The separation step reads the degree classes of its set
+(each degree mapped to the bitmask of its vertices). ``extract`` counts
+them in one pass at the root and carries them down its tree: a side's
+classes are its parent's restricted to the side's private part, plus the
+k core vertices counted again (``_side_degrees``). ``find_separation``,
+which sees one set and no parent, counts them afresh. The minimum degree
+and its lowest-numbered vertex are read from the classes, with no pass
+over the set, and the set is complete exactly when its minimum degree is
+n - 1.
 
 The kernel works on one graph and a vertex set given as a bitmask over
 it (``alive``, all of the graph by default). Separators are bitmasks in
@@ -117,11 +120,11 @@ its sides as bitmasks, with frozensets built only on access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, Optional, Sequence, TypeVar
 
-from .graphs import SimpleGraph, _check_k
+from .graphs import SimpleGraph, _check_k, _is_int
 
 T = TypeVar("T")
 
@@ -152,15 +155,11 @@ class Separation:
 
     The core claims nothing about the connectivity of the separated set:
     ``find_separation`` pads the first cut of at most k vertices it meets,
-    not a minimum one. ``degrees`` maps each degree in the separated set
-    to the bitmask of its vertices of that degree, or is None when unknown;
-    it is not part of equality. The separations of ``extract``'s tree hold
-    None, since only the searches of the sides read the classes.
+    not a minimum one.
     """
 
     mask_a: int
     mask_b: int
-    degrees: Optional[dict[int, int]] = field(default=None, compare=False, repr=False)
 
     @property
     def side_a(self) -> frozenset[int]:
@@ -275,9 +274,12 @@ def _bits(mask: int) -> list[int]:
 
 
 def _vertex_mask(g: SimpleGraph, alive: Optional[int]) -> int:
-    """``alive``, or all of g when it is None; it must name only vertices of g."""
+    """``alive``, or all of g when it is None; it must be an int (not a bool)
+    that names only vertices of g."""
     if alive is None:
         return (1 << g.n) - 1
+    if not _is_int(alive):
+        raise ValueError("vertex mask must be an integer")
     if alive < 0 or alive >> g.n:
         raise ValueError("vertex mask names vertices outside the graph")
     return alive
@@ -590,34 +592,20 @@ def is_k1_connected(g: SimpleGraph, k: int, alive: Optional[int] = None) -> bool
     return find_separation(g, k, alive) is None and _vertex_mask(g, alive).bit_count() >= k + 2
 
 
-def find_separation(
-    g: SimpleGraph, k: int, alive: Optional[int] = None, *, parent: Optional[Separation] = None
-) -> Optional[Separation]:
+def find_separation(g: SimpleGraph, k: int, alive: Optional[int] = None) -> Optional[Separation]:
     """A separation of g on alive whose core has exactly k vertices, if one exists.
 
     Exists iff the set has at least k+2 vertices and kappa <= k. This checks
-    k, alive and ``parent``, counts the set's degree classes, and takes the
-    sides from ``_separate``, the step ``extract`` also runs. The
-    separation's ``degrees`` are the set's degree classes.
-
-    ``parent``, when given, must be a separation of which alive is one
-    side (ValueError otherwise). Its ``degrees``, when known, give alive's
-    degree classes by recounting only the core (``_side_degrees``); the
-    separation is the same as without ``parent``.
+    k and alive, counts the set's degree classes, and takes the sides from
+    ``_separate``, the step ``extract`` also runs.
     """
     _check_k(k)
     alive = _vertex_mask(g, alive)
-    if parent is not None and alive != parent.mask_a and alive != parent.mask_b:
-        raise ValueError("alive is not a side of the parent separation")
     if alive.bit_count() < k + 2:
         return None
     masks = g.adjacency_masks
-    if parent is None or parent.degrees is None:
-        degrees = _degree_classes(masks, alive)
-    else:
-        degrees = _side_degrees(masks, parent.degrees, parent.mask_a & parent.mask_b, alive)
-    sides = _separate(masks, alive, degrees, k)
-    return None if sides is None else Separation(*sides, degrees)
+    sides = _separate(masks, alive, _degree_classes(masks, alive), k)
+    return None if sides is None else Separation(*sides)
 
 
 def _separate(masks: tuple[int, ...], alive: int, degrees: dict[int, int], k: int) -> Optional[tuple[int, int]]:

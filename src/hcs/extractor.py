@@ -84,8 +84,8 @@ class DecompositionNode:
 
     @property
     def separation(self) -> Optional[Separation]:
-        """The separation whose sides are the two children's sets, with no
-        degree classes, or None for a leaf."""
+        """The separation whose sides are the two children's sets, side A
+        first, or None for a leaf."""
         if not self.children:
             return None
         left, right = self.children

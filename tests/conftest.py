@@ -197,17 +197,16 @@ def brute_force_hcs(
 # --- extraction by the public separation step ------------------------------------
 
 def extract_by_find_separation(g: SimpleGraph, k: int, sigma) -> ExtractionResult:
-    """extract's answer, built by asking the public
-    ``find_separation(g, k, w, parent=...)`` at each set W of more than
-    max(floor((1+sigma)k), k+1) vertices, side A first, on an explicit stack;
-    the first set it finds no separation of is FOUND. A stack frame is a
-    set with the separation it is a side of, or a set whose two children
-    are the last two nodes finished."""
+    """extract's answer, built by asking the public ``find_separation(g, k, w)``
+    at each set W of more than max(floor((1+sigma)k), k+1) vertices, side A
+    first, on an explicit stack; the first set it finds no separation of is
+    FOUND. A stack frame is a set to search, or a set whose two children are
+    the last two nodes finished."""
     cap = max(size_threshold(k, sigma), k + 1)
-    stack: list = [((1 << g.n) - 1, None, False)]
+    stack: list = [((1 << g.n) - 1, False)]
     done: list[DecompositionNode] = []
     while stack:
-        w, parent, split = stack.pop()
+        w, split = stack.pop()
         if split:
             b, a = done.pop(), done.pop()
             done.append(DecompositionNode(w, (a, b)))
@@ -215,10 +214,10 @@ def extract_by_find_separation(g: SimpleGraph, k: int, sigma) -> ExtractionResul
         if w.bit_count() <= cap:
             done.append(DecompositionNode(w))
             continue
-        sep = find_separation(g, k, w, parent=parent)
+        sep = find_separation(g, k, w)
         if sep is None:
             return ExtractionResult(FOUND, frozenset(_bits(w)), None)
-        stack += [(w, None, True), (sep.mask_b, sep, False), (sep.mask_a, sep, False)]
+        stack += [(w, True), (sep.mask_b, False), (sep.mask_a, False)]
     return ExtractionResult(SEPARABLE, None, done.pop())
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -685,10 +686,13 @@ class TestFindSeparation:
             sep.validate(glued_k4s, 2)
 
     def test_parent_must_own_the_side(self, glued_k4s):
+        # a side is searched as a set of its own: the K4 side has no separation,
+        # and find_separation takes no parent
         parent = find_separation(glued_k4s, 2)
-        assert find_separation(glued_k4s, 2, parent.mask_b, parent=parent) is None
-        with pytest.raises(ValueError, match="not a side"):
-            find_separation(glued_k4s, 2, 0b011111, parent=parent)
+        assert find_separation(glued_k4s, 2, parent.mask_b) is None
+        with pytest.raises(TypeError):
+            find_separation(glued_k4s, 2, parent.mask_b, parent=parent)
+        assert [f.name for f in dataclasses.fields(Separation)] == ["mask_a", "mask_b"]
 
     def test_disconnected_padding(self):
         g = SimpleGraph.empty(5)

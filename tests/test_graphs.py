@@ -93,7 +93,9 @@ class TestOneEdgeRule:
 
 
 _G = build_extremal(2, 2, 2).graph
+_SEPARATION = find_separation(_G, 2)
 _K = "k must be a positive integer"
+_MASK = "vertex mask must be an integer"
 _EXTREMAL = "'k', 'sigma_k' and 'level' must be integers"
 _CONFIG = "'trials', 'k', 'n_range' and 'seed' must be integers"
 _ALT = "alternative id must be an integer"
@@ -118,6 +120,9 @@ INTEGER_ENTRIES = {
     "validate_decomposition k": (lambda x: validate_decomposition(_G, x, 1, extract(_G, 2, 1).tree), _K),
     "find_separation k": (lambda x: find_separation(_G, x), _K),
     "is_k1_connected k": (lambda x: is_k1_connected(_G, x), _K),
+    "find_separation alive": (lambda x: find_separation(_G, 2, x), _MASK),
+    "is_k1_connected alive": (lambda x: is_k1_connected(_G, 2, x), _MASK),
+    "Separation.validate alive": (lambda x: _SEPARATION.validate(_G, 2, x), _MASK),
     "separable_density_check k": (lambda x: separable_density_check(_G, x, get_alternative(3)), _K),
     "build_extremal k": (lambda x: build_extremal(x, 2, 1), _EXTREMAL),
     "build_extremal sigma_k": (lambda x: build_extremal(2, x, 1), _EXTREMAL),
@@ -145,6 +150,9 @@ class TestIntegerRule:
         assert size_threshold(2, 1) == 4
         validate_decomposition(_G, 2, 1, extract(_G, 2, 1).tree)
         assert find_separation(_G, 2) is not None and not is_k1_connected(_G, 2)
+        full = (1 << _G.n) - 1
+        assert find_separation(_G, 2, full) == _SEPARATION and not is_k1_connected(_G, 2, full)
+        _SEPARATION.validate(_G, 2, full)
         assert _config().seed == 1
 
     @pytest.mark.parametrize("good, bad", [(2, 2.0), (1, True), (2, "2"), (2, [2])])

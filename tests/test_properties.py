@@ -30,9 +30,11 @@ from hcs import (
 )
 from hcs.connectivity import (
     _bits,
+    _degree_classes,
     _dominating_pairs,
     _min_cut_capped,
     _near,
+    _separate,
     _side_degrees,
     _st_vertex_cut,
 )
@@ -205,19 +207,22 @@ def test_extract_answers_check_out(g, k, sigma):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(glued_graph(), st.integers(1, 3))
 def test_inherited_bound_changes_nothing(g, k):
-    """Down the whole separation tree, each side gets the same separation
-    with its parent as without it."""
-    todo = [((1 << g.n) - 1, None)]
+    """Down the whole separation tree, every separation is valid, and the
+    separation step given each side's degree classes carried down from its
+    parent, as ``extract`` gives them, splits the side as ``find_separation``
+    does with a fresh count."""
+    masks, root = g.adjacency_masks, (1 << g.n) - 1
+    todo = [(root, _degree_classes(masks, root))]
     while todo:
-        alive, parent = todo.pop()
-        sep = find_separation(g, k, alive, parent=parent)
-        if parent is not None:
-            ref = find_separation(g, k, alive)
-            assert sep == ref, (sorted(g.edges), k, alive)
+        alive, degrees = todo.pop()
+        sep = find_separation(g, k, alive)
+        if alive.bit_count() >= k + 2:
+            sides = _separate(masks, alive, degrees, k)
+            assert sides == (None if sep is None else (sep.mask_a, sep.mask_b)), (sorted(g.edges), k, alive)
         if sep is not None:
             sep.validate(g, k, alive)
-            for side in (sep.side_a, sep.side_b):
-                todo.append((sum(1 << v for v in side), sep))
+            for side in (sep.mask_a, sep.mask_b):
+                todo.append((side, _side_degrees(masks, degrees, sep.mask_a & sep.mask_b, side)))
 
 
 def fresh_degrees(g: SimpleGraph, alive: int) -> dict[int, int]:
@@ -239,26 +244,26 @@ def fresh_degrees(g: SimpleGraph, alive: int) -> dict[int, int]:
 def test_inherited_degrees_match_a_fresh_count(g, k):
     """At every node of the separation tree, the degree classes carried down
     from the parent equal a fresh count on the node's own set."""
-    masks = g.adjacency_masks
-    todo = [((1 << g.n) - 1, None)]
+    masks, root = g.adjacency_masks, (1 << g.n) - 1
+    todo = [(root, _degree_classes(masks, root))]
     while todo:
-        alive, parent = todo.pop()
-        sep = find_separation(g, k, alive, parent=parent)
+        alive, degrees = todo.pop()
+        assert degrees == fresh_degrees(g, alive)
+        sep = find_separation(g, k, alive)
         if sep is None:
             continue
-        assert sep.degrees == fresh_degrees(g, alive)
         for side in (sep.mask_a, sep.mask_b):
-            assert _side_degrees(masks, sep.degrees, sep.mask_a & sep.mask_b, side) == fresh_degrees(g, side)
-            todo.append((side, sep))
+            side_degrees = _side_degrees(masks, degrees, sep.mask_a & sep.mask_b, side)
+            assert side_degrees == fresh_degrees(g, side)
+            todo.append((side, side_degrees))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.one_of(graph_and_mask(), split_at_a_low_vertex()), st.integers(1, 3))
 def test_separation_matches_networkx(case, k):
     """``find_separation`` gives a separation exactly when the set has at
-    least k+2 vertices and networkx finds its connectivity at most k; the
-    separation is valid, and each of its sides gets the same separation
-    with it as its parent as without."""
+    least k+2 vertices and networkx finds its connectivity at most k, and
+    the separation is valid."""
     nx = pytest.importorskip("networkx")
     g, alive = case
     sep = find_separation(g, k, alive)
@@ -272,8 +277,6 @@ def test_separation_matches_networkx(case, k):
     assert (sep is None) == (nx.node_connectivity(h) > k), (sorted(g.edges), k, alive)
     if sep is not None:
         sep.validate(g, k, alive)
-        for side in (sep.mask_a, sep.mask_b):
-            assert find_separation(g, k, side, parent=sep) == find_separation(g, k, side)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -296,13 +299,9 @@ def check_cuts_down_the_tree(g: SimpleGraph, k: int, alive: int) -> None:
     component of the set less the separator, and not the only one.
     Complete sets and sets of no cut below k+1 give None."""
     masks = g.adjacency_masks
-    todo = [(alive, None)]
+    todo = [(alive, fresh_degrees(g, alive))]
     while todo:
-        alive, parent = todo.pop()
-        if parent is None:
-            degrees = fresh_degrees(g, alive)
-        else:
-            degrees = _side_degrees(masks, parent.degrees, parent.mask_a & parent.mask_b, alive)
+        alive, degrees = todo.pop()
         cut = _min_cut_capped(masks, alive, degrees, k + 1)
         ref_kappa, ref_sep, _ = min_cut_every_pair(g, k + 1, alive)
         case = (sorted(g.edges), k, alive)
@@ -319,9 +318,10 @@ def check_cuts_down_the_tree(g: SimpleGraph, k: int, alive: int) -> None:
                 assert (sep, side) == (_near(masks, s) & alive, s), case
             assert side == component_by_search(g, alive & ~sep, (side & -side).bit_length() - 1), case
             assert alive & ~sep & ~side, case
-        split = find_separation(g, k, alive, parent=parent)
+        split = find_separation(g, k, alive)
         if split is not None:
-            todo += [(split.mask_a, split), (split.mask_b, split)]
+            core = split.mask_a & split.mask_b
+            todo += [(side, _side_degrees(masks, degrees, core, side)) for side in (split.mask_a, split.mask_b)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
