@@ -151,7 +151,7 @@ def run_trial(t: int, cfg: ExperimentConfig, alt: ParameterAlternative) -> Trial
         return TrialRow(t, n, 0, Fraction(0), NOT_APPLICABLE_SATURATED, None, elapsed)
     pairs = list(itertools.combinations(range(n), 2))  # (u, v) with u < v, lexicographic
     _shuffle(pairs, rng)
-    g = _unchecked_graph(n, frozenset(pairs[:target_e]))
+    g = _unchecked_graph(n, tuple(sorted(pairs[:target_e])))  # distinct pairs, so strictly ascending
     result = extract(g, cfg.k, alt.sigma)
     h_size = len(result.subgraph) if result.outcome == FOUND else None
     elapsed = int((time.perf_counter() - start) * 1000)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import itemgetter
 from typing import Optional, TextIO
 
 from .bounds import _alt1_constants
@@ -236,16 +235,12 @@ def _check_partition(e: ExtremalGraph, part_of: dict[int, int]) -> bool:
     if max(sizes) - least > 1:
         return False
     # read the edges whose first end is in the pool, not the C(2k, 2) pool
-    # pairs, which the file's metadata sets. In the ascending tuple a pool
-    # vertex's edges to higher labels are one slice, found by bisection; a set
-    # is never sorted, so C picks them out of it before any Python test runs
-    edges = e.graph.held_edges
-    if type(edges) is tuple:
-        in_pool = chain.from_iterable(
-            edges[bisect_left(edges, (u,)):bisect_left(edges, (u + 1,))] for u in part_of
-        )
-    else:
-        in_pool = compress(edges, map(part_of.__contains__, map(itemgetter(0), edges)))
+    # pairs, which the file's metadata sets: in the ascending tuple a pool
+    # vertex's edges to higher labels are one slice, found by bisection
+    edges = e.graph.sorted_edges
+    in_pool = chain.from_iterable(
+        edges[bisect_left(edges, (u,)):bisect_left(edges, (u + 1,))] for u in part_of
+    )
     return not any(w in part_of and part_of[u] != part_of[w] for u, w in in_pool)
 
 
@@ -285,13 +280,8 @@ def _certificate_check(e: ExtremalGraph) -> bool:
     (so in both children) or both ends in one child, so some level-l node
     holds both ends on its private sides. The check costs O(n + e).
 
-    The walk visits the edges in the form the graph holds them
-    (``held_edges``): in ascending order for a built instance and for a
-    file ``construct`` wrote, which ``graph_from_json_dict`` keeps, and in
-    the edge set's hash order for a file in any other order, which is not
-    sorted here. Ascending pairs read ``side`` and ``glue`` nearly in order;
-    hash order scatters the reads and took three to five times as long at
-    (2,2) level 13, but sorting first costs more than it saves.
+    The walk visits the edges in ascending order, the one form a graph
+    holds them in, so it reads ``side`` and ``glue`` nearly in order.
     """
     if e.graph.n != e.k + (e.sigma_k << e.level):
         return False
@@ -306,7 +296,7 @@ def _certificate_check(e: ExtremalGraph) -> bool:
             glue += glue[lo:hi]
         for x in y:
             glue[x] |= bit
-    return not any((side[u] ^ side[w]) & ~(glue[u] | glue[w]) for u, w in e.graph.held_edges)
+    return not any((side[u] ^ side[w]) & ~(glue[u] | glue[w]) for u, w in e.graph.sorted_edges)
 
 
 def _extraction_check(e: ExtremalGraph) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from operator import lt
-from typing import Collection, Iterable
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -25,11 +25,9 @@ class SimpleGraph:
     """Undirected simple graph on vertices 0..n-1, immutable and safe to share
     between tasks.
 
-    Its edges are pairs (u, v) with u < v, held in one of two forms: the
-    frozenset ``edges`` or the ascending tuple ``sorted_edges``. The graph
-    is built with one of them and derives the other only on first use, so a
-    caller that reads only one form never pays for the other.
-    ``held_edges`` reads whichever form the graph holds.
+    Its edges are pairs (u, v) with u < v, held in one form: the strictly
+    ascending tuple ``sorted_edges``, which every constructor and loader
+    makes. The frozenset ``edges`` is built from it on first use.
 
     ``SimpleGraph(n, edges)`` takes the pairs so ordered and refuses a pair
     (v, u); ``from_edges`` turns it around. Both apply the edge rule that
@@ -38,13 +36,13 @@ class SimpleGraph:
 
     def __init__(self, n: int, edges: Iterable[Edge]) -> None:
         entries = list(edges)  # read once, so any iterable will do
-        edge_set = SimpleGraph.from_edges(n, entries).edges
+        held = SimpleGraph.from_edges(n, entries).sorted_edges
         # from_edges turns a pair (v, u) around; given here, it is refused
         swapped = next((e for e in entries if e[0] > e[1]), None)
         if swapped is not None:
             raise ValueError(f"edge {tuple(swapped)} out of range or not normalized")
         object.__setattr__(self, "n", n)
-        vars(self)["edges"] = edge_set
+        object.__setattr__(self, "sorted_edges", held)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -55,10 +53,10 @@ class SimpleGraph:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.sorted_edges == other.sorted_edges
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.sorted_edges))
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n!r}, edges={self.edges!r})"
@@ -67,9 +65,7 @@ class SimpleGraph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         """The graph with these edges, each pair in either order."""
         _check_count(n)
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        return _unchecked_graph(n, frozenset(_checked_edges(n, edges)))
+        return _unchecked_graph(n, tuple(sorted(set(_checked_edges(n, edges)))))
 
     @staticmethod
     def empty(n: int) -> "SimpleGraph":
@@ -95,31 +91,17 @@ class SimpleGraph:
     @cached_property
     def edges(self) -> frozenset[Edge]:
         """The edges as a set, built on first use from ``sorted_edges``."""
-        return frozenset(vars(self)["sorted_edges"])
-
-    @cached_property
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        """The edges in ascending order, as the writers emit them: sorted on
-        first use from ``edges``, unless the graph was built with them in order."""
-        return tuple(sorted(vars(self)["edges"]))
-
-    @property
-    def held_edges(self) -> Collection[Edge]:
-        """The edges in a form the graph already holds, for walks whose result
-        does not depend on the order: the ascending tuple when there is one,
-        which reads vertex data nearly in order, else the set in hash order."""
-        held = vars(self)
-        return held["sorted_edges"] if "sorted_edges" in held else held["edges"]
+        return frozenset(self.sorted_edges)
 
     @property
     def edge_count(self) -> int:
-        return len(self.held_edges)
+        return len(self.sorted_edges)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbourhood of each vertex as a bitmask over vertex ids."""
         masks = [0] * self.n
-        for u, v in self.held_edges:
+        for u, v in self.sorted_edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
@@ -167,17 +149,15 @@ def graph_from_json_dict(data: dict) -> SimpleGraph:
         raise ValueError("'n' must be an integer")
     if not isinstance(edges, list):
         raise ValueError("'edges' must be a list")
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
+    _check_count(n)
     if n > VERTEX_CAP:
         raise ValueError(f"graph has {n} vertices, above the cap {VERTEX_CAP}")
     pairs = _checked_edges(n, edges)
-    # construct writes the edges strictly ascending: kept as the graph's only
-    # form, that order spares sorted_edges its sort and the graph its edge set,
-    # and a strictly ascending list repeats no edge
-    if all(map(lt, pairs, islice(pairs, 1, None))):
-        return _unchecked_graph(n, tuple(pairs))
-    return _unchecked_graph(n, frozenset(pairs))
+    # construct writes the edges strictly ascending, and such a list repeats
+    # no edge: it is kept as it is, and any other list is sorted once
+    if not all(map(lt, pairs, islice(pairs, 1, None))):
+        pairs = sorted(set(pairs))
+    return _unchecked_graph(n, tuple(pairs))
 
 
 def _checked_edges(n: int, edges: Iterable) -> list[Edge]:
@@ -204,13 +184,12 @@ def _checked_edges(n: int, edges: Iterable) -> list[Edge]:
     return pairs
 
 
-def _unchecked_graph(n: int, edges: frozenset[Edge] | tuple[Edge, ...]) -> SimpleGraph:
+def _unchecked_graph(n: int, sorted_edges: tuple[Edge, ...]) -> SimpleGraph:
     """A graph built without the edge rule, for callers that made its edges
-    valid. It holds them in the form given: a frozenset as ``edges``, or
-    a strictly ascending tuple as ``sorted_edges``."""
+    valid and strictly ascending; it holds the tuple given as ``sorted_edges``."""
     g = object.__new__(SimpleGraph)
     object.__setattr__(g, "n", n)
-    vars(g)["sorted_edges" if type(edges) is tuple else "edges"] = edges
+    object.__setattr__(g, "sorted_edges", sorted_edges)
     return g
 
 
@@ -220,9 +199,11 @@ def _is_int(value) -> bool:
 
 
 def _check_count(n) -> None:
-    """Refuse a vertex count that is not an int, before range(n) sees it."""
+    """Refuse a vertex count that is not a non-negative int, before range(n) sees it."""
     if not _is_int(n):
         raise ValueError("vertex count must be an integer")
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
 
 
 def _check_k(k) -> None:

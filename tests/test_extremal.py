@@ -474,7 +474,6 @@ class TestOneEdgeForm:
         e = extremal_from_json_dict(data)
         report = verify_extremal(e)
         sharpness_rate(e)
-        assert "sorted_edges" not in vars(e.graph)
         assert report == verify_extremal(build_extremal(k, sigma_k, level))
 
 
