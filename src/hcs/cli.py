@@ -118,20 +118,24 @@ def _threshold_edge_count(alt: ParameterAlternative, k: int, n: int) -> int:
     return e
 
 
-def _shuffle(items: list, rng: random.Random) -> None:
-    """Shuffle items in place with exactly the draws ``rng.shuffle(items)`` makes.
+def _shuffle(items: list, rng: random.Random, stop: int = 1) -> None:
+    """Shuffle items in place with the draws ``rng.shuffle(items)`` makes, down
+    to index ``stop`` (at least 1).
 
     Fisher-Yates (Durstenfeld, CACM 7(7), 1964, Algorithm 235): for i from
-    len - 1 down to 1, swap items[i] with items[j] for j uniform in 0..i,
+    len - 1 down to stop, swap items[i] with items[j] for j uniform in 0..i,
     drawn as getrandbits((i + 1).bit_length()) until it is at most i. The
     bit width is fixed over each block of i whose i + 1 shares a bit
-    length, so it is computed once per block.
+    length, so it is computed once per block. With the default stop of 1
+    this is the whole of ``rng.shuffle``. A swap at i < stop moves items
+    only within items[:stop], so a pass that stops there leaves in
+    items[:stop] the same items as the whole pass, in another order.
     """
     getrandbits = rng.getrandbits
     top = len(items) - 1
-    while top > 0:
+    while top >= stop:
         bits = (top + 1).bit_length()
-        bottom = max((1 << (bits - 1)) - 1, 1)  # least i with (i + 1).bit_length() == bits
+        bottom = max((1 << (bits - 1)) - 1, stop)  # least i with (i + 1).bit_length() == bits
         for i in range(top, bottom - 1, -1):
             j = getrandbits(bits)
             while j > i:
@@ -150,7 +154,7 @@ def run_trial(t: int, cfg: ExperimentConfig, alt: ParameterAlternative) -> Trial
         elapsed = int((time.perf_counter() - start) * 1000)
         return TrialRow(t, n, 0, Fraction(0), NOT_APPLICABLE_SATURATED, None, elapsed)
     pairs = list(itertools.combinations(range(n), 2))  # (u, v) with u < v, lexicographic
-    _shuffle(pairs, rng)
+    _shuffle(pairs, rng, target_e)  # rng draws nothing more, so the skipped draws are never read
     g = _unchecked_graph(n, tuple(sorted(pairs[:target_e])))  # distinct pairs, so strictly ascending
     result = extract(g, cfg.k, alt.sigma)
     h_size = len(result.subgraph) if result.outcome == FOUND else None
@@ -310,8 +314,9 @@ def _cmd_certify(args) -> int:
     return 0 if report.passed else 1
 
 
-@functools.cache  # parsing leaves the parser as it was, so one serves every dispatch
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache  # parsing leaves the parsers as they were, so one set serves every dispatch
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``hcs`` parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="hcs",
         description="Dense graphs and large highly connected subgraphs: "
@@ -356,14 +361,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=_cmd_certify)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``hcs`` parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """argv as ``build_parser().parse_args`` parses it, in one pass when argv[0]
+    names a subcommand.
+
+    The ``hcs`` parser hands everything after the name to that subcommand's
+    parser and adds only ``command``. It reports any arguments left over
+    itself, so a call with some is parsed again by it.
+    """
+    parser, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return argparse.Namespace(command=argv[0], **vars(args))
+    return parser.parse_args(argv)
 
 
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv and run the chosen subcommand; returns the exit code."""
-    parser = build_parser()
+    """Parse argv (``sys.argv[1:]`` when None) and run the chosen subcommand;
+    returns the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:

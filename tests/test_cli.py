@@ -27,7 +27,8 @@ from hcs import (
     verify_extremal,
 )
 from hcs.bounds import alternative_1, density_threshold, get_alternative, reports_to_json, verify_all_bounds
-from hcs.cli import NOT_APPLICABLE_SATURATED, _shuffle, build_parser, rows_to_csv, run_trial
+from hcs.cli import (NOT_APPLICABLE_SATURATED, _parse_args, _shuffle, build_parser, rows_to_csv,
+                     run_trial)
 from hcs.graphs import VERTEX_CAP, graph_from_json_dict
 from conftest import (brute_force_hcs, extremal_to_json_dict, graph_to_json_dict, random_graph,
                       result_to_json_dict, tree_check_oracle, tree_from_json_dict)
@@ -49,6 +50,63 @@ class TestDispatch:
     def test_missing_subcommand(self, capsys):
         assert dispatch([]) == 2
         capsys.readouterr()
+
+    # exit code and argv: one valid call of each subcommand, the calls the hcs parser
+    # answers itself, and usage errors for each parser to report; "{dir}" is the test's
+    # directory, which holds the (2,2) level-1 instance g.json
+    PARSE_TABLE = [
+        (0, ["construct", "--k", "1", "--sigma-k", "1", "--level", "2", "--out", "{dir}/c.json"]),
+        (0, ["extract", "--in", "{dir}/g.json", "--k", "2", "--sigma", "0.2"]),
+        (0, ["verify-bounds", "--alt", "3"]),
+        (0, ["experiment", "--trials", "2", "--k", "2", "--alt", "3", "--seed", "1",
+             "--csv", "{dir}/t.csv"]),
+        (0, ["certify", "--in", "{dir}/g.json"]),
+        (2, []),
+        (0, ["-h"]),
+        (0, ["experiment", "-h"]),
+        (2, ["bogus"]),
+        (2, ["extract", "--bogus"]),
+        (2, ["extract", "--in", "{dir}/g.json", "--k", "2", "--sigma", "0.2", "stray"]),
+        (2, ["certify"]),
+        (2, ["extract", "--in", "{dir}/g.json", "--k", "2", "--alt", "9"]),
+        (2, ["experiment", "--trials", "1", "--k", "x", "--alt", "3", "--seed", "1"]),
+    ]
+
+    @staticmethod
+    def parsed(parse, argv):
+        """The Namespace's items in order, or the exit code, that parse makes of argv."""
+        try:
+            return list(vars(parse(argv)).items())
+        except SystemExit as exc:
+            return exc.code
+
+    @pytest.mark.parametrize("code, argv", PARSE_TABLE,
+                             ids=[" ".join(argv) or "no-args" for _, argv in PARSE_TABLE])
+    def test_parses_as_the_hcs_parser(self, capsys, tmp_path, code, argv):
+        assert dispatch(["construct", "--k", "2", "--sigma-k", "2", "--level", "1",
+                         "--out", str(tmp_path / "g.json")]) == 0
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        parser = build_parser()
+        assert self.parsed(_parse_args, argv) == self.parsed(parser.parse_args, argv)
+        capsys.readouterr()
+        assert dispatch(argv) == code
+        ours = capsys.readouterr()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == code
+        else:
+            assert args.func(args) == code
+        theirs = capsys.readouterr()
+        assert (ours.out, ours.err) == (theirs.out, theirs.err)
+
+    def test_no_argument_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["hcs", "experiment", "-h"])
+        assert dispatch() == 0
+        assert capsys.readouterr().out.startswith("usage: hcs experiment ")
+        monkeypatch.setattr(sys, "argv", ["hcs", "verify-bounds", "--alt", "3"])
+        assert dispatch() == 0
+        assert capsys.readouterr().out.endswith("9/9 obligations passed\n")
 
     def test_verify_bounds_alt3(self, capsys):
         code = dispatch(["verify-bounds", "--alt", "3"])
@@ -569,6 +627,27 @@ class TestShuffle:
     @pytest.mark.parametrize("length", BOUNDARIES)
     def test_power_of_two_boundaries(self, length):
         self.check(length)
+
+    @staticmethod
+    def check_stops(length):
+        # a pass stopped at index stop leaves items[stop:] as the whole pass does, so
+        # items[:stop] holds the same items, which run_trial sorts
+        stops = {1, 2, length // 3, length // 2, 3 * length // 4, length - 1, length}
+        for stop in sorted(s for s in stops if 1 <= s <= max(length, 1)):
+            for seed in range(10):
+                items, expected = list(range(length)), list(range(length))
+                _shuffle(items, random.Random(seed), stop)
+                random.Random(seed).shuffle(expected)
+                assert items[stop:] == expected[stop:], (length, stop, seed)
+                assert sorted(items[:stop]) == sorted(expected[:stop]), (length, stop, seed)
+
+    def test_stopped_pass_every_short_length(self):
+        for length in range(301):
+            self.check_stops(length)
+
+    @pytest.mark.parametrize("length", BOUNDARIES)
+    def test_stopped_pass_power_of_two_boundaries(self, length):
+        self.check_stops(length)
 
 
 class TestUncheckedTrialGraph:
